@@ -25,7 +25,7 @@ from .pruner import (CombinedStrategy, PercentageStrategy, PruningDecision,
 from .regularizers import (LossTerms, ModifiedLoss, l1_regularizer,
                            orthogonality_term)
 from .surgery import SurgeryRecord, group_sizes, prune_groups
-from .taylor import ExactZeroingEngine, TaylorScoreEngine
+from .taylor import ExactZeroingEngine, FusedTaylorScorer, TaylorScoreEngine
 from .toeplitz import toeplitz_indices, toeplitz_matrix, toeplitz_matrix_tensor
 from .trainer import (EpochStats, Trainer, TrainingConfig, TrainingHistory,
                       evaluate_model)
@@ -34,7 +34,7 @@ __all__ = [
     "ModifiedLoss", "LossTerms", "l1_regularizer", "orthogonality_term",
     "toeplitz_indices", "toeplitz_matrix", "toeplitz_matrix_tensor",
     "ActivationRecorder", "activation_mask",
-    "TaylorScoreEngine", "ExactZeroingEngine",
+    "TaylorScoreEngine", "FusedTaylorScorer", "ExactZeroingEngine",
     "ImportanceConfig", "ImportanceEvaluator", "ImportanceReport",
     "aggregate_scores",
     "PruningStrategy", "ThresholdStrategy", "PercentageStrategy",

@@ -4,7 +4,8 @@ Pipeline per filter group (one prunable layer):
 
 1. For each class ``n``, draw ``M`` training images of that class.
 2. Compute Taylor scores ``Θ'`` of every activation for every image
-   (:class:`~repro.core.taylor.TaylorScoreEngine`).
+   (:class:`~repro.core.taylor.FusedTaylorScorer`, several classes per
+   pass).
 3. Binarise per image: ``s = 1 if Θ' > τ else 0``  (Eq. 5, τ = 1e-50).
 4. Average over the M images → ``s_ave`` per activation       (Eq. 6).
 5. Filter score w.r.t. class ``n`` = max over the filter's activations
@@ -18,16 +19,27 @@ pruning candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..data import Dataset, EmptyDatasetError, per_class_images
 from ..nn import Module
-from .taylor import ExactZeroingEngine, TaylorScoreEngine
+from .taylor import ExactZeroingEngine, FusedTaylorScorer
 
 __all__ = ["ImportanceConfig", "ImportanceReport", "ImportanceEvaluator",
-           "aggregate_scores"]
+           "aggregate_scores", "sample_class_images", "scoring_engine",
+           "score_classes"]
+
+#: Cap on images per fused scoring pass. Chunk size never changes a score,
+#: only wall-clock and memory. Measured on a 2-vCPU host, perfbench
+#: ``prune`` workload (vgg11, 100 classes, M=2), median peak RSS: 76.8 MiB
+#: for unfused per-class passes, 76.9 at a cap of 64, 79.2 at 128 and 84.3
+#: at 256 (the benchmark allows +10%). Throughput did not gain above 64:
+#: 3.39 runs/s at 64 (10 runs); 2.91 at 128 and 2.76 at 256 (3 runs each,
+#: a later series). Train-bench scoring lane (resnet20, 100 classes,
+#: M=10), serial best-of-5: 0.46 s at 64, 0.42 s at 128 and 256, 1.0 s
+#: unfused.
+_FUSE_IMAGE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,13 @@ class ImportanceReport:
     per_class: dict[str, np.ndarray] = field(default_factory=dict)
     num_classes: int = 0
 
+    @classmethod
+    def from_per_class(cls, per_class: dict[str, np.ndarray],
+                       num_classes: int) -> "ImportanceReport":
+        """Report whose totals are the row sums of ``per_class``."""
+        return cls(total={p: m.sum(axis=1) for p, m in per_class.items()},
+                   per_class=per_class, num_classes=num_classes)
+
     def all_scores(self) -> np.ndarray:
         """Concatenated total scores across groups (analysis/histograms)."""
         if not self.total:
@@ -127,21 +146,100 @@ def aggregate_scores(taylor_scores: np.ndarray, tau: float,
     Returns
     -------
     ``(C,)`` array — the filters' importance for this class (Eq. 5–7).
+
+    The Eq. 6 average is taken as ``count_nonzero / M``. That is exactly
+    the mean of the float64 indicator: the indicator sum is an integer far
+    below 2**53, so the pairwise float64 sum and the integer count are the
+    same value, divided by the same float64 ``M``.
     """
     if taylor_scores.ndim < 2:
         raise ValueError("expected at least (M, C) scores")
-    if taylor_scores.shape[0] == 0:
+    m = taylor_scores.shape[0]
+    if m == 0:
         raise ValueError(
             "aggregate_scores received scores for zero images (M=0); the "
             "Eq. 6 average would silently be NaN")
-    indicator = (taylor_scores > tau).astype(np.float64)   # Eq. 5
-    s_ave = indicator.mean(axis=0)                          # Eq. 6, (C, ...)
+    s_ave = np.count_nonzero(taylor_scores > tau, axis=0) / np.float64(m)
     if s_ave.ndim == 1:                                     # linear layer
         return s_ave
     flat = s_ave.reshape(s_ave.shape[0], -1)
     if aggregation == "max":
         return flat.max(axis=1)                             # Eq. 7
     return flat.mean(axis=1)
+
+
+def sample_class_images(dataset: Dataset, num_classes: int,
+                        images_per_class: int, seed: int,
+                        ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Draw the ``M`` images of every class up front (Sec. IV sampling).
+
+    One rng seeded with ``seed`` is consumed class by class in class
+    order, so the draws are those of a loop that samples and scores one
+    class at a time.
+
+    Returns
+    -------
+    ``(bank, entries)``: all classes' images stacked back to back, and one
+    ``(class_index, start, stop)`` row slice of ``bank`` per class.
+    """
+    rng = np.random.default_rng(seed)
+    arrays, entries, start = [], [], 0
+    for class_index in range(num_classes):
+        try:
+            images = per_class_images(dataset, class_index,
+                                      images_per_class, rng)
+        except EmptyDatasetError as exc:
+            raise EmptyDatasetError(
+                f"importance evaluation needs samples of every class "
+                f"(Eq. 6 averages over M images per class): {exc}"
+            ) from exc
+        arrays.append(images)
+        entries.append((class_index, start, start + len(images)))
+        start += len(images)
+    return np.concatenate(arrays, axis=0), entries
+
+
+def scoring_engine(model: Module, group_paths: list[str],
+                   config: ImportanceConfig, input_shape: tuple[int, ...]):
+    """The per-batch score engine ``config`` asks for."""
+    if config.use_exact:
+        return ExactZeroingEngine(model, group_paths)
+    return FusedTaylorScorer(model, group_paths, input_shape)
+
+
+def score_classes(engine, bank: np.ndarray,
+                  entries: list[tuple[int, int, int]],
+                  config: ImportanceConfig):
+    """Yield ``(class_index, {path: (F,) class scores})`` per entry.
+
+    ``path`` runs over the engine's ``layer_paths``. ``entries`` are ``(class_index, start, stop)`` row slices that tile
+    ``bank`` back to back, as :func:`sample_class_images` returns them (or
+    a run of consecutive ones), so every pass scores a zero-copy view of
+    the bank. Consecutive classes share one ``engine.scores`` pass of at most
+    :data:`_FUSE_IMAGE_CAP` images (at least one class per pass); each
+    class's slice of the result is then thresholded and reduced on its
+    own (Eq. 5–7, with a per-class τ in quantile mode). Summed CE keeps
+    every sample's gradient independent of its batch neighbours, so the
+    chunking changes only wall-clock, never a score.
+    """
+    paths = engine.layer_paths
+    per_pass = max(1, _FUSE_IMAGE_CAP // config.images_per_class)
+    for i in range(0, len(entries), per_pass):
+        chunk = entries[i:i + per_pass]
+        base = chunk[0][1]
+        targets = np.repeat([c for c, _, _ in chunk],
+                            [e - s for _, s, e in chunk])
+        taylor = engine.scores(bank[base:chunk[-1][2]], targets)
+        for class_index, start, stop in chunk:
+            sliced = {p: taylor[p][start - base:stop - base] for p in paths}
+            if config.tau_mode == "quantile":
+                pooled = np.concatenate([sliced[p].reshape(-1) for p in paths])
+                tau = float(np.quantile(pooled, config.tau_quantile))
+            else:
+                tau = config.tau
+            yield class_index, {
+                p: aggregate_scores(sliced[p], tau, config.aggregation)
+                for p in paths}
 
 
 class ImportanceEvaluator:
@@ -158,8 +256,6 @@ class ImportanceEvaluator:
         Total class count of the task.
     config:
         Evaluation hyperparameters.
-    loss_fn:
-        Optional override of the sensitivity loss (defaults to summed CE).
     workers:
         When positive, the per-class evaluations are sharded across a
         persistent worker pool (:mod:`repro.parallel`) — bit-identical to
@@ -167,7 +263,7 @@ class ImportanceEvaluator:
         on the first :meth:`evaluate` and reused while the model's shapes
         are unchanged; call :meth:`close` (or use the evaluator as a
         context manager) to release it. Requires the model to carry an
-        architecture recipe (``model.arch``) and the default loss.
+        architecture recipe (``model.arch``).
     processes:
         Physical process cap for the pool (default: ``min(workers,
         usable CPUs)``; see :func:`repro.parallel.resolve_processes`).
@@ -182,15 +278,13 @@ class ImportanceEvaluator:
     """
 
     def __init__(self, model: Module, dataset: Dataset, num_classes: int,
-                 config: ImportanceConfig | None = None,
-                 loss_fn: Callable | None = None, workers: int = 0,
+                 config: ImportanceConfig | None = None, workers: int = 0,
                  processes: int | None = None, supervision=None,
                  on_worker_event=None):
         self.model = model
         self.dataset = dataset
         self.num_classes = num_classes
         self.config = config or ImportanceConfig()
-        self.loss_fn = loss_fn
         self.workers = workers
         self.processes = processes
         self.supervision = supervision
@@ -211,11 +305,6 @@ class ImportanceEvaluator:
 
     def _evaluate_parallel(self, group_paths: list[str],
                            workers: int) -> ImportanceReport:
-        if self.loss_fn is not None:
-            raise ValueError(
-                "a custom loss_fn is not supported with workers > 0 "
-                "(closures cannot be shipped to worker processes); "
-                "evaluate serially instead")
         from ..parallel.scoring import ScoringSession
         session = self._session
         if session is not None and not session.compatible(
@@ -239,47 +328,25 @@ class ImportanceEvaluator:
                  workers: int | None = None) -> ImportanceReport:
         """Score the filters of the given producer layers.
 
-        One forward+backward pass per class evaluates all layers at once,
-        so the cost is ``num_classes`` passes regardless of network size.
-        With ``workers`` (argument or constructor default) positive, the
-        classes are scored by the worker pool instead; the report is
-        bit-identical to the serial loop's.
+        All classes' images are sampled first; then each fused pass of
+        :func:`score_classes` scores several classes at once, for every
+        layer, through a backward that computes no weight gradient. With
+        ``workers`` (argument or constructor default) positive, the
+        classes are scored by the worker pool instead, through the same
+        functions; the report is bit-identical either way.
         """
         workers = self.workers if workers is None else workers
         if workers and workers > 0:
             return self._evaluate_parallel(list(group_paths), workers)
         cfg = self.config
-        engine_cls = ExactZeroingEngine if cfg.use_exact else TaylorScoreEngine
-        engine = engine_cls(self.model, group_paths, loss_fn=self.loss_fn)
-        rng = np.random.default_rng(cfg.seed)
-
+        bank, entries = sample_class_images(
+            self.dataset, self.num_classes, cfg.images_per_class, cfg.seed)
+        engine = scoring_engine(self.model, group_paths, cfg, bank.shape[1:])
         per_class: dict[str, np.ndarray] = {}
-        for class_index in range(self.num_classes):
-            try:
-                images = per_class_images(self.dataset, class_index,
-                                          cfg.images_per_class, rng)
-            except EmptyDatasetError as exc:
-                raise EmptyDatasetError(
-                    f"importance evaluation needs samples of every class "
-                    f"(Eq. 6 averages over M images per class): {exc}"
-                ) from exc
-            targets = np.full(len(images), class_index, dtype=np.intp)
-            taylor = engine.scores(images, targets)
-            if cfg.tau_mode == "quantile":
-                pooled = np.concatenate(
-                    [taylor[p].reshape(-1) for p in group_paths])
-                tau = float(np.quantile(pooled, cfg.tau_quantile))
-            else:
-                tau = cfg.tau
-            for path in group_paths:
-                class_scores = aggregate_scores(taylor[path], tau,
-                                                cfg.aggregation)
+        for class_index, cols in score_classes(engine, bank, entries, cfg):
+            for path, col in cols.items():
                 if path not in per_class:
                     per_class[path] = np.zeros(
-                        (len(class_scores), self.num_classes), dtype=np.float64)
-                per_class[path][:, class_index] = class_scores
-
-        report = ImportanceReport(num_classes=self.num_classes)
-        report.per_class = per_class
-        report.total = {p: m.sum(axis=1) for p, m in per_class.items()}
-        return report
+                        (len(col), self.num_classes), dtype=np.float64)
+                per_class[path][:, class_index] = col
+        return ImportanceReport.from_per_class(per_class, self.num_classes)

@@ -1,11 +1,14 @@
 """Per-activation sensitivity scores (Eq. 3 and Eq. 4 of the paper).
 
-Two implementations of the same quantity:
+Two definitions of the same quantity, the first in two implementations:
 
 * :class:`TaylorScoreEngine` — the first-order approximation
   ``Θ'(a, x) = |a · ∂L/∂a|`` computed for *every* activation of every
-  monitored layer with a single forward + backward pass per batch. This is
-  what the framework uses, exactly as the paper prescribes for efficiency.
+  monitored layer with a single forward + backward pass per batch: the
+  plain per-batch reference.
+* :class:`FusedTaylorScorer` — the same ``Θ'`` bit for bit, for batches
+  that mix several classes, with every weight gradient skipped. This is
+  what the importance evaluation uses, serial and in workers alike.
 * :class:`ExactZeroingEngine` — the literal definition
   ``Θ(a, x) = |L(x) − L(x; a←0)|``, one extra forward pass per activation.
   Exponentially slower; kept as ground truth for validating the Taylor
@@ -19,6 +22,7 @@ tensor can be substituted.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable
 
 import numpy as np
@@ -27,7 +31,7 @@ from ..nn import Module, cross_entropy
 from ..tensor import Tensor
 from .hooks import ActivationRecorder, activation_mask
 
-__all__ = ["TaylorScoreEngine", "ExactZeroingEngine"]
+__all__ = ["TaylorScoreEngine", "FusedTaylorScorer", "ExactZeroingEngine"]
 
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
 
@@ -93,6 +97,99 @@ class TaylorScoreEngine:
             return result
         finally:
             self.model.train(was_training)
+
+
+@contextlib.contextmanager
+def _rooted(model: Module, root_path: str | None):
+    """Eval mode with every parameter frozen but those of ``root_path``.
+
+    Restores ``model.training`` and every ``requires_grad`` on exit.
+    """
+    was_training = model.training
+    params = [p for _, p in model.named_parameters()]
+    saved = [p.requires_grad for p in params]
+    model.eval()
+    try:
+        for p in params:
+            p.requires_grad = False
+        if root_path is not None:
+            for p in model.get_module(root_path).parameters():
+                p.requires_grad = True
+        yield
+    finally:
+        for p, s in zip(params, saved):
+            p.requires_grad = s
+        model.train(was_training)
+
+
+class FusedTaylorScorer:
+    """Taylor scores for a batch mixing several classes, weight-grad free.
+
+    Numerically identical to running :class:`TaylorScoreEngine` on each
+    class slice (summed CE keeps per-sample gradients independent), but a
+    single pass scores the whole batch, parameters are frozen so backward
+    never computes a weight gradient, and when the probe at construction
+    allows it (``root_path``) the graph starts at the first monitored
+    layer's parameters so even the input gradients of the stem layers are
+    skipped.
+
+    Parameters
+    ----------
+    model, layer_paths:
+        As for :class:`TaylorScoreEngine`; the loss is always summed CE.
+    input_shape:
+        Shape of one input image, for the root probe.
+    """
+
+    def __init__(self, model: Module, layer_paths: list[str],
+                 input_shape: tuple[int, ...]):
+        self.model = model
+        self.layer_paths = list(layer_paths)
+        self.root_path = self._probe_root(tuple(input_shape))
+
+    def _probe_root(self, input_shape: tuple[int, ...]) -> str | None:
+        """Check whether rooting at the first monitored layer reaches all.
+
+        Every monitored activation must be downstream of that layer for
+        the rooted fast path to be exact; exotic topologies fall back to
+        rooting at the input (which is always correct, and still skips
+        all weight gradients). The probe forward runs in eval mode, so
+        BatchNorm running statistics are left untouched.
+        """
+        candidate = self.layer_paths[0]
+        try:
+            with _rooted(self.model, candidate), \
+                    ActivationRecorder(self.model, self.layer_paths) as rec:
+                self.model(Tensor(np.zeros((1,) + input_shape, np.float32)))
+                ok = all(rec.activations[p].requires_grad
+                         for p in self.layer_paths)
+        except Exception:  # noqa: BLE001 - any probe failure means fallback
+            ok = False
+        return candidate if ok else None
+
+    def scores(self, images: np.ndarray,
+               targets: np.ndarray) -> dict[str, np.ndarray]:
+        """Same contract as :meth:`TaylorScoreEngine.scores`."""
+        model = self.model
+        with _rooted(model, self.root_path):
+            x = Tensor(np.asarray(images, dtype=np.float32),
+                       requires_grad=self.root_path is None)
+            model.zero_grad()
+            with ActivationRecorder(model, self.layer_paths) as recorder:
+                logits = model(x)
+                loss = _per_sample_ce(logits,
+                                      np.asarray(targets, dtype=np.intp))
+                loss.backward()
+                result = {}
+                for path in self.layer_paths:
+                    act = recorder.activations[path]
+                    if act.grad is None:
+                        raise RuntimeError(
+                            f"activation of {path!r} received no gradient; "
+                            "is the layer on the path to the loss?")
+                    result[path] = np.abs(act.data * act.grad)
+            model.zero_grad()
+            return result
 
 
 class ExactZeroingEngine:

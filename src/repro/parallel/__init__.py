@@ -4,8 +4,8 @@ Three pillars, all exposed through knobs on the existing APIs
 (``ImportanceEvaluator(workers=N)``, ``TrainingConfig(workers=N)``,
 ``ClassAwarePruningFramework.run(workers=N)``, ``repro run --workers N``):
 
-* :mod:`~repro.parallel.scoring` — per-class Taylor evaluations fanned
-  across a persistent worker pool, bit-identical to serial;
+* :mod:`~repro.parallel.scoring` — the serial path's fused class scoring
+  fanned across a persistent worker pool, bit-identical to serial;
 * :mod:`~repro.parallel.shard` — data-parallel fine-tuning: batch shards
   are evaluated in workers and their gradients all-reduced into the
   parent's SGD step;
@@ -24,8 +24,7 @@ knobs of the supervision layer.
 from .bucket import BucketPlan
 from .errors import ParallelExecutionError, TaskFailedError
 from .pool import CRASH_TASK, EchoService, WorkerPool, resolve_processes
-from .scoring import (FusedTaylorScorer, ScoringService, ScoringSession,
-                      aggregate_scores_fast)
+from .scoring import ScoringService, ScoringSession
 from .shm import SharedArrayBundle, ShmSpec
 from .supervisor import (HANG_TASK, STALL_HEARTBEAT_TASK,
                          SupervisedWorkerPool, SupervisionConfig,
@@ -45,10 +44,8 @@ __all__ = [
     "resolve_processes",
     "SharedArrayBundle",
     "ShmSpec",
-    "FusedTaylorScorer",
     "ScoringService",
     "ScoringSession",
-    "aggregate_scores_fast",
     "BucketPlan",
     "ShardedTrainingSession",
 ]

@@ -3,10 +3,11 @@
 Two workloads, mirroring the two halves of :mod:`repro.parallel`:
 
 * **scoring** — the per-class Taylor importance evaluation, serial
-  (:class:`~repro.core.importance.ImportanceEvaluator` loop) vs fanned
-  across a persistent worker pool. The parallel path must return a
-  bit-identical :class:`~repro.core.importance.ImportanceReport`; the
-  benchmark *asserts* this before reporting any timing.
+  (:class:`~repro.core.importance.ImportanceEvaluator`, fused class
+  chunks) vs fanned across a persistent worker pool. The parallel path
+  must return a bit-identical
+  :class:`~repro.core.importance.ImportanceReport`; the benchmark
+  *asserts* this before reporting any timing.
 * **finetune** — one training epoch under the modified objective, in
   three flavours: the autograd penalty graph, the fused closed-form
   regularizer gradients, and the sharded data-parallel loop.
@@ -33,8 +34,8 @@ __all__ = ["BENCH_CONFIG", "SMOKE_CONFIG", "run_bench", "write_bench",
 # The acceptance workload: resnet20 on a 100-class task, M=10 images per
 # class — enough classes that per-class evaluation dominates pool
 # overhead, and images sized so the benchmark stays in CI budget on a
-# one-CPU container (the fused path's win — amortising 100 small
-# per-class passes into a handful of large ones — is what is measured).
+# one-CPU container. Serial and workers run the same fused scorer, so the
+# ratio measures what the pool adds on the host's cores.
 BENCH_CONFIG: dict = {
     "scoring": dict(model="resnet20", num_classes=100, image_size=8,
                     width=0.25, images_per_class=10, samples_per_class=12),

@@ -1,37 +1,26 @@
 """Class-parallel importance scoring (the Eq. 5–7 pipeline, sharded).
 
-Serial :meth:`ImportanceEvaluator.evaluate` runs ``num_classes`` strictly
-sequential forward+backward passes. This module fans those per-class
-evaluations across a persistent :class:`~repro.parallel.WorkerPool` and
-reduces the per-class score columns into the same
-:class:`~repro.core.importance.ImportanceReport`, **bit-identical** to the
-serial result under a fixed seed. Three independent properties make the
-bit-identity structural rather than lucky:
+This module fans the class evaluations of
+:meth:`ImportanceEvaluator.evaluate` across a persistent
+:class:`~repro.parallel.WorkerPool` and gathers the per-class score
+columns into the same :class:`~repro.core.importance.ImportanceReport`,
+**bit-identical** to the serial result under a fixed seed. Parent and
+workers run the serial path's own code, so the bit-identity is
+structural rather than lucky:
 
-1. The parent draws the per-class image indices with the *same* rng
-   consumption sequence as the serial loop and ships the sampled images
-   to the workers, so every class scores the exact arrays serial scores.
-2. Per-class score columns never interact: each column is produced by one
-   worker from one (fused) pass and written into its own slot of the
-   ``(F, num_classes)`` matrix, so neither the worker count nor the task
-   schedule can reorder any floating-point reduction.
-3. The per-class pass itself is exact: summed cross entropy makes each
-   sample's activation gradient independent of its batch neighbours, so
-   fusing K classes into one forward+backward yields bitwise the same
-   ``|a · ∂L/∂a|`` slices as K separate passes (verified per model in
-   ``tests/parallel``).
+1. The parent draws the images with
+   :func:`~repro.core.importance.sample_class_images`, exactly as the
+   serial path does, and ships them to the workers through shared memory.
+2. Each worker scores its classes with
+   :func:`~repro.core.importance.score_classes`, the serial path's chunk
+   loop. Per-class score columns never interact: each is written into its
+   own slot of the ``(F, num_classes)`` matrix, so neither the worker
+   count nor the task schedule can reorder any floating-point reduction.
 
-The workers additionally apply two algebraic speedups that the serial
-path cannot (cheaply) use, which is where the measured >2× comes from on
-top of — not instead of — any multi-core scaling:
-
-* **rooted backward**: all parameters are frozen and the graph is rooted
-  at the first monitored layer's own parameters (probed once; fallback is
-  rooting at the input). Backward then skips every weight-gradient GEMM —
-  scoring only needs *activation* gradients — without changing them.
-* **fused class chunks**: several classes share one forward+backward
-  (capped so the fused batch stays cache-resident), amortising the
-  Python/graph overhead of a pass.
+The algebraic speedups — fused class chunks, the rooted weight-grad-free
+backward of :class:`~repro.core.taylor.FusedTaylorScorer` and counting
+aggregation — belong to that shared code and apply to the serial path
+too; the pool adds only multi-core scaling on top.
 """
 
 from __future__ import annotations
@@ -40,98 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from ..tensor import Tensor
-
-__all__ = ["FusedTaylorScorer", "ScoringService", "ScoringSession",
-           "aggregate_scores_fast"]
-
-#: Cap on images per fused forward+backward; larger batches thrash the
-#: cache and run *slower* than serial per-class passes on small CPUs
-#: (measured optimum ~256 on the benchmark workloads; chunk size never
-#: affects the scores, only wall-clock).
-_FUSE_IMAGE_CAP = 256
-
-
-def aggregate_scores_fast(taylor_scores: np.ndarray, tau: float,
-                          aggregation: str = "max") -> np.ndarray:
-    """Bitwise-identical fast path of :func:`repro.core.importance.aggregate_scores`.
-
-    The serial form materialises the Eq. 5 indicator as a float64 array
-    and averages it; here the average is ``count_nonzero / M``. Both are
-    exact: the indicator sum is an integer far below 2**53, so numpy's
-    (pairwise) float64 summation and the integer count produce the same
-    value, and both divide it by the same float64 ``M``. The Eq. 7
-    reduction then operates on an identical ``s_ave`` array.
-    """
-    if taylor_scores.ndim < 2:
-        raise ValueError("expected at least (M, C) scores")
-    m = taylor_scores.shape[0]
-    if m == 0:
-        raise ValueError(
-            "aggregate_scores received scores for zero images (M=0); the "
-            "Eq. 6 average would silently be NaN")
-    s_ave = np.count_nonzero(taylor_scores > tau, axis=0) / np.float64(m)
-    if s_ave.ndim == 1:                                     # linear layer
-        return s_ave
-    flat = s_ave.reshape(s_ave.shape[0], -1)
-    if aggregation == "max":
-        return flat.max(axis=1)                             # Eq. 7
-    return flat.mean(axis=1)
-
-
-class FusedTaylorScorer:
-    """Taylor scores for a batch mixing several classes, weight-grad free.
-
-    Numerically identical to running
-    :class:`~repro.core.taylor.TaylorScoreEngine` on each class slice
-    (summed CE keeps per-sample gradients independent), but a single pass
-    scores the whole batch, parameters are frozen so backward never
-    computes a weight gradient, and with ``root_path`` the graph starts at
-    that layer's parameters so even the input gradient of the stem layers
-    is skipped.
-    """
-
-    def __init__(self, model, layer_paths: list[str], loss_fn=None):
-        from ..core.taylor import _per_sample_ce
-        self.model = model
-        self.layer_paths = list(layer_paths)
-        self.loss_fn = loss_fn or _per_sample_ce
-
-    def scores(self, images: np.ndarray, targets: np.ndarray,
-               root_path: str | None = None) -> dict[str, np.ndarray]:
-        from ..core.hooks import ActivationRecorder
-        model = self.model
-        was_training = model.training
-        model.eval()
-        params = [p for _, p in model.named_parameters()]
-        saved = [p.requires_grad for p in params]
-        try:
-            for p in params:
-                p.requires_grad = False
-            if root_path is not None:
-                for p in model.get_module(root_path).parameters():
-                    p.requires_grad = True
-            x = Tensor(np.asarray(images, dtype=np.float32),
-                       requires_grad=root_path is None)
-            model.zero_grad()
-            with ActivationRecorder(model, self.layer_paths) as recorder:
-                logits = model(x)
-                loss = self.loss_fn(logits, np.asarray(targets, dtype=np.intp))
-                loss.backward()
-                result = {}
-                for path in self.layer_paths:
-                    act = recorder.activations[path]
-                    if act.grad is None:
-                        raise RuntimeError(
-                            f"activation of {path!r} received no gradient; "
-                            "is the layer on the path to the loss?")
-                    result[path] = np.abs(act.data * act.grad)
-            model.zero_grad()
-            return result
-        finally:
-            for p, s in zip(params, saved):
-                p.requires_grad = s
-            model.train(was_training)
+__all__ = ["ScoringService", "ScoringSession"]
 
 
 class ScoringService:
@@ -146,8 +44,7 @@ class ScoringService:
 
     def __init__(self, arch: dict, weight_spec, input_shape, group_paths,
                  config_dict: dict, scores_spec=None):
-        from ..core.importance import ImportanceConfig
-        from ..core.taylor import ExactZeroingEngine
+        from ..core.importance import ImportanceConfig, scoring_engine
         from ..models import build_model
         from .shm import SharedArrayBundle
 
@@ -172,54 +69,14 @@ class ScoringService:
             conform_to_state(model, dict(state), self.input_shape)
             _bind_state_views(model, state)
         model.eval()
-        self.model = model
-
-        if self.config.use_exact:
-            self._engine = ExactZeroingEngine(model, self.group_paths)
-            self._scorer = None
-            self.root_path = None
-        else:
-            self._engine = None
-            self._scorer = FusedTaylorScorer(model, self.group_paths)
-            self.root_path = self._probe_root()
-        self._fuse = max(1, _FUSE_IMAGE_CAP // self.config.images_per_class)
+        self._engine = scoring_engine(model, self.group_paths, self.config,
+                                      self.input_shape)
 
     def close(self) -> None:
         """Drop this process's shared-memory mappings (parent-side use)."""
         self._bundle.close()
         if self._out is not None:
             self._out.close()
-
-    # ------------------------------------------------------------------
-    def _probe_root(self) -> str | None:
-        """Check whether rooting at the first monitored layer reaches all.
-
-        Every monitored activation must be downstream of that layer for
-        the rooted fast path to be exact; exotic topologies fall back to
-        rooting at the input (which is always correct, and still skips
-        all weight gradients).
-        """
-        from ..core.hooks import ActivationRecorder
-        candidate = self.group_paths[0]
-        model = self.model
-        params = [p for _, p in model.named_parameters()]
-        saved = [p.requires_grad for p in params]
-        try:
-            for p in params:
-                p.requires_grad = False
-            for p in model.get_module(candidate).parameters():
-                p.requires_grad = True
-            probe = Tensor(np.zeros((1,) + self.input_shape, np.float32))
-            with ActivationRecorder(model, self.group_paths) as rec:
-                model(probe)
-                ok = all(rec.activations[p].requires_grad
-                         for p in self.group_paths)
-        except Exception:  # noqa: BLE001 - any probe failure means fallback
-            ok = False
-        finally:
-            for p, s in zip(params, saved):
-                p.requires_grad = s
-        return candidate if ok else None
 
     # ------------------------------------------------------------------
     def handle(self, task: dict) -> list:
@@ -231,22 +88,14 @@ class ScoringService:
         tests — the columns come back as
         ``[(class_index, {path: column}), ...]`` instead.)
         """
+        from ..core.importance import score_classes
         from .shm import SharedArrayBundle
         bundle = SharedArrayBundle.attach(task["images"])
         try:
-            bank = bundle.arrays["images"]
-            entries = task["entries"]
-            out: list = []
-            if self._engine is not None:          # exact-zeroing mode
-                for class_index, start, stop in entries:
-                    images = np.array(bank[start:stop], copy=True)
-                    targets = np.full(stop - start, class_index, np.intp)
-                    taylor = self._engine.scores(images, targets)
-                    out.append(self._emit(class_index, self._reduce(taylor)))
-                return out
-            for i in range(0, len(entries), self._fuse):
-                out.extend(self._score_chunk(bank, entries[i:i + self._fuse]))
-            return out
+            return [self._emit(class_index, cols)
+                    for class_index, cols in score_classes(
+                        self._engine, bundle.arrays["images"],
+                        task["entries"], self.config)]
         finally:
             bundle.close()
 
@@ -256,39 +105,6 @@ class ScoringService:
         for path, col in cols.items():
             self._out.arrays[path][:, class_index] = col
         return class_index
-
-    def _score_chunk(self, bank: np.ndarray, chunk: list) -> list:
-        # Session-built entries tile the bank back to back, so the fused
-        # batch is a zero-copy view; arbitrary (test-supplied) entries
-        # fall back to an explicit gather. Same values either way.
-        if all(s == chunk[i][2] for i, (_, s, _) in enumerate(chunk[1:])):
-            images = bank[chunk[0][1]:chunk[-1][2]]
-        else:
-            images = np.concatenate([bank[s:e] for _, s, e in chunk], axis=0)
-        targets = np.repeat(np.array([c for c, _, _ in chunk], np.intp),
-                            [e - s for _, s, e in chunk])
-        taylor = self._scorer.scores(images, targets,
-                                     root_path=self.root_path)
-        results = []
-        offset = 0
-        for class_index, start, stop in chunk:
-            m = stop - start
-            sliced = {p: taylor[p][offset:offset + m]
-                      for p in self.group_paths}
-            offset += m
-            results.append(self._emit(class_index, self._reduce(sliced)))
-        return results
-
-    def _reduce(self, taylor: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        cfg = self.config
-        if cfg.tau_mode == "quantile":
-            pooled = np.concatenate(
-                [taylor[p].reshape(-1) for p in self.group_paths])
-            tau = float(np.quantile(pooled, cfg.tau_quantile))
-        else:
-            tau = cfg.tau
-        return {p: aggregate_scores_fast(taylor[p], tau, cfg.aggregation)
-                for p in self.group_paths}
 
 
 def _group_width(model, path: str) -> int:
@@ -398,31 +214,14 @@ class ScoringSession:
     # ------------------------------------------------------------------
     def evaluate(self, dataset):
         """Parallel equivalent of the serial per-class scoring loop."""
-        from ..core.importance import ImportanceReport
-        from ..data import EmptyDatasetError, per_class_images
+        from ..core.importance import ImportanceReport, sample_class_images
         from .shm import SharedArrayBundle
 
         cfg = self.config
         self.refresh()
-        rng = np.random.default_rng(cfg.seed)
-        class_arrays = []
-        entries: list[tuple[int, int, int]] = []
-        start = 0
-        for class_index in range(self.num_classes):
-            try:
-                images = per_class_images(dataset, class_index,
-                                          cfg.images_per_class, rng)
-            except EmptyDatasetError as exc:
-                raise EmptyDatasetError(
-                    f"importance evaluation needs samples of every class "
-                    f"(Eq. 6 averages over M images per class): {exc}"
-                ) from exc
-            class_arrays.append(images)
-            entries.append((class_index, start, start + len(images)))
-            start += len(images)
-
-        bank = SharedArrayBundle.create(
-            {"images": np.concatenate(class_arrays, axis=0)})
+        images, entries = sample_class_images(
+            dataset, self.num_classes, cfg.images_per_class, cfg.seed)
+        bank = SharedArrayBundle.create({"images": images})
         try:
             # Unlike sharded training, scoring is per-class independent:
             # task granularity is pure scheduling and cannot change the
@@ -444,12 +243,9 @@ class ScoringSession:
             raise RuntimeError(
                 f"parallel scoring covered classes {done} instead of all "
                 f"{self.num_classes}")
-        per_class = {p: np.array(self._scores.arrays[p], copy=True)
-                     for p in self.group_paths}
-        report = ImportanceReport(num_classes=self.num_classes)
-        report.per_class = per_class
-        report.total = {p: m.sum(axis=1) for p, m in per_class.items()}
-        return report
+        return ImportanceReport.from_per_class(
+            {p: np.array(self._scores.arrays[p], copy=True)
+             for p in self.group_paths}, self.num_classes)
 
     # ------------------------------------------------------------------
     @property

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import (ImportanceConfig, ImportanceEvaluator,
-                        ImportanceReport, aggregate_scores)
-from repro.models import MLP, vgg11
+                        ImportanceReport, TaylorScoreEngine,
+                        aggregate_scores)
+from repro.core import importance as importance_module
+from repro.data import make_cifar_like, per_class_images
+from repro.models import MLP, build_model, vgg11
+from repro.models.registry import MODEL_REGISTRY
+from repro.nn import BatchNorm2d
 
 
 class TestAggregateScores:
@@ -158,6 +163,91 @@ class TestEvaluator:
             config=ImportanceConfig(images_per_class=2))
         report = evaluator.evaluate([path])
         assert report.total[path][1] == pytest.approx(0.0, abs=1e-9)
+
+
+def _unfused_reference(model, dataset, num_classes, cfg, paths):
+    """The paper's loop, literally: one Taylor pass per class, Eq. 5-7.
+
+    Samples and scores one class at a time with the plain
+    TaylorScoreEngine and averages the float64 indicator (no counting
+    shortcut), so it shares neither the fused scorer nor the chunk loop
+    with the code under test.
+    """
+    engine = TaylorScoreEngine(model, paths)
+    rng = np.random.default_rng(cfg.seed)
+    per_class = {}
+    for c in range(num_classes):
+        images = per_class_images(dataset, c, cfg.images_per_class, rng)
+        taylor = engine.scores(images, np.full(len(images), c, np.intp))
+        if cfg.tau_mode == "quantile":
+            tau = float(np.quantile(
+                np.concatenate([taylor[p].reshape(-1) for p in paths]),
+                cfg.tau_quantile))
+        else:
+            tau = cfg.tau
+        for p in paths:
+            s_ave = (taylor[p] > tau).astype(np.float64).mean(axis=0)
+            col = (s_ave if s_ave.ndim == 1
+                   else s_ave.reshape(len(s_ave), -1).max(axis=1))
+            per_class.setdefault(p, np.zeros((len(col), num_classes)))
+            per_class[p][:, c] = col
+    return per_class
+
+
+class TestFusedEvaluator:
+    """The fused, weight-grad-free evaluator against the unfused loop.
+
+    Serial and worker scoring share the fused code, so this reference
+    comparison is what anchors their correctness.
+    """
+
+    @pytest.mark.parametrize("tau_mode", ["absolute", "quantile"])
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_bitwise_equal_to_unfused_per_class_loop(self, name, tau_mode,
+                                                     monkeypatch):
+        # 5 classes of M=2 at a cap of 4 images: three passes, the last
+        # one partial.
+        monkeypatch.setattr(importance_module, "_FUSE_IMAGE_CAP", 4)
+        model = build_model(name, num_classes=5, image_size=8, width=0.25,
+                            seed=0)
+        train, _ = make_cifar_like(num_classes=5, image_size=8,
+                                   samples_per_class=6, seed=0)
+        paths = [g.conv for g in model.prunable_groups()]
+        cfg = ImportanceConfig(images_per_class=2, tau_mode=tau_mode,
+                               tau_quantile=0.5, seed=3)
+        expected = _unfused_reference(model, train, 5, cfg, paths)
+        report = ImportanceEvaluator(model, train, 5, cfg).evaluate(paths)
+        assert list(report.per_class) == paths
+        for p in paths:
+            np.testing.assert_array_equal(report.per_class[p], expected[p])
+            np.testing.assert_array_equal(report.total[p],
+                                          expected[p].sum(axis=1))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_scoring_leaves_the_model_as_it_found_it(self, training,
+                                                     tiny_dataset):
+        model = vgg11(num_classes=3, image_size=8, width=0.125, seed=0)
+        bns = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
+        rng = np.random.default_rng(0)
+        for bn in bns:   # non-trivial statistics a train-mode pass would move
+            bn.running_mean = rng.normal(size=bn.running_mean.shape
+                                         ).astype(np.float32)
+            bn.running_var = rng.uniform(0.5, 2.0, bn.running_var.shape
+                                         ).astype(np.float32)
+        params = [p for _, p in model.named_parameters()]
+        params[1].requires_grad = False
+        model.train(training)
+        flags = [p.requires_grad for p in params]
+        stats = [(bn.running_mean.copy(), bn.running_var.copy())
+                 for bn in bns]
+        ImportanceEvaluator(
+            model, tiny_dataset, 3, ImportanceConfig(images_per_class=2)
+        ).evaluate([g.conv for g in model.prunable_groups()])
+        assert model.training is training
+        assert [p.requires_grad for p in params] == flags
+        for bn, (mean, var) in zip(bns, stats):
+            np.testing.assert_array_equal(bn.running_mean, mean)
+            np.testing.assert_array_equal(bn.running_var, var)
 
 
 class TestReport:

@@ -1,9 +1,14 @@
 """Parallel importance scoring must be bit-identical to the serial loop.
 
-This is the acceptance property of ``repro.parallel.scoring``: for every
-model in the zoo, fanning the per-class Taylor evaluations across worker
-processes returns byte-for-byte the same :class:`ImportanceReport` as the
-serial per-class loop — same totals, same per-class score matrices.
+For every model in the zoo, fanning the per-class Taylor evaluations
+across worker processes returns byte-for-byte the same
+:class:`ImportanceReport` as the serial evaluator — same totals, same
+per-class score matrices. Serial and worker paths share one fused scorer
+and chunk loop, so agreement here shows the process plumbing (sampling,
+shared memory, sharding, column gathering) is sound, not that the scores
+are right: ``TestFusedEvaluator`` in ``tests/core/test_importance.py``,
+which checks the fused scorer against an unfused per-class reference
+loop, anchors correctness.
 """
 
 import numpy as np
