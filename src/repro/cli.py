@@ -555,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tbench.set_defaults(func=cmd_train_bench)
 
     p_serve = sub.add_parser(
-        "serve", help="serve checkpoints over the NDJSON socket protocol")
+        "serve", help="serve checkpoints over the socket protocol "
+                      "(JSON headers, raw float32 tensor bodies)")
     p_serve.add_argument("--model", action="append", default=None,
                          metavar="NAME[@VERSION]=CHECKPOINT",
                          help="deploy a checkpoint under a serving name; "

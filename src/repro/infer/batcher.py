@@ -58,19 +58,32 @@ class InferenceTicket:
     caller that times out does not leave an unresolved ticket (or wasted
     compute) behind. ``deadline`` (absolute clock seconds, or None) is
     set by :meth:`BatchRunner.submit` and read by the batch-formation
-    loop to evict expired work.
+    loop to evict expired work. ``submitted`` and ``started`` are the
+    runner-clock times of the submit and of the start of the batch that
+    ran the ticket (None until one did); see :attr:`queue_wait_ms`.
     """
 
     __slots__ = ("_event", "_lock", "_value", "_error", "_callbacks",
-                 "deadline")
+                 "deadline", "submitted", "started")
 
-    def __init__(self, deadline: float | None = None):
+    def __init__(self, deadline: float | None = None,
+                 submitted: float | None = None):
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._value = None
         self._error: BaseException | None = None
         self._callbacks: list = []
         self.deadline = deadline
+        self.submitted = submitted
+        self.started: float | None = None
+
+    @property
+    def queue_wait_ms(self) -> float | None:
+        """Milliseconds from submit to the start of this ticket's batch,
+        or None when no batch started it."""
+        if self.started is None or self.submitted is None:
+            return None
+        return (self.started - self.submitted) * 1e3
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -205,7 +218,7 @@ class BatchRunner:
             raise RuntimeError("BatchRunner is closed")
         self._ensure_worker()
         sample = np.asarray(sample, dtype=np.float32)
-        ticket = InferenceTicket(deadline)
+        ticket = InferenceTicket(deadline, self.clock.monotonic())
         self._queue.put((sample, ticket))
         if self._closed:
             # Lost the race against close(): the worker may already have
@@ -271,6 +284,9 @@ class BatchRunner:
                     continue
                 samples = [s for s, _ in pending]
                 tickets = [t for _, t in pending]
+                started = self.clock.monotonic()
+                for ticket in tickets:
+                    ticket.started = started
                 try:
                     batch = np.stack(samples)
                     outputs = self.engine.run(batch)

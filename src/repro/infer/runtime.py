@@ -153,6 +153,11 @@ class InferenceEngine:
         self._input_buf = input_buf
         self._output = self._getter(plan.output_id)
 
+    @property
+    def sample_shape(self) -> tuple[int, ...]:
+        """Shape of one input sample (the plan's input, batch axis off)."""
+        return tuple(self.plan.shapes[self.plan.input_id][1:])
+
     # -- value plumbing -------------------------------------------------
 
     def _capacity_shape(self, vid: int) -> tuple[int, ...]:
@@ -189,7 +194,7 @@ class InferenceEngine:
         if isinstance(x, Tensor):
             x = x.data
         x = np.asarray(x, dtype=np.float32)
-        sample_shape = tuple(self.plan.shapes[self.plan.input_id][1:])
+        sample_shape = self.sample_shape
         single = x.shape == sample_shape
         if single:
             x = x[None]
@@ -222,7 +227,7 @@ class InferenceEngine:
         if isinstance(x, Tensor):
             x = x.data
         x = np.asarray(x, dtype=np.float32)
-        if x.shape == tuple(self.plan.shapes[self.plan.input_id][1:]):
+        if x.shape == self.sample_shape:
             x = x[None]
         getters = {vid: self._getter(vid) for vid in hooks}
         outs = []

@@ -37,9 +37,11 @@ the matching recovery path actually recovers:
   — the serving layer under 2× overload must shed explicitly and fast
   without dropping accepted requests; a mid-traffic checkpoint hot-swap
   must complete with zero drops; a graceful drain must answer every
-  accepted request and reject new ones explicitly; and a warm restart
+  accepted request and reject new ones explicitly; a warm restart
   from the deploy manifest must re-validate every version, skipping
-  corrupted ones with a report (see :mod:`repro.serve.drills`);
+  corrupted ones with a report; and ``serve.frame`` sends truncated,
+  oversize and wrong-shape frames amid good traffic, which must still be
+  answered bitwise with zero fallbacks (see :mod:`repro.serve.drills`);
 * ``crash.resume`` (skipped with ``--quick``) — a framework run killed
   after its first committed iteration must resume to a bit-identical final
   state.

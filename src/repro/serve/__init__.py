@@ -1,11 +1,12 @@
 """Async inference service over the compiled engine.
 
-The front door of the repo: an asyncio newline-delimited-JSON server that
-feeds an adaptively micro-batched :class:`repro.infer.BatchRunner` per
-deployed model, sheds load explicitly once its pending queue or latency
-budget is exceeded, exports per-request metrics through a ``stats`` verb,
-and hot-swaps pruned checkpoints mid-traffic with zero dropped requests
-(load → validate on a probe batch → atomic swap → drain the old engine).
+The front door of the repo: an asyncio server (JSON header lines, raw
+float32 tensor bodies) that feeds an adaptively micro-batched
+:class:`repro.infer.BatchRunner` per deployed model, sheds load
+explicitly once its pending queue or latency budget is exceeded, exports
+per-request metrics through a ``stats`` verb, and hot-swaps pruned
+checkpoints mid-traffic with zero dropped requests (load → validate on
+a probe batch → atomic swap → drain the old engine).
 
 Pieces (each importable on its own):
 
@@ -14,7 +15,8 @@ Pieces (each importable on its own):
 ``metrics``     latency reservoirs, counters, the ``stats`` snapshot
 ``registry``    name@version model registry, hot-swap, degrade-to-eager
 ``manifest``    journaled deploy manifest + warm restart (``--resume``)
-``server``      the asyncio NDJSON frontend (deadlines, graceful drain)
+``wire``        binary tensor frames: NDJSON header + raw float32 body
+``server``      the asyncio frontend (deadlines, graceful drain)
 ``replica``     replica worker processes: per-process registry + engine
                 behind a unix socket, heartbeats, bounded respawn
 ``router``      health-aware dispatch across replicas: least-outstanding
@@ -25,8 +27,8 @@ Pieces (each importable on its own):
 ``loadgen``     closed-loop load generator behind ``repro serve-bench``
 ``bench``       the BENCH_serve.json lane
 ``drills``      ``serve.shed`` / ``serve.swap`` / ``serve.drain`` /
-                ``serve.restart`` / ``replica.kill`` / ``replica.hang`` /
-                ``replica.rolling`` fault drills for
+                ``serve.restart`` / ``serve.frame`` / ``replica.kill`` /
+                ``replica.hang`` / ``replica.rolling`` fault drills for
                 ``python -m repro.verify --drills serve``
 
 Typical use::

@@ -20,6 +20,7 @@ contract: finite p99, zero errors, zero dropped requests.
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -167,6 +168,7 @@ def run_bench(smoke: bool = False, seed: int = 0,
         "requests_per_connection": int(requests_per_connection),
         "connection_sweep": [int(c) for c in connections],
         "variants": list(variants),
+        "cpu_count": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "entries": entries,
     }

@@ -1,4 +1,4 @@
-"""Minimal blocking NDJSON client for the inference server.
+"""Minimal blocking client for the inference server.
 
 Used by the test suite, the fault drills, and the closed-loop load
 generator; also handy interactively::
@@ -9,23 +9,25 @@ generator; also handy interactively::
         probs = client.infer("vgg16", image)       # np.float32 row
         print(client.stats()["latency"])
 
-One socket, one in-flight request: :meth:`request` writes a line and
-blocks for the answering line, which matches the server's
+One socket, one in-flight request: :meth:`request` writes a frame and
+blocks for the answering frame, which matches the server's
 one-request-per-connection processing model. Open one client per
 concurrent stream.
 
-Float fidelity: outputs travel as JSON numbers. ``float32 → float64 →
-shortest-repr decimal → float64 → float32`` is an exact round-trip, so
-``infer`` returns arrays *bitwise equal* to what the server computed —
-the equivalence tests rely on this.
+Float fidelity: ``infer`` sends the sample as raw float32 bytes behind
+its header line and gets the output back the same way
+(:mod:`repro.serve.wire`), so the returned array is *bitwise equal* to
+what the engine computed — the bytes are never formatted as decimals.
+The equivalence tests rely on this.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 
 import numpy as np
+
+from . import wire
 
 __all__ = ["ServeClient", "ServerError", "Overloaded", "Draining", "Expired"]
 
@@ -68,16 +70,25 @@ class ServeClient:
 
     # -- plumbing -------------------------------------------------------
 
-    def request(self, payload: dict) -> dict:
-        """Send one request line, block for its response line."""
+    def request(self, payload: dict, body=None) -> dict:
+        """Send one request frame, block for its response frame.
+
+        ``body`` (optional) is a tensor sent as raw float32 bytes behind
+        the header (its shape goes into ``payload["input_shape"]``). A
+        response that carries a body has it decoded into
+        ``response["output"]`` as a float32 ndarray.
+        """
         self._next_id += 1
         payload.setdefault("id", self._next_id)
-        self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
+        raw = None
+        if body is not None:
+            payload["input_shape"], raw = wire.pack(body)
+        self._file.write(wire.encode(payload, raw))
         self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        response = json.loads(line)
+        response, out = wire.read_frame(self._file, "output_shape")
+        if out is not None:
+            response["output"] = wire.unpack(response["output_shape"],
+                                             bytearray(out))
         if not response.get("ok", False):
             error = response.get("error")
             if error == "overloaded":
@@ -98,11 +109,10 @@ class ServeClient:
 
     def infer_verbose(self, model: str, sample,
                       deadline_ms: float | None = None) -> dict:
-        sample = np.asarray(sample, dtype=np.float32)
-        payload = {"op": "infer", "model": model, "input": sample.tolist()}
+        payload = {"op": "infer", "model": model}
         if deadline_ms is not None:
             payload["deadline_ms"] = float(deadline_ms)
-        return self.request(payload)
+        return self.request(payload, body=sample)
 
     def stats(self) -> dict:
         return self.request({"op": "stats"})["stats"]

@@ -1,6 +1,6 @@
 """Serving fault drills for ``python -m repro.verify --drills serve``.
 
-Seven drills, run against a *real* socket server in-process, extend the
+Eight drills, run against a *real* socket server in-process, extend the
 resilience battery to the serving layer:
 
 * ``serve.shed`` — offered load at 2× the admission bound: every
@@ -18,6 +18,11 @@ resilience battery to the serving layer:
   journaled version comes back through probe validation, a corrupted
   checkpoint is skipped *with a report*, and the restored server answers
   correctly;
+* ``serve.frame`` — hostile frames while good traffic flows: a body cut
+  short by EOF, a body over the size limit and a wrong-shape sample are
+  each refused without touching the batcher, and every good request is
+  answered bitwise equal to the batch the engine ran, with zero
+  fallbacks and nothing left in flight;
 * ``replica.kill`` — SIGKILL of a replica mid-batch under live traffic:
   every accepted request completes exactly once, bitwise-identical to an
   unfaulted run, and the dead replica respawns within budget;
@@ -49,6 +54,7 @@ from ..clock import SYSTEM_CLOCK
 from ..models import build_model
 from ..tensor import Tensor, inference_mode
 from ..verify.invariants import perturb_batchnorm_stats
+from . import wire
 from .client import Draining, Overloaded, ServeClient, ServerError
 from .manifest import restore_registry
 from .registry import ModelRegistry
@@ -457,6 +463,112 @@ def _drill_serve_restart(seed: int):
     return result
 
 
+def _raw_frame(port: int, header: dict, body: bytes = b"") -> list[bytes]:
+    """Send one raw frame on a fresh connection, half-close it, and
+    return every reply line read before the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(wire.encode(header, body))
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as stream:
+            return stream.readlines()
+
+
+def _drill_serve_frame(seed: int):
+    result = _drill_result("serve.frame")
+    limit = 4096
+    lock = threading.Lock()
+    executed: dict[bytes, np.ndarray] = {}
+
+    def record(name, version, batch, outputs):
+        with lock:
+            for sample, row in zip(batch, outputs):
+                executed[np.ascontiguousarray(sample).tobytes()] = \
+                    np.array(row, copy=True)
+
+    registry = ModelRegistry(
+        max_batch=4, on_batch=record,
+        shedding=SheddingConfig(max_pending=64, p99_budget_ms=None))
+    answered: list[tuple[np.ndarray, np.ndarray]] = []
+    failures: list[str] = []
+    hostile = {"truncated": 0, "oversize": 0, "wrong-shape": 0}
+    stop = threading.Event()
+
+    def traffic(wid: int):
+        rng = np.random.default_rng(seed * 389 + wid)
+        try:
+            with ServeClient("127.0.0.1", port) as client:
+                while not stop.is_set():
+                    sample = rng.normal(size=(3, 8, 8)).astype(np.float32)
+                    out = client.infer("m", sample)
+                    with lock:
+                        answered.append((sample, out))
+        except (ServerError, ConnectionError, OSError) as exc:
+            with lock:
+                failures.append(f"good request failed: {exc!r}")
+
+    with registry:
+        registry.deploy("m", "v1", model=_tiny_model(seed),
+                        input_shape=(3, 8, 8), seed=seed)
+        with ServerThread(registry,
+                          ServeConfig(max_line_bytes=limit)) as srv:
+            port = srv.port
+            threads = [threading.Thread(target=traffic, args=(i,))
+                       for i in range(3)]
+            for t in threads:
+                t.start()
+            try:
+                header = {"op": "infer", "model": "m"}
+                for _ in range(4):
+                    # A body cut short by EOF: no answer, nothing queued.
+                    if _raw_frame(port, {**header, "input_shape": [3, 8, 8]},
+                                  b"\x00" * 100):
+                        result.fail("truncated frame was answered")
+                    hostile["truncated"] += 1
+                    # A body over the limit: refused, connection closed.
+                    reply = _raw_frame(port, {**header,
+                                              "input_shape": [64, 64, 64]})
+                    if len(reply) != 1 or b"bad-request" not in reply[0]:
+                        result.fail(f"oversize frame answered {reply!r}")
+                    hostile["oversize"] += 1
+                    # A well-formed body of the wrong sample shape.
+                    with ServeClient("127.0.0.1", port) as client:
+                        try:
+                            client.infer("m", np.zeros((3, 4, 4), np.float32))
+                            result.fail("wrong-shape request was served")
+                        except ServerError as exc:
+                            if exc.error != "bad-request":
+                                result.fail(f"wrong-shape request got "
+                                            f"{exc.error}")
+                    hostile["wrong-shape"] += 1
+                _poll_until(lambda: len(answered) >= 40 or failures)
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=30)
+            _poll_until(lambda: srv.server.inflight == 0)
+            inflight = srv.server.inflight
+            stats = srv.server.stats()
+
+    bad = sum(1 for sample, out in answered
+              if not np.array_equal(out, executed.get(sample.tobytes())))
+    if failures:
+        result.fail("; ".join(sorted(set(failures))[:3]))
+    if not answered:
+        result.fail("no good request was answered")
+    if bad:
+        result.fail(f"{bad} good responses differ bitwise from the batch "
+                    "the engine ran")
+    if stats["counters"]["fallbacks"]:
+        result.fail(f"{stats['counters']['fallbacks']} eager fallbacks")
+    if stats["models"]["m"]["degraded"]:
+        result.fail("hostile frames degraded the line")
+    if inflight:
+        result.fail(f"{inflight} requests left in flight")
+    result.detail = (f"{len(answered)} good answered bitwise alongside "
+                     f"{sum(hostile.values())} hostile frames, 0 fallbacks")
+    return result
+
+
 def _drill_serve_replica_kill(seed: int):
     result = _drill_result("replica.kill")
     from ..io import save_model
@@ -751,5 +863,6 @@ def _drill_serve_replica_rolling(seed: int):
 
 
 SERVE_DRILLS = [_drill_serve_shed, _drill_serve_swap, _drill_serve_drain,
-                _drill_serve_restart, _drill_serve_replica_kill,
+                _drill_serve_restart, _drill_serve_frame,
+                _drill_serve_replica_kill,
                 _drill_serve_replica_hang, _drill_serve_replica_rolling]

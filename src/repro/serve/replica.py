@@ -2,7 +2,7 @@
 
 One :class:`ReplicaSet` owns N worker *processes*, each running its own
 :class:`~repro.serve.registry.ModelRegistry` (compiled engine + its own
-:class:`~repro.infer.BatchRunner`) behind a private unix-domain NDJSON
+:class:`~repro.infer.BatchRunner`) behind a private unix-domain
 socket. The asyncio frontend (:class:`~repro.serve.router.ReplicaRouter`)
 dials those sockets and spreads traffic across them, so a crash, hang,
 or GIL-bound compute spike in one replica costs 1/N capacity instead of
@@ -23,8 +23,9 @@ incarnation's socket and pid file) are ledgered with
 :func:`repro.parallel.reaper.register_path`, so a SIGKILLed serve run
 leaves nothing behind that the next run's orphan sweep won't reclaim.
 
-Replica wire protocol (one JSON object per line, same framing as the
-public server):
+Replica wire protocol (the binary frames of :mod:`.wire`, as on the
+public server: one JSON header line, plus a raw float32 body when the
+header names its shape):
 
 * ``{"op": "ping", "rid": r}`` → ``{"rid": r, "ok": true, "pong": true}``
   — the router's liveness probe; answered from a connection thread, so a
@@ -34,9 +35,13 @@ public server):
   deploy gate of the replica's own registry, off-thread so probes keep
   flowing during a long compile. A rejected artifact answers
   ``error: "swap-rejected"`` and leaves the old version serving.
-* ``{"op": "infer", "rid": r, "model": ..., "input": [...],
-  "deadline_ms": ...}`` — batched inference; replies may arrive out of
-  order (the ticket callback writes the response under a write lock).
+* ``{"op": "infer", "rid": r, "model": ..., "input_shape": [...],
+  "deadline_ms": ...}`` + body — batched inference, answered with
+  ``{"rid": r, "ok": true, "output_shape": [...], "queue_wait_ms": ...,
+  ...}`` + the output row's bytes. The sample is decoded with
+  ``np.frombuffer`` and its shape checked against the engine before it
+  is queued; replies may arrive out of order (the ticket callback writes
+  the response under a write lock).
 * ``{"op": "stats"}`` — counters + retained latency samples for
   fleet-wide aggregation; ``{"op": "chaos"}`` (only when
   ``allow_chaos=True``) wedges the service for hang drills.
@@ -44,7 +49,6 @@ public server):
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import socket
@@ -54,11 +58,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..parallel import reaper
 from ..parallel.supervisor import WorkerEvent
 from ..resilience.retry import RetryPolicy
+from . import wire
 
 __all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet"]
 
@@ -182,8 +185,8 @@ class _ReplicaService:
         reader = conn.makefile("rb")
         write_lock = threading.Lock()
 
-        def send(payload: dict) -> None:
-            data = json.dumps(payload).encode("utf-8") + b"\n"
+        def send(payload: dict, body=None) -> None:
+            data = wire.encode(payload, body)
             try:
                 with write_lock:
                     conn.sendall(data)
@@ -191,36 +194,35 @@ class _ReplicaService:
                 pass                    # peer gone; router re-dispatches
 
         try:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                while self._wedged and not self._stop.is_set():
-                    time.sleep(0.01)    # chaos: probes go unanswered
+            while True:
                 try:
-                    msg = json.loads(line)
+                    msg, body = wire.read_frame(reader, "input_shape")
+                except wire.FrameError:
+                    break               # framing lost
                 except ValueError:
                     send({"ok": False, "error": "bad-request",
                           "message": "malformed JSON line"})
                     continue
-                if not self._dispatch(msg, send):
+                while self._wedged and not self._stop.is_set():
+                    time.sleep(0.01)    # chaos: probes go unanswered
+                if not self._dispatch(msg, body, send):
                     break
         except OSError:
-            pass
+            pass                        # EOF (ConnectionError) included
         finally:
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _dispatch(self, msg: dict, send) -> bool:
+    def _dispatch(self, msg: dict, body, send) -> bool:
         op = msg.get("op", "infer")
         rid = msg.get("rid")
         if op == "ping":
             send({"rid": rid, "ok": True, "pong": True,
                   "replica": self.replica_id})
         elif op == "infer":
-            self._infer(msg, send)
+            self._infer(msg, body, send)
         elif op == "deploy":
             # Off-thread: a long compile must not block probe replies on
             # this connection (a false hang-kill mid-deploy would defeat
@@ -268,14 +270,14 @@ class _ReplicaService:
             return
         send({"rid": rid, "ok": True, "swap": report.as_dict()})
 
-    def _infer(self, msg: dict, send) -> None:
+    def _infer(self, msg: dict, body, send) -> None:
         from ..infer.batcher import DeadlineExpired
         from .registry import NoSuchModelError
         rid = msg.get("rid")
         ref = msg.get("model")
-        if not ref or "input" not in msg:
+        if not ref or body is None:
             send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": "infer needs model and input"})
+                  "message": "infer needs model and an input_shape body"})
             return
         start = time.monotonic()
         try:
@@ -284,11 +286,12 @@ class _ReplicaService:
             send({"rid": rid, "ok": False, "error": "no-such-model",
                   "message": str(exc.args[0])})
             return
-        try:
-            sample = np.asarray(msg["input"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
+        sample = wire.unpack(msg["input_shape"], body)
+        if sample.shape != version.engine.sample_shape:
             send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": str(exc)})
+                  "message": f"input shape {sample.shape} does not match "
+                             f"{version.ref} sample shape "
+                             f"{version.engine.sample_shape}"})
             return
         deadline_ms = msg.get("deadline_ms")
         deadline = (None if deadline_ms is None
@@ -314,11 +317,13 @@ class _ReplicaService:
                                      f"{t._error}"})
                 return
             latency_ms = (time.monotonic() - start) * 1e3
-            self.metrics.record_completion(version.ref, latency_ms)
+            self.metrics.record_completion(version.ref, latency_ms,
+                                           t.queue_wait_ms)
+            shape, out = wire.pack(t._value)
             send({"rid": rid, "ok": True, "model": version.ref,
-                  "output": t._value.tolist(),
+                  "output_shape": shape, "queue_wait_ms": t.queue_wait_ms,
                   "latency_ms": round(latency_ms, 3),
-                  "replica": self.replica_id})
+                  "replica": self.replica_id}, out)
 
         ticket.add_done_callback(resolved)
 

@@ -228,8 +228,13 @@ class ResilientClient:
             self._failover()
         return False
 
-    def request(self, payload: dict, *, idempotent: bool = True) -> dict:
-        """Send one logical request, healing the transport as needed."""
+    def request(self, payload: dict, body=None, *,
+                idempotent: bool = True) -> dict:
+        """Send one logical request, healing the transport as needed.
+
+        ``body`` is an optional tensor sent as raw float32 bytes, as in
+        :meth:`ServeClient.request`; every retry re-sends it.
+        """
         self._seq += 1
         if idempotent:
             payload.setdefault("rid", f"{self.client_id}:{self._seq}")
@@ -247,7 +252,7 @@ class ResilientClient:
                     f"{breaker.cooldown_s:.1f}s")
             breaker = self._endpoint_breaker()
             try:
-                response = self._connected().request(dict(payload))
+                response = self._connected().request(dict(payload), body)
             except (Overloaded, Draining) as exc:
                 # The server answered — it is alive, just not willing.
                 # That feeds backoff, not the breaker.
@@ -281,11 +286,10 @@ class ResilientClient:
 
     def infer_verbose(self, model: str, sample,
                       deadline_ms: float | None = None) -> dict:
-        sample = np.asarray(sample, dtype=np.float32)
-        payload = {"op": "infer", "model": model, "input": sample.tolist()}
+        payload = {"op": "infer", "model": model}
         if deadline_ms is not None:
             payload["deadline_ms"] = float(deadline_ms)
-        return self.request(payload)
+        return self.request(payload, body=sample)
 
     def stats_snapshot(self) -> dict:
         return self.request({"op": "stats"}, idempotent=False)["stats"]

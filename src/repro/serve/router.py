@@ -32,6 +32,10 @@ replica processes:
   compile+probe-validate gate, so capacity never drops below N−1 and a
   rejected artifact aborts with every replica still on the old version.
 
+Request and reply tensors cross the replica hop as binary frames
+(:mod:`.wire`): the router forwards their bodies as bytes and never
+decodes them.
+
 Failing over to the local path is signalled with
 :class:`ReplicasUnavailable` — the server catches it and serves the
 request itself, so "no replica could take it" degrades latency, never
@@ -41,10 +45,10 @@ correctness.
 from __future__ import annotations
 
 import asyncio
-import json
 
 from ..clock import SYSTEM_CLOCK, Clock
 from ..infer.batcher import DeadlineExpired
+from . import wire
 from .metrics import LatencyReservoir, sum_counters
 from .replica import ReplicaSet, ReplicaSpec
 from .resilient import CircuitBreaker
@@ -78,10 +82,11 @@ class _Peer:
 class _ReqMeta:
     """Re-dispatch bookkeeping for one inference rid."""
 
-    __slots__ = ("payload", "deadline", "attempts", "hedged")
+    __slots__ = ("payload", "body", "deadline", "attempts", "hedged")
 
-    def __init__(self, payload: dict, deadline: float | None):
+    def __init__(self, payload: dict, body, deadline: float | None):
         self.payload = payload
+        self.body = body                # request tensor bytes, forwarded
         self.deadline = deadline
         self.attempts = 0               # re-dispatches so far
         self.hedged = False
@@ -215,11 +220,11 @@ class ReplicaRouter:
         peer.reader = peer.writer = None
         peer.probe_rid = None
 
-    def _send(self, peer: _Peer, payload: dict) -> bool:
+    def _send(self, peer: _Peer, payload: dict, body=None) -> bool:
         if peer.writer is None or peer.writer.is_closing():
             return False
         try:
-            peer.writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+            peer.writer.write(wire.encode(payload, body))
         except (ConnectionError, OSError, RuntimeError):
             return False
         return True
@@ -227,16 +232,11 @@ class ReplicaRouter:
     async def _read_loop(self, peer: _Peer) -> None:
         try:
             while True:
-                line = await peer.reader.readline()
-                if not line:
-                    break
-                try:
-                    msg = json.loads(line)
-                except ValueError:
-                    continue
-                self._on_reply(peer, msg)
-        except (ConnectionError, OSError):
-            pass
+                msg, body = await wire.read_frame_async(peer.reader,
+                                                        "output_shape")
+                self._on_reply(peer, msg, body)
+        except (ConnectionError, OSError, ValueError):
+            pass                        # EOF, or the framing is lost
         except asyncio.CancelledError:
             return                      # orderly detach, not a fault
         if not self._closing:
@@ -244,7 +244,7 @@ class ReplicaRouter:
 
     # -- reply / failure handling ---------------------------------------
 
-    def _on_reply(self, peer: _Peer, msg: dict) -> None:
+    def _on_reply(self, peer: _Peer, msg: dict, body=None) -> None:
         rid = msg.get("rid")
         if rid is None:
             return
@@ -261,7 +261,7 @@ class ReplicaRouter:
             return
         peer.served += 1
         peer.breaker.on_success()
-        fut.set_result((peer, msg))
+        fut.set_result((msg, body))
 
     def _on_peer_down(self, peer: _Peer) -> None:
         """Transport died: strand-proof every rid it was carrying, then
@@ -383,7 +383,7 @@ class ReplicaRouter:
             payload["deadline_ms"] = max(
                 (meta.deadline - self.clock.monotonic()) * 1e3, 1.0)
         peer.rids.add(rid)
-        if not self._send(peer, payload):
+        if not self._send(peer, payload, meta.body):
             peer.rids.discard(rid)
             self._on_peer_down(peer)    # dead transport found early
             self._redispatch(rid)       # bounded by meta.attempts
@@ -412,11 +412,15 @@ class ReplicaRouter:
         self._incr("replica_hedges")
         self._send_infer(peer, rid, meta)
 
-    async def dispatch_infer(self, ref: str, raw_input,
-                             deadline: float | None = None) -> dict:
-        """Route one inference; returns the winning replica's reply.
+    async def dispatch_infer(self, ref: str, input_shape: list[int], body,
+                             deadline: float | None = None
+                             ) -> tuple[dict, bytes | None]:
+        """Route one inference; returns the winning replica's reply
+        header and body.
 
-        ``deadline`` is absolute seconds on the router's clock. Raises
+        ``body`` is the sample's raw float32 bytes and ``input_shape``
+        its shape; both are forwarded as they are. ``deadline`` is
+        absolute seconds on the router's clock. Raises
         :class:`ReplicasUnavailable` when the request should be served
         locally instead, :class:`DeadlineExpired`/`TimeoutError` when its
         budget ran out here.
@@ -424,8 +428,8 @@ class ReplicaRouter:
         if not self.usable:
             raise ReplicasUnavailable(self.stop_reason or "router not up")
         rid = self._next_rid("q")
-        meta = _ReqMeta({"op": "infer", "model": ref, "input": raw_input},
-                        deadline)
+        meta = _ReqMeta({"op": "infer", "model": ref,
+                         "input_shape": input_shape}, body, deadline)
         fut = asyncio.get_running_loop().create_future()
         self._inflight[rid] = fut
         self._meta[rid] = meta
@@ -443,14 +447,14 @@ class ReplicaRouter:
             try:
                 if hedge_wait is not None and hedge_wait < timeout:
                     try:
-                        _, msg = await asyncio.wait_for(
+                        reply = await asyncio.wait_for(
                             asyncio.shield(fut), hedge_wait)
                     except asyncio.TimeoutError:
                         self._hedge(rid, exclude=(primary,))
-                        _, msg = await asyncio.wait_for(
+                        reply = await asyncio.wait_for(
                             fut, timeout - hedge_wait)
                 else:
-                    _, msg = await asyncio.wait_for(fut, timeout)
+                    reply = await asyncio.wait_for(fut, timeout)
             except asyncio.TimeoutError:
                 if deadline is not None \
                         and self.clock.monotonic() >= deadline:
@@ -460,7 +464,7 @@ class ReplicaRouter:
                 raise TimeoutError(
                     f"replicated inference exceeded "
                     f"{self.config.request_timeout_s:.1f}s budget") from None
-            return msg
+            return reply
         finally:
             self._inflight.pop(rid, None)
             self._meta.pop(rid, None)
@@ -515,7 +519,7 @@ class ReplicaRouter:
                         "message": f"replica {peer.handle.replica_id} "
                                    "is not reachable"}
             try:
-                _, msg = await asyncio.wait_for(fut, timeout)
+                msg, _ = await asyncio.wait_for(fut, timeout)
             except asyncio.TimeoutError:
                 return {"ok": False, "error": "timeout",
                         "message": f"replica {peer.handle.replica_id} did "

@@ -1,14 +1,23 @@
-"""Asyncio NDJSON inference server: the front door.
+"""Asyncio inference server: the front door.
 
-Wire protocol — one JSON object per ``\\n``-terminated line, one JSON
-object back per request, stdlib only:
+Wire protocol — one frame per request, one frame back (see
+:mod:`.wire`). A frame is one JSON header on a ``\\n``-terminated line,
+optionally followed by a raw little-endian float32 body whose shape the
+header names:
 
-* ``{"op": "infer", "model": "name[@version]", "input": [...], "id": x}``
-  (``op`` may be omitted; ``infer`` is the default) →
-  ``{"id": x, "ok": true, "model": "name@vN", "output": [...],
-  "latency_ms": ..., "served_by": "batch" | "eager"}``. Rejections are
-  explicit and immediate: ``{"id": x, "ok": false, "error": "overloaded",
-  "reason": "queue-full" | "slo"}``.
+* ``{"op": "infer", "model": "name[@version]", "input_shape": [3, 16,
+  16], "id": x}`` + ``prod(shape) * 4`` body bytes (``op`` may be
+  omitted; ``infer`` is the default) → ``{"id": x, "ok": true, "model":
+  "name@vN", "output_shape": [10], "latency_ms": ..., "served_by":
+  "batch" | "eager"}`` + the output's body bytes. A legacy request that
+  carries ``"input": [...]`` (a nested JSON list) instead of a body is
+  answered in pure JSON with ``"output": [...]`` and no body. Rejections
+  are explicit and immediate: ``{"id": x, "ok": false, "error":
+  "overloaded", "reason": "queue-full" | "slo"}``; an input whose shape
+  is not the model's sample shape is a ``bad-request`` and never reaches
+  the batcher. A malformed ``input_shape`` or a body over
+  ``max_line_bytes`` is answered ``bad-request`` and the connection is
+  closed: its framing is lost.
 * ``{"op": "stats"}`` → the full :class:`~.metrics.ServerMetrics`
   snapshot plus per-model registry state (the ``/stats`` endpoint).
 * ``{"op": "swap", "name": ..., "version": ..., "checkpoint": path}`` →
@@ -31,7 +40,8 @@ serve``) drains gracefully: the listening socket closes, new requests
 get an explicit ``error: "draining"``, and every already-accepted
 request completes before the loop shuts down. Requests carrying an
 idempotency key (``rid``) are answered from a bounded replay cache on
-retry, so a reconnecting client never double-counts work.
+retry (a binary response with its body), so a reconnecting client never
+double-counts work.
 
 Fault containment mirrors the PR 5 supervisor: a request whose batched
 ticket fails is retried on the current engine (covers the swap race,
@@ -43,7 +53,6 @@ than dropping accepted requests. See ``docs/serving.md``.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import threading
 from collections import OrderedDict
@@ -53,6 +62,7 @@ import numpy as np
 
 from ..clock import SYSTEM_CLOCK, Clock
 from ..infer.batcher import DeadlineExpired
+from . import wire
 from .metrics import ServerMetrics
 from .registry import ModelRegistry, NoSuchModelError, SwapValidationError
 
@@ -66,13 +76,13 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                       # 0 → ephemeral, see server.port
     request_timeout_s: float = 30.0     # ticket wait before cancel
-    max_line_bytes: int = 8 * 2 ** 20   # readline limit per request
+    max_line_bytes: int = 8 * 2 ** 20   # header line and body limit
     drain_grace_s: float = 30.0         # in-flight budget for drain=True
     replay_cache_size: int = 1024       # idempotent-rid responses kept
 
 
 class InferenceServer:
-    """Routes NDJSON requests into a :class:`~.registry.ModelRegistry`."""
+    """Routes framed requests into a :class:`~.registry.ModelRegistry`."""
 
     def __init__(self, registry: ModelRegistry,
                  config: ServeConfig | None = None, *,
@@ -98,7 +108,8 @@ class InferenceServer:
         self._closed = False
         self._inflight = 0
         self._idle: asyncio.Event | None = None
-        self._replay: OrderedDict[str, dict] = OrderedDict()
+        # rid -> (response header, response body or None)
+        self._replay: OrderedDict[str, tuple] = OrderedDict()
 
     @property
     def draining(self) -> bool:
@@ -221,11 +232,35 @@ class InferenceServer:
                 line = line.strip()
                 if not line:
                     continue
-                response = await self._dispatch(line)
-                await self._send(writer, response)
+                self.metrics.incr("received")
+                try:
+                    msg = wire.parse(line)
+                except ValueError as exc:
+                    await self._send(writer, {
+                        "ok": False, "error": "bad-request",
+                        "message": str(exc)})
+                    continue
+                try:
+                    size = wire.body_size(msg, "input_shape",
+                                          self.config.max_line_bytes)
+                except wire.FrameError as exc:
+                    # The body's length is unknown or refused, so the
+                    # next frame cannot be found: answer and hang up.
+                    await self._send(writer, {
+                        "id": msg.get("id"), "ok": False,
+                        "error": "bad-request", "reason": "bad-frame",
+                        "message": str(exc)})
+                    break
+                # A body cut short by EOF raises IncompleteReadError
+                # here, before anything was admitted or queued.
+                body = None if size is None else \
+                    await reader.readexactly(size)
+                response, out = await self._dispatch(msg, body)
+                await self._send(writer, response, out)
                 if response.get("bye"):
                     break
-        except (ConnectionResetError, BrokenPipeError):
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             # Server shutdown cancelled this handler mid-read. Absorb it
@@ -269,41 +304,38 @@ class InferenceServer:
                 return False
 
     async def _send(self, writer: asyncio.StreamWriter,
-                    payload: dict) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+                    payload: dict, body=None) -> None:
+        writer.write(wire.encode(payload, body))
         await writer.drain()
 
-    async def _dispatch(self, raw: bytes) -> dict:
-        self.metrics.incr("received")
-        try:
-            msg = json.loads(raw)
-            if not isinstance(msg, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request", "message": str(exc)}
+    async def _dispatch(self, msg: dict, body) -> tuple[dict, object]:
+        """Answer one request: ``(response header, response body)``."""
         op = msg.get("op", "infer")
         rid = msg.get("id")
         try:
             if op == "infer":
-                return await self._infer(msg)
-            if op == "stats":
-                payload = self.stats()
-                if self.router is not None:
-                    payload["replicas"] = await self.router.fleet_snapshot()
-                return {"id": rid, "ok": True, "stats": payload}
-            if op == "models":
-                return {"id": rid, "ok": True,
-                        "models": self.registry.models()}
-            if op == "ping":
-                return {"id": rid, "ok": True, "pong": True}
-            if op == "swap":
-                return await self._swap(msg)
-            return {"id": rid, "ok": False, "error": "unknown-op",
-                    "message": f"unknown op {op!r}"}
+                return await self._infer(msg, body)
+            return await self._control(op, msg), None
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             self.metrics.incr("errors")
             return {"id": rid, "ok": False, "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}"}
+                    "message": f"{type(exc).__name__}: {exc}"}, None
+
+    async def _control(self, op: str, msg: dict) -> dict:
+        rid = msg.get("id")
+        if op == "stats":
+            payload = self.stats()
+            if self.router is not None:
+                payload["replicas"] = await self.router.fleet_snapshot()
+            return {"id": rid, "ok": True, "stats": payload}
+        if op == "models":
+            return {"id": rid, "ok": True, "models": self.registry.models()}
+        if op == "ping":
+            return {"id": rid, "ok": True, "pong": True}
+        if op == "swap":
+            return await self._swap(msg)
+        return {"id": rid, "ok": False, "error": "unknown-op",
+                "message": f"unknown op {op!r}"}
 
     # -- ops ------------------------------------------------------------
 
@@ -351,12 +383,17 @@ class InferenceServer:
             response["rolling"] = rolling
         return response
 
-    async def _infer(self, msg: dict) -> dict:
+    async def _infer(self, msg: dict, body) -> tuple[dict, object]:
+        """One ``infer`` request: ``(response header, response body)``.
+
+        A request with a ``body`` is answered with one; a legacy request
+        (``input`` list) is answered in pure JSON, body ``None``.
+        """
         rid = msg.get("id")
         if self._draining:
             self.metrics.record_rejection("draining")
             return {"id": rid, "ok": False, "error": "draining",
-                    "message": "server is draining; no new requests"}
+                    "message": "server is draining; no new requests"}, None
         idem = msg.get("rid")
         if idem is not None:
             cached = self._replay.get(idem)
@@ -364,67 +401,85 @@ class InferenceServer:
                 # A retried idempotent request: answer from the cache so
                 # the work (and every metric) is counted exactly once.
                 self.metrics.incr("replayed")
-                return {**cached, "id": rid, "replayed": True}
+                response, out = cached
+                return {**response, "id": rid, "replayed": True}, out
         ref = msg.get("model")
-        if not ref or "input" not in msg:
+        if not ref or (body is None and "input" not in msg):
             return {"id": rid, "ok": False, "error": "bad-request",
-                    "message": "infer needs model and input"}
+                    "message": "infer needs model and input"}, None
         deadline_ms = msg.get("deadline_ms")
         if deadline_ms is not None:
             if isinstance(deadline_ms, bool) \
                     or not isinstance(deadline_ms, (int, float)) \
                     or not deadline_ms > 0:
                 return {"id": rid, "ok": False, "error": "bad-request",
-                        "message": "deadline_ms must be a positive number"}
+                        "message": "deadline_ms must be a positive "
+                                   "number"}, None
             deadline_ms = float(deadline_ms)
         try:
             line, version = self.registry.resolve(ref)
         except NoSuchModelError as exc:
             return {"id": rid, "ok": False, "error": "no-such-model",
-                    "message": str(exc.args[0])}
+                    "message": str(exc.args[0])}, None
+        try:
+            sample = (np.asarray(msg["input"], dtype=np.float32)
+                      if body is None
+                      else wire.unpack(msg["input_shape"], body))
+        except (TypeError, ValueError) as exc:
+            return {"id": rid, "ok": False, "error": "bad-request",
+                    "message": f"input is not a float tensor: {exc}"}, None
+        if sample.shape != version.engine.sample_shape:
+            # Checked before admission: a wrong-shape sample must never
+            # reach the batcher, where np.stack would fail its whole
+            # batch and charge the fault to its good neighbours.
+            return {"id": rid, "ok": False, "error": "bad-request",
+                    "message": f"input shape {sample.shape} does not match "
+                               f"{version.ref} sample shape "
+                               f"{version.engine.sample_shape}"}, None
         admitted, reason = line.admission.try_admit(remaining_ms=deadline_ms)
         if not admitted:
-            # The load-shedding fast path: no parse of the input payload
-            # beyond this point, no queueing, no compute.
+            # The load-shedding fast path: no queueing, no compute.
             self.metrics.record_rejection(reason)
             return {"id": rid, "ok": False, "error": "overloaded",
-                    "reason": reason}
+                    "reason": reason}, None
         start = self.clock.monotonic()
         deadline = None if deadline_ms is None else start + deadline_ms / 1e3
         self._inflight += 1
         if self._idle is not None:
             self._idle.clear()
         try:
-            sample = np.asarray(msg["input"], dtype=np.float32)
             routed = None
             if self.router is not None and self.router.usable:
-                routed = await self._route_replicated(ref, msg["input"],
+                routed = await self._route_replicated(ref, sample, body,
                                                       deadline)
-            if routed is not None:
-                output_list, served_by, active_ref = routed
-            else:
-                output, served_by, active = await self._run(line, version,
-                                                            sample, deadline)
-                output_list, active_ref = output.tolist(), active.ref
+            if routed is None:
+                routed = await self._run(line, version, sample, deadline)
+            output, served_by, active_ref, queue_wait_ms = routed
             latency_ms = (self.clock.monotonic() - start) * 1e3
-            self.metrics.record_completion(active_ref, latency_ms)
+            self.metrics.record_completion(active_ref, latency_ms,
+                                           queue_wait_ms)
             response = {"id": rid, "ok": True, "model": active_ref,
-                        "output": output_list, "served_by": served_by,
+                        "served_by": served_by,
                         "latency_ms": round(latency_ms, 3)}
+            out = None
+            if body is None:
+                response["output"] = output.tolist()
+            else:
+                response["output_shape"], out = wire.pack(output)
             if idem is not None:
-                self._remember(idem, response)
-            return response
+                self._remember(idem, response, out)
+            return response, out
         except DeadlineExpired as exc:
             self.metrics.incr("expired")
             return {"id": rid, "ok": False, "error": "expired",
-                    "message": str(exc)}
+                    "message": str(exc)}, None
         except Exception as exc:  # noqa: BLE001 - answer, don't drop
             self.metrics.incr("errors")
             kind = ("bad-request" if isinstance(exc, ValueError)
                     else "timeout" if isinstance(exc, TimeoutError)
                     else "internal")
             return {"id": rid, "ok": False, "error": kind,
-                    "message": f"{type(exc).__name__}: {exc}"}
+                    "message": f"{type(exc).__name__}: {exc}"}, None
         finally:
             line.admission.on_complete(
                 (self.clock.monotonic() - start) * 1e3)
@@ -432,26 +487,30 @@ class InferenceServer:
             if self._inflight == 0 and self._idle is not None:
                 self._idle.set()
 
-    async def _route_replicated(self, ref: str, raw_input, deadline):
+    async def _route_replicated(self, ref: str, sample, body, deadline):
         """Dispatch one request to the replica tier.
 
-        Returns ``(output_list, served_by, model_ref)``, or ``None`` when
-        the request should be served on the local in-process path instead
-        (no routable replica, re-dispatch budget spent, replica-side
-        engine fault, or the tier just degraded). The replica's output
-        list is passed through verbatim — no numpy round-trip — so the
-        bytes the replica computed are the bytes the client decodes.
+        Returns ``(output, served_by, model_ref, queue_wait_ms)``, or
+        ``None`` when the request should be served on the local
+        in-process path instead (no routable replica, re-dispatch budget
+        spent, replica-side engine fault, or the tier just degraded).
+        Request and reply bodies are forwarded as bytes: ``output`` is a
+        view of the replica's reply body, so the bytes the replica
+        computed are the bytes the client reads.
         """
         from .router import ReplicasUnavailable
+        if body is None:
+            _, body = wire.pack(sample)
         try:
-            reply = await self.router.dispatch_infer(ref, raw_input,
-                                                     deadline)
+            reply, out = await self.router.dispatch_infer(
+                ref, list(sample.shape), body, deadline)
         except ReplicasUnavailable:
             self.metrics.incr("replica_fallbacks")
             return None
         if reply.get("ok"):
             served_by = f"replica:{reply.get('replica', '?')}"
-            return reply["output"], served_by, reply.get("model", ref)
+            return (wire.unpack(reply["output_shape"], out), served_by,
+                    reply.get("model", ref), reply.get("queue_wait_ms"))
         error = reply.get("error")
         if error == "expired":
             raise DeadlineExpired(
@@ -463,16 +522,18 @@ class InferenceServer:
         self.metrics.incr("replica_fallbacks")
         return None
 
-    def _remember(self, idem: str, response: dict) -> None:
-        """Cache one successful response under its idempotency key."""
-        self._replay[idem] = response
+    def _remember(self, idem: str, response: dict, body) -> None:
+        """Cache one successful response (and its body) under its
+        idempotency key."""
+        self._replay[idem] = (response, body)
         while len(self._replay) > self.config.replay_cache_size:
             self._replay.popitem(last=False)
 
     async def _run(self, line, version, sample, deadline=None):
         """Batched path with supervisor-style containment.
 
-        Returns ``(output_row, served_by, version_served)``. Raises only
+        Returns ``(output_row, served_by, model_ref, queue_wait_ms)``;
+        ``queue_wait_ms`` is None when the eager path served it. Raises only
         when the request itself cannot be served — a client error from
         the eager path, a timeout, or an expired deadline; engine-side
         faults degrade, they do not drop.
@@ -483,7 +544,7 @@ class InferenceServer:
                                       "eager path could run")
             out = await asyncio.to_thread(self.registry.eager_infer,
                                           line, version, sample)
-            return out, "eager", version
+            return out, "eager", version.ref, None
 
         failure: BaseException | None = None
         for attempt in range(2):
@@ -503,9 +564,9 @@ class InferenceServer:
                 raise TimeoutError(
                     f"inference exceeded "
                     f"{self.config.request_timeout_s:.1f}s budget")
-            value, failure = outcome
+            value, failure = outcome._value, outcome._error
             if failure is None:
-                return value, "batch", version
+                return value, "batch", version.ref, outcome.queue_wait_ms
             if isinstance(failure, DeadlineExpired):
                 # Evicted from the queue before its batch ran: final.
                 raise failure
@@ -516,21 +577,18 @@ class InferenceServer:
             break
 
         # Batched path is faulty — serial eager fallback, then maybe
-        # degrade the line. A ValueError here means the *request* was bad
-        # (shape mismatch); that propagates to the client and is not a
-        # serving fault.
+        # degrade the line. The sample's shape was checked before
+        # admission, so this is a serving fault, not a bad request.
         try:
             out = await asyncio.to_thread(self.registry.eager_infer,
                                           line, version, sample)
-        except ValueError:
-            raise
         except Exception:
             if failure is not None:
                 raise failure
             raise
         self.metrics.incr("fallbacks")
         self.registry.note_fallback(line, version)
-        return out, "eager", version
+        return out, "eager", version.ref, None
 
     async def _await_ticket(self, ticket, deadline=None):
         loop = asyncio.get_running_loop()
@@ -539,7 +597,7 @@ class InferenceServer:
         def resolved(t):
             def finish():
                 if not future.done():
-                    future.set_result((t._value, t._error))
+                    future.set_result(t)
             loop.call_soon_threadsafe(finish)
 
         ticket.add_done_callback(resolved)

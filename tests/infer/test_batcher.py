@@ -321,6 +321,24 @@ class TestCoalescingWindowDeterministic:
         # Each singleton batch charged its whole window to virtual time.
         assert clock.monotonic() == pytest.approx(3 * 0.004)
 
+    def test_tickets_carry_exact_queue_wait(self):
+        # The first ticket parks the worker inside the engine; the second
+        # queues behind it while virtual time moves 0.25 s, so its batch
+        # starts exactly 250 ms after its submit.
+        clock = FakeClock(start=10.0)
+        engine = _GatedEngine(max_batch=1)
+        with BatchRunner(engine, max_wait=0.0, clock=clock) as runner:
+            first = runner.submit(np.zeros(2, np.float32))
+            second = runner.submit(np.ones(2, np.float32))
+            clock.advance(0.25)
+            engine.gate.set()
+            first.result(timeout=10.0)
+            second.result(timeout=10.0)
+        assert first.submitted == 10.0
+        assert second.queue_wait_ms == 250.0
+        unstarted = InferenceTicket(submitted=10.0)
+        assert unstarted.queue_wait_ms is None
+
 
 def _enqueue_deadlines(runner, deadlines):
     """Queue one ticket per deadline (sample value = its index)."""

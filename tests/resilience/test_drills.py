@@ -13,7 +13,7 @@ class TestRunDrills:
                          "worker.degrade", "worker.bucket", "shm.reaper",
                          "quant.deploy", "quant.corrupt",
                          "serve.shed", "serve.swap",
-                         "serve.drain", "serve.restart",
+                         "serve.drain", "serve.restart", "serve.frame",
                          "replica.kill", "replica.hang",
                          "replica.rolling"]
         for result in results:
