@@ -217,6 +217,16 @@ def _decode_iteration(payload: dict) -> IterationRecord:
     )
 
 
+def _accuracy_before(iterations: list[IterationRecord], iteration: int,
+                     baseline_acc: float) -> float | None:
+    """Measured accuracy of the model a rollback of ``iteration``
+    restores, or ``None`` when that iteration's record is gone."""
+    if iteration == 0:
+        return baseline_acc
+    return next((it.accuracy_after_finetune for it in iterations
+                 if it.iteration == iteration - 1), None)
+
+
 class ClassAwarePruningFramework:
     """Iterative class-aware pruning of a prunable model (Fig. 5).
 
@@ -419,6 +429,11 @@ class ClassAwarePruningFramework:
               report_before: ImportanceReport, rundir: RunDirectory | None,
               log: bool, post_iteration) -> PruningResult:
         cfg = self.config
+        # Test accuracy of ``self.model`` as last measured: every state
+        # the loop can end on (accepted, restored, kept) was evaluated
+        # once already, so the epilogue reuses that reading.
+        model_acc = (iterations[-1].accuracy_after_finetune if iterations
+                     else baseline_acc)
         stop_reason = "max_iterations"
         termination = (f"stopped after reaching "
                        f"max_iterations={cfg.max_iterations}")
@@ -439,8 +454,9 @@ class ClassAwarePruningFramework:
 
             _, acc_pruned = evaluate_model(self.model, self.test_dataset,
                                            self.training.batch_size)
-            trainer = Trainer(self.model, self.train_dataset,
-                              self.test_dataset, self.finetune_training,
+            # No test set: the end-of-epoch accuracy would be discarded.
+            trainer = Trainer(self.model, self.train_dataset, None,
+                              self.finetune_training,
                               sentinel=cfg.sentinel,
                               supervision=cfg.supervision,
                               on_worker_event=self._on_worker_event)
@@ -454,6 +470,8 @@ class ClassAwarePruningFramework:
                                             self.training.batch_size)
                 if baseline_acc - acc_now > cfg.accuracy_drop_tolerance:
                     self.model = snapshot
+                else:
+                    model_acc = acc_now
                 stop_reason = "sentinel-abort"
                 termination = (f"numerical-health sentinel aborted "
                                f"fine-tuning at iteration {iteration}: {exc}")
@@ -519,19 +537,28 @@ class ClassAwarePruningFramework:
                           f"tolerance — restored previous model")
                 break
 
+            model_acc = acc_finetuned
             if post_iteration is not None:
                 post_iteration(iteration)
 
         return self._finalize(iterations, baseline_acc, original_profile,
-                              report_before, stop_reason, termination, rundir)
+                              report_before, stop_reason, termination, rundir,
+                              final_acc=model_acc)
 
     # ------------------------------------------------------------------
     def _finalize(self, iterations, baseline_acc, original_profile,
                   report_before, stop_reason, termination,
-                  rundir: RunDirectory | None) -> PruningResult:
+                  rundir: RunDirectory | None,
+                  final_acc: float | None = None) -> PruningResult:
+        """Build (and journal) the result for the current ``self.model``.
+
+        ``final_acc`` is the model's already measured test accuracy; it is
+        evaluated here only when unknown (``None``).
+        """
         final_profile = profile_model(self.model, self.input_shape)
-        _, final_acc = evaluate_model(self.model, self.test_dataset,
-                                      self.training.batch_size)
+        if final_acc is None:
+            _, final_acc = evaluate_model(self.model, self.test_dataset,
+                                          self.training.batch_size)
         report_after = self.evaluate_importance()
         if self._degraded:
             # The pool fell back to serial execution at some point: the
@@ -684,7 +711,8 @@ class ClassAwarePruningFramework:
                 f"before that iteration")
             return self._finalize(iterations, baseline_acc, original_profile,
                                   report_before, "accuracy", termination,
-                                  rundir)
+                                  rundir, _accuracy_before(
+                                      iterations, bad, baseline_acc))
 
         # The uninterrupted loop applies the tolerance check *after*
         # committing the iteration record; a crash in that window means the
@@ -702,7 +730,10 @@ class ClassAwarePruningFramework:
                     f"that iteration")
                 return self._finalize(iterations, baseline_acc,
                                       original_profile, report_before,
-                                      "accuracy", termination, rundir)
+                                      "accuracy", termination, rundir,
+                                      _accuracy_before(iterations,
+                                                       last.iteration,
+                                                       baseline_acc))
 
         start = iterations[-1].iteration + 1 if iterations else 0
         return self._loop(start, iterations, baseline_acc, original_profile,

@@ -10,6 +10,8 @@ Pipeline per filter group (one prunable layer):
 4. Average over the M images → ``s_ave`` per activation       (Eq. 6).
 5. Filter score w.r.t. class ``n`` = max over the filter's activations
    of ``s_ave``                                               (Eq. 7).
+   Steps 3–5 run once per layer for all classes of a fused pass
+   (:func:`aggregate_scores` over class segments).
 6. Total importance = Σ_n score(filter, n) ∈ [0, num_classes].
 
 A filter whose total score is small matters for few classes and is a
@@ -133,39 +135,59 @@ class ImportanceReport:
         return {g: float(v.mean()) for g, v in self.total.items()}
 
 
-def aggregate_scores(taylor_scores: np.ndarray, tau: float,
-                     aggregation: str = "max") -> np.ndarray:
+def aggregate_scores(taylor_scores: np.ndarray, tau: float | list[float],
+                     aggregation: str = "max",
+                     counts: list[int] | None = None) -> np.ndarray:
     """Collapse per-image activation scores to per-filter class scores.
 
     Parameters
     ----------
     taylor_scores:
-        ``(M, C, ...)`` array of Θ' values for images of *one* class: first
-        axis is the image, second the filter, the rest activation positions.
+        ``(B, C, ...)`` array of Θ' values: first axis is the image, second
+        the filter, the rest activation positions. The images are grouped
+        by class, back to back.
+    tau:
+        Eq. 5 threshold: a scalar, or one value per class segment. It is
+        compared in the scores' dtype.
+    counts:
+        Images per class segment, in row order (their sum is ``B``); a
+        class with fewer than ``M`` images simply has a shorter segment.
+        ``None`` is the single-class case: one segment of all ``B`` rows.
 
     Returns
     -------
-    ``(C,)`` array — the filters' importance for this class (Eq. 5–7).
+    ``(K, C)`` array — row ``k`` is the filters' importance for segment
+    ``k``'s class (Eq. 5–7) — or ``(C,)`` when ``counts`` is ``None``.
 
-    The Eq. 6 average is taken as ``count_nonzero / M``. That is exactly
-    the mean of the float64 indicator: the indicator sum is an integer far
-    below 2**53, so the pairwise float64 sum and the integer count are the
-    same value, divided by the same float64 ``M``.
+    The Eq. 6 average is taken as ``count / M`` per segment. That is
+    exactly the mean of the float64 indicator: the indicator sum is an
+    integer far below 2**53, so the pairwise float64 sum and the integer
+    count are the same value, divided by the same float64 ``M``.
     """
     if taylor_scores.ndim < 2:
         raise ValueError("expected at least (M, C) scores")
-    m = taylor_scores.shape[0]
-    if m == 0:
+    sizes = np.array([len(taylor_scores)] if counts is None else counts,
+                     dtype=np.intp)
+    if not (sizes > 0).all():
         raise ValueError(
             "aggregate_scores received scores for zero images (M=0); the "
             "Eq. 6 average would silently be NaN")
-    s_ave = np.count_nonzero(taylor_scores > tau, axis=0) / np.float64(m)
-    if s_ave.ndim == 1:                                     # linear layer
-        return s_ave
-    flat = s_ave.reshape(s_ave.shape[0], -1)
-    if aggregation == "max":
-        return flat.max(axis=1)                             # Eq. 7
-    return flat.mean(axis=1)
+    if sizes.sum() != len(taylor_scores):
+        raise ValueError(f"segment counts {sizes.tolist()} do not tile "
+                         f"{len(taylor_scores)} score rows")
+    per_row = (-1,) + (1,) * (taylor_scores.ndim - 1)
+    thresholds = np.asarray(tau, dtype=taylor_scores.dtype)
+    if thresholds.ndim:                                     # per segment
+        thresholds = np.repeat(thresholds, sizes).reshape(per_row)
+    starts = np.cumsum(sizes) - sizes
+    hits = np.add.reduceat(taylor_scores > thresholds, starts, axis=0,
+                           dtype=np.intp)
+    s_ave = hits / sizes.astype(np.float64).reshape(per_row)  # Eq. 6
+    if s_ave.ndim > 2:
+        flat = s_ave.reshape(s_ave.shape[0], s_ave.shape[1], -1)
+        s_ave = (flat.max(axis=2) if aggregation == "max"       # Eq. 7
+                 else flat.mean(axis=2))
+    return s_ave[0] if counts is None else s_ave
 
 
 def sample_class_images(dataset: Dataset, num_classes: int,
@@ -210,36 +232,40 @@ def scoring_engine(model: Module, group_paths: list[str],
 def score_classes(engine, bank: np.ndarray,
                   entries: list[tuple[int, int, int]],
                   config: ImportanceConfig):
-    """Yield ``(class_index, {path: (F,) class scores})`` per entry.
+    """Yield ``(class_indices, {path: (K, F) class scores})`` per pass.
 
-    ``path`` runs over the engine's ``layer_paths``. ``entries`` are ``(class_index, start, stop)`` row slices that tile
-    ``bank`` back to back, as :func:`sample_class_images` returns them (or
-    a run of consecutive ones), so every pass scores a zero-copy view of
-    the bank. Consecutive classes share one ``engine.scores`` pass of at most
-    :data:`_FUSE_IMAGE_CAP` images (at least one class per pass); each
-    class's slice of the result is then thresholded and reduced on its
-    own (Eq. 5–7, with a per-class τ in quantile mode). Summed CE keeps
-    every sample's gradient independent of its batch neighbours, so the
-    chunking changes only wall-clock, never a score.
+    ``path`` runs over the engine's ``layer_paths``. ``entries`` are
+    ``(class_index, start, stop)`` row slices that tile ``bank`` back to
+    back, as :func:`sample_class_images` returns them (or a run of
+    consecutive ones), so every pass scores a zero-copy view of the bank.
+    Consecutive classes share one ``engine.scores`` pass of at most
+    :data:`_FUSE_IMAGE_CAP` images (at least one class per pass); one
+    :func:`aggregate_scores` call per layer then thresholds and reduces
+    all of the pass's class segments (Eq. 5–7, with a per-class τ in
+    quantile mode). Row ``k`` of each block belongs to
+    ``class_indices[k]``. Summed CE keeps every sample's gradient
+    independent of its batch neighbours, so the chunking changes only
+    wall-clock, never a score.
     """
     paths = engine.layer_paths
     per_pass = max(1, _FUSE_IMAGE_CAP // config.images_per_class)
     for i in range(0, len(entries), per_pass):
         chunk = entries[i:i + per_pass]
         base = chunk[0][1]
-        targets = np.repeat([c for c, _, _ in chunk],
-                            [e - s for _, s, e in chunk])
-        taylor = engine.scores(bank[base:chunk[-1][2]], targets)
-        for class_index, start, stop in chunk:
-            sliced = {p: taylor[p][start - base:stop - base] for p in paths}
-            if config.tau_mode == "quantile":
-                pooled = np.concatenate([sliced[p].reshape(-1) for p in paths])
-                tau = float(np.quantile(pooled, config.tau_quantile))
-            else:
-                tau = config.tau
-            yield class_index, {
-                p: aggregate_scores(sliced[p], tau, config.aggregation)
-                for p in paths}
+        classes = [c for c, _, _ in chunk]
+        counts = [e - s for _, s, e in chunk]
+        taylor = engine.scores(bank[base:chunk[-1][2]],
+                               np.repeat(classes, counts))
+        if config.tau_mode == "quantile":
+            tau = [float(np.quantile(
+                np.concatenate([taylor[p][s - base:e - base].reshape(-1)
+                                for p in paths]), config.tau_quantile))
+                   for _, s, e in chunk]
+        else:
+            tau = config.tau
+        yield classes, {p: aggregate_scores(taylor[p], tau,
+                                            config.aggregation, counts)
+                        for p in paths}
 
 
 class ImportanceEvaluator:
@@ -343,10 +369,10 @@ class ImportanceEvaluator:
             self.dataset, self.num_classes, cfg.images_per_class, cfg.seed)
         engine = scoring_engine(self.model, group_paths, cfg, bank.shape[1:])
         per_class: dict[str, np.ndarray] = {}
-        for class_index, cols in score_classes(engine, bank, entries, cfg):
-            for path, col in cols.items():
+        for classes, blocks in score_classes(engine, bank, entries, cfg):
+            for path, rows in blocks.items():
                 if path not in per_class:
                     per_class[path] = np.zeros(
-                        (len(col), self.num_classes), dtype=np.float64)
-                per_class[path][:, class_index] = col
+                        (rows.shape[1], self.num_classes), dtype=np.float64)
+                per_class[path][:, classes] = rows.T
         return ImportanceReport.from_per_class(per_class, self.num_classes)

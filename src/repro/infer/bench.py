@@ -207,6 +207,7 @@ def run_bench(models: dict[str, dict] | None = None,
         "repeats": int(repeats),
         "batch_sizes": [int(b) for b in batch_sizes],
         "prune_fraction": _PRUNE_FRACTION,
+        "cpu_count": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "entries": entries,
     }

@@ -85,26 +85,25 @@ class ScoringService:
         Score columns are written straight into the shared output
         matrices; only the list of completed class indices returns
         through the queue. (Without an output bundle — direct use in
-        tests — the columns come back as
-        ``[(class_index, {path: column}), ...]`` instead.)
+        tests — each pass's blocks come back instead, as
+        ``[(class_indices, {path: (K, F) rows}), ...]``.)
         """
         from ..core.importance import score_classes
         from .shm import SharedArrayBundle
         bundle = SharedArrayBundle.attach(task["images"])
         try:
-            return [self._emit(class_index, cols)
-                    for class_index, cols in score_classes(
-                        self._engine, bundle.arrays["images"],
-                        task["entries"], self.config)]
+            passes = score_classes(self._engine, bundle.arrays["images"],
+                                   task["entries"], self.config)
+            if self._out is None:
+                return list(passes)
+            done = []
+            for classes, blocks in passes:
+                for path, rows in blocks.items():
+                    self._out.arrays[path][:, classes] = rows.T
+                done.extend(classes)
+            return done
         finally:
             bundle.close()
-
-    def _emit(self, class_index: int, cols: dict[str, np.ndarray]):
-        if self._out is None:
-            return (class_index, cols)
-        for path, col in cols.items():
-            self._out.arrays[path][:, class_index] = col
-        return class_index
 
 
 def _group_width(model, path: str) -> int:

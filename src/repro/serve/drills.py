@@ -19,8 +19,8 @@ resilience battery to the serving layer:
   checkpoint is skipped *with a report*, and the restored server answers
   correctly;
 * ``serve.frame`` — hostile frames while good traffic flows: a body cut
-  short by EOF, a body over the size limit and a wrong-shape sample are
-  each refused without touching the batcher, and every good request is
+  short by EOF, a body over the size limit, a wrong-shape sample and a
+  NaN/Inf sample are each refused without touching the batcher, and every good request is
   answered bitwise equal to the batch the engine ran, with zero
   fallbacks and nothing left in flight;
 * ``replica.kill`` — SIGKILL of a replica mid-batch under live traffic:
@@ -490,7 +490,8 @@ def _drill_serve_frame(seed: int):
         shedding=SheddingConfig(max_pending=64, p99_budget_ms=None))
     answered: list[tuple[np.ndarray, np.ndarray]] = []
     failures: list[str] = []
-    hostile = {"truncated": 0, "oversize": 0, "wrong-shape": 0}
+    hostile = {"truncated": 0, "oversize": 0, "wrong-shape": 0,
+               "non-finite": 0}
     stop = threading.Event()
 
     def traffic(wid: int):
@@ -540,6 +541,18 @@ def _drill_serve_frame(seed: int):
                                 result.fail(f"wrong-shape request got "
                                             f"{exc.error}")
                     hostile["wrong-shape"] += 1
+                    # A well-formed body holding a NaN and an Inf.
+                    poisoned = np.zeros((3, 8, 8), np.float32)
+                    poisoned[0, 0, :2] = (np.nan, np.inf)
+                    with ServeClient("127.0.0.1", port) as client:
+                        try:
+                            client.infer("m", poisoned)
+                            result.fail("non-finite request was served")
+                        except ServerError as exc:
+                            if exc.payload.get("reason") != "non-finite":
+                                result.fail(f"non-finite request got "
+                                            f"{exc.payload!r}")
+                    hostile["non-finite"] += 1
                 _poll_until(lambda: len(answered) >= 40 or failures)
             finally:
                 stop.set()

@@ -39,8 +39,8 @@ header names its shape):
   "deadline_ms": ...}`` + body — batched inference, answered with
   ``{"rid": r, "ok": true, "output_shape": [...], "queue_wait_ms": ...,
   ...}`` + the output row's bytes. The sample is decoded with
-  ``np.frombuffer`` and its shape checked against the engine before it
-  is queued; replies may arrive out of order (the ticket callback writes
+  ``np.frombuffer`` and its shape and finiteness checked before it is
+  queued; replies may arrive out of order (the ticket callback writes
   the response under a write lock).
 * ``{"op": "stats"}`` — counters + retained latency samples for
   fleet-wide aggregation; ``{"op": "chaos"}`` (only when
@@ -287,11 +287,10 @@ class _ReplicaService:
                   "message": str(exc.args[0])})
             return
         sample = wire.unpack(msg["input_shape"], body)
-        if sample.shape != version.engine.sample_shape:
-            send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": f"input shape {sample.shape} does not match "
-                             f"{version.ref} sample shape "
-                             f"{version.engine.sample_shape}"})
+        refused = wire.refuse_sample(sample, version.engine.sample_shape,
+                                     version.ref)
+        if refused is not None:
+            send({"rid": rid, "ok": False, **refused})
             return
         deadline_ms = msg.get("deadline_ms")
         deadline = (None if deadline_ms is None

@@ -14,8 +14,8 @@ header names:
   answered in pure JSON with ``"output": [...]`` and no body. Rejections
   are explicit and immediate: ``{"id": x, "ok": false, "error":
   "overloaded", "reason": "queue-full" | "slo"}``; an input whose shape
-  is not the model's sample shape is a ``bad-request`` and never reaches
-  the batcher. A malformed ``input_shape`` or a body over
+  is not the model's sample shape, or that holds NaN/Inf (``"reason":
+  "non-finite"``), is a ``bad-request`` and never reaches the batcher. A malformed ``input_shape`` or a body over
   ``max_line_bytes`` is answered ``bad-request`` and the connection is
   closed: its framing is lost.
 * ``{"op": "stats"}`` → the full :class:`~.metrics.ServerMetrics`
@@ -428,14 +428,12 @@ class InferenceServer:
         except (TypeError, ValueError) as exc:
             return {"id": rid, "ok": False, "error": "bad-request",
                     "message": f"input is not a float tensor: {exc}"}, None
-        if sample.shape != version.engine.sample_shape:
-            # Checked before admission: a wrong-shape sample must never
-            # reach the batcher, where np.stack would fail its whole
-            # batch and charge the fault to its good neighbours.
-            return {"id": rid, "ok": False, "error": "bad-request",
-                    "message": f"input shape {sample.shape} does not match "
-                               f"{version.ref} sample shape "
-                               f"{version.engine.sample_shape}"}, None
+        refused = wire.refuse_sample(sample, version.engine.sample_shape,
+                                     version.ref)
+        if refused is not None:
+            # Never admitted: the batcher and the sample's good batch
+            # neighbours never see it.
+            return {"id": rid, "ok": False, **refused}, None
         admitted, reason = line.admission.try_admit(remaining_ms=deadline_ms)
         if not admitted:
             # The load-shedding fast path: no queueing, no compute.

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 __all__ = ["DTYPE", "FrameError", "encode", "pack", "unpack", "parse",
-           "body_size", "read_frame", "read_frame_async"]
+           "body_size", "read_frame", "read_frame_async", "refuse_sample"]
 
 DTYPE = np.dtype("<f4")
 
@@ -50,6 +50,25 @@ def pack(array) -> tuple[list[int], memoryview]:
 def unpack(shape, body) -> np.ndarray:
     """The float32 array a body carries (a view of ``body``, no copy)."""
     return np.frombuffer(body, dtype=DTYPE).reshape(shape)
+
+
+def refuse_sample(sample: np.ndarray, shape: tuple, ref: str
+                  ) -> dict | None:
+    """``bad-request`` reply fields refusing ``sample``, or None.
+
+    Checked before admission, on the frontend and on every replica: a
+    wrong-shape sample would fail its whole batch in ``np.stack``, and a
+    NaN or Inf would be served back as a garbage answer.
+    """
+    if sample.shape != shape:
+        return {"error": "bad-request",
+                "message": f"input shape {sample.shape} does not match "
+                           f"{ref} sample shape {shape}"}
+    if not np.isfinite(sample).all():
+        return {"error": "bad-request", "reason": "non-finite",
+                "message": f"input holds NaN or Inf; {ref} needs a finite "
+                           f"sample"}
+    return None
 
 
 def parse(line: bytes) -> dict:

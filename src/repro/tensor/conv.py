@@ -114,12 +114,12 @@ def clear_im2col_cache() -> None:
 
 def im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Gather-based im2col using the cached per-signature indices.
+    """Per-sample ``(N, C*kh*kw, OH*OW)`` im2col for the compiled engine.
 
-    Functionally identical to :func:`im2col`; this variant indexes the
-    flattened (padded) image with the memoized gather table and supports an
-    ``out`` buffer, which lets the compiled inference runtime reuse one
-    preallocated column matrix across calls.
+    Indexes the flattened (padded) image with the memoized gather table
+    and supports an ``out`` buffer, which lets the compiled inference
+    runtime reuse one preallocated column matrix across calls. Sample
+    ``n``'s block equals columns ``n*OH*OW:(n+1)*OH*OW`` of :func:`im2col`.
     """
     n, c, h, w = x.shape
     sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=x.dtype)
@@ -133,7 +133,7 @@ def im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Lower image patches into columns.
+    """Lower image patches into one GEMM-ready column matrix.
 
     Parameters
     ----------
@@ -142,38 +142,46 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
 
     Returns
     -------
-    ``(N, C*kh*kw, OH*OW)`` array of patches, where each column holds one
-    receptive field.
+    ``(C*kh*kw, N*OH*OW)`` array: row ``(c, i, j)`` holds kernel tap
+    ``(i, j)`` of channel ``c``, column ``(n, y, x)`` one receptive field.
+    A padded input is written once into a zero-filled buffer; the columns
+    are then one strided copy of it, so ``W.reshape(O, -1) @ cols`` is the
+    whole batch's convolution in a single matrix product.
     """
     n, c, h, w = x.shape
     sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=x.dtype)
     oh, ow = sig.oh, sig.ow
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        hp, wp = sig.padded_extent
+        padded = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     patches = as_strided(
         x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        shape=(c, kh, kw, n, oh, ow),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    return np.ascontiguousarray(patches).reshape(n, c * kh * kw, oh * ow)
+    return np.ascontiguousarray(patches).reshape(c * kh * kw, n * oh * ow)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
            kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to image layout."""
+    """Adjoint of :func:`im2col`: scatter-add ``(C*kh*kw, N*OH*OW)``
+    columns back to an ``(N, C, H, W)`` image."""
     n, c, h, w = x_shape
     sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=cols.dtype)
     oh, ow = sig.oh, sig.ow
     hp, wp = sig.padded_extent
     x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
+    xt = x.transpose(1, 0, 2, 3)                   # (C, N, Hp, Wp) view
+    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            x[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, i, j]
+            xt[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, i, j]
     if padding > 0:
         return x[:, :, padding:hp - padding, padding:wp - padding]
     return x
@@ -191,6 +199,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         Filters ``(O, C, KH, KW)``.
     bias:
         Optional per-output-channel bias ``(O,)``.
+
+    The forward, input-gradient and weight-gradient products are one
+    ``np.matmul`` each over the whole batch's :func:`im2col` columns.
     """
     n, c, h, w = x.shape
     o, c_w, kh, kw = weight.shape
@@ -199,28 +210,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     sig = im2col_signature(c, h, w, kh, kw, stride, padding)
     oh, ow = sig.oh, sig.ow
 
-    cols = im2col(x.data, kh, kw, stride, padding)       # (N, C*KH*KW, OH*OW)
+    cols = im2col(x.data, kh, kw, stride, padding)       # (C*KH*KW, N*OH*OW)
     w2d = weight.data.reshape(o, -1)                     # (O, C*KH*KW)
-    out = np.einsum("ok,nkl->nol", w2d, cols, optimize=True)
+    # One (N*OH*OW, O) product: channels-last memory behind an NCHW view,
+    # which the elementwise layers keep and the pooling windows favour.
+    rows = np.matmul(cols.T, w2d.T)
     if bias is not None:
-        out = out + bias.data.reshape(1, o, 1)
-    out = out.reshape(n, o, oh, ow)
+        np.add(rows, bias.data, out=rows)
+    out = rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not _tape_active(*parents):
         return Tensor._make(out, (), "conv2d", None)
 
     def backward(grad):
-        grad2d = grad.reshape(n, o, oh * ow)
+        grad_rows = grad.transpose(0, 2, 3, 1).reshape(-1, o)
         gx = gw = gb = None
         if x.requires_grad:
-            dcols = np.einsum("ok,nol->nkl", w2d, grad2d, optimize=True)
+            dcols = np.matmul(w2d.T, grad_rows.T)        # (C*KH*KW, N*OH*OW)
             gx = col2im(dcols, (n, c, h, w), kh, kw, stride, padding)
         if weight.requires_grad:
-            gw = np.einsum("nol,nkl->ok", grad2d, cols, optimize=True)
-            gw = gw.reshape(weight.shape)
+            gw = np.matmul(grad_rows.T, cols.T).reshape(weight.shape)
         if bias is not None and bias.requires_grad:
-            gb = grad2d.sum(axis=(0, 2))
+            gb = grad_rows.sum(axis=0)
         if bias is None:
             return (gx, gw)
         return (gx, gw, gb)

@@ -178,3 +178,124 @@ class TestFinetuneLR:
             input_shape=(3, 8, 8),
             training=TrainingConfig(epochs=1, lr=0.5))
         assert fw.finetune_training is fw.training
+
+
+class TestEvaluatesEachStateOnce:
+    """The loop measures every model state it can end on exactly once, and
+    the result's ``final_accuracy`` is that measurement — equal to a fresh
+    evaluation of ``result.model`` for every stop reason."""
+
+    @pytest.fixture
+    def eval_calls(self, monkeypatch):
+        from repro.core import framework as framework_module
+        from repro.core import trainer as trainer_module
+        calls = []
+        real = trainer_module.evaluate_model
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(framework_module, "evaluate_model", counted)
+        monkeypatch.setattr(trainer_module, "evaluate_model", counted)
+        return calls
+
+    @staticmethod
+    def fresh_accuracy(fw, result):
+        from repro.core.trainer import evaluate_model
+        return evaluate_model(result.model, fw.test_dataset,
+                              fw.training.batch_size)[1]
+
+    def test_accepted_iteration_evaluates_three_times(
+            self, eval_calls, tiny_vgg, tiny_dataset, tiny_test_dataset):
+        # Baseline, after pruning, after fine-tuning; the trainer gets no
+        # test set and the epilogue reuses the fine-tuned reading.
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, tolerance=1.0,
+                            max_iterations=1)
+        result = fw.run()
+        assert result.stop_reason == "max_iterations"
+        assert len(result.iterations) == 1
+        assert len(eval_calls) == 3
+        assert result.final_accuracy == \
+            result.iterations[0].accuracy_after_finetune
+        assert result.final_accuracy == self.fresh_accuracy(fw, result)
+
+    def test_converged_reuses_last_reading(self, eval_calls, tiny_vgg,
+                                           tiny_dataset, tiny_test_dataset):
+        # Only exactly-dead filters fall under the threshold, so the loop
+        # converges once they are gone.
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=1e-9, finetune_epochs=0,
+                            max_iterations=30)
+        result = fw.run()
+        assert result.stop_reason == "converged"
+        assert len(eval_calls) == 1 + 2 * len(result.iterations)
+        last = (result.iterations[-1].accuracy_after_finetune
+                if result.iterations else result.baseline_accuracy)
+        assert result.final_accuracy == last
+        assert result.final_accuracy == self.fresh_accuracy(fw, result)
+
+    def test_accuracy_rollback_reuses_restored_reading(
+            self, eval_calls, tiny_vgg, tiny_dataset, tiny_test_dataset):
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, max_fraction=0.5,
+                            tolerance=-1.0, max_iterations=3)
+        result = fw.run()
+        assert result.stop_reason == "accuracy"
+        assert len(eval_calls) == 3
+        assert result.final_accuracy == result.baseline_accuracy
+        assert result.final_accuracy == self.fresh_accuracy(fw, result)
+
+    @pytest.mark.parametrize("tolerance", [1.0, -1.0])
+    def test_sentinel_abort_reuses_kept_or_restored_reading(
+            self, eval_calls, monkeypatch, tolerance, tiny_vgg, tiny_dataset,
+            tiny_test_dataset):
+        # tolerance 1.0 keeps the aborted iteration's weights (acc_now);
+        # -1.0 falls back to the pre-iteration snapshot.
+        from repro.core import framework as framework_module
+        from repro.resilience import NumericalHealthError
+
+        def abort(self, epochs=None, log=False):
+            raise NumericalHealthError("injected abort", events=[])
+
+        monkeypatch.setattr(framework_module.Trainer, "train", abort)
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, tolerance=tolerance)
+        result = fw.run()
+        assert result.stop_reason == "sentinel-abort"
+        assert len(eval_calls) == 3
+        assert result.final_accuracy == self.fresh_accuracy(fw, result)
+        if tolerance < 0:
+            assert result.final_accuracy == result.baseline_accuracy
+
+    def test_resumed_journaled_run(self, tmp_path, eval_calls):
+        from repro.data import make_cifar_like
+        from repro.models import build_model
+        from repro.resilience import SimulatedCrash
+
+        def journaled():
+            model = build_model("vgg11", num_classes=3, image_size=8,
+                                width=0.25, seed=0)
+            train, test = make_cifar_like(num_classes=3, image_size=8,
+                                          samples_per_class=12, seed=0)
+            return make_framework(model, train, test, score_threshold=3.1,
+                                  tolerance=1.0, max_iterations=2)
+
+        def crash(iteration):
+            raise SimulatedCrash(f"killed after iteration {iteration}")
+
+        run_dir = tmp_path / "run"
+        with pytest.raises(SimulatedCrash):
+            journaled().run(run_dir=run_dir, post_iteration=crash)
+        del eval_calls[:]
+        fw = journaled()
+        result = fw.run(resume_from=run_dir)
+        assert result.stop_reason == "max_iterations"
+        assert len(result.iterations) == 2
+        # Only the resumed iteration's two readings: after pruning and
+        # after fine-tuning.
+        assert len(eval_calls) == 2
+        assert result.final_accuracy == \
+            result.iterations[-1].accuracy_after_finetune
+        assert result.final_accuracy == self.fresh_accuracy(fw, result)

@@ -10,7 +10,7 @@ from repro.core import (ImportanceConfig, ImportanceEvaluator,
                         ImportanceReport, TaylorScoreEngine,
                         aggregate_scores)
 from repro.core import importance as importance_module
-from repro.data import make_cifar_like, per_class_images
+from repro.data import Subset, make_cifar_like, per_class_images
 from repro.models import MLP, build_model, vgg11
 from repro.models.registry import MODEL_REGISTRY
 from repro.nn import BatchNorm2d
@@ -53,6 +53,27 @@ class TestAggregateScores:
         taylor = np.random.default_rng(0).random((2, 3, 4, 4))
         out = aggregate_scores(taylor, tau=0.5)
         assert out.shape == (3,)
+
+    def test_segments_match_single_class_calls(self):
+        # One call over back-to-back class segments (of unequal length,
+        # with a threshold per segment) is the single-class call per
+        # segment, bit for bit.
+        rng = np.random.default_rng(1)
+        taylor = (rng.random((6, 3, 2, 2)) ** 4).astype(np.float32)
+        counts, taus = [3, 1, 2], [0.1, 0.3, 0.05]
+        for aggregation in ("max", "mean"):
+            rows = aggregate_scores(taylor, taus, aggregation, counts)
+            assert rows.shape == (3, 3)
+            start = 0
+            for k, (m, tau) in enumerate(zip(counts, taus)):
+                np.testing.assert_array_equal(
+                    rows[k], aggregate_scores(taylor[start:start + m], tau,
+                                              aggregation))
+                start += m
+
+    def test_rejects_empty_segment(self):
+        with pytest.raises(ValueError, match="zero images"):
+            aggregate_scores(np.ones((2, 3)), 0.5, counts=[2, 0])
 
     def test_rejects_scalar_input(self):
         with pytest.raises(ValueError):
@@ -187,8 +208,12 @@ def _unfused_reference(model, dataset, num_classes, cfg, paths):
             tau = cfg.tau
         for p in paths:
             s_ave = (taylor[p] > tau).astype(np.float64).mean(axis=0)
-            col = (s_ave if s_ave.ndim == 1
-                   else s_ave.reshape(len(s_ave), -1).max(axis=1))
+            if s_ave.ndim == 1:
+                col = s_ave
+            elif cfg.aggregation == "max":
+                col = s_ave.reshape(len(s_ave), -1).max(axis=1)
+            else:
+                col = s_ave.reshape(len(s_ave), -1).mean(axis=1)
             per_class.setdefault(p, np.zeros((len(col), num_classes)))
             per_class[p][:, c] = col
     return per_class
@@ -222,6 +247,33 @@ class TestFusedEvaluator:
             np.testing.assert_array_equal(report.per_class[p], expected[p])
             np.testing.assert_array_equal(report.total[p],
                                           expected[p].sum(axis=1))
+
+    @pytest.mark.parametrize("aggregation", ["max", "mean"])
+    @pytest.mark.parametrize("tau_mode", ["absolute", "quantile"])
+    def test_short_classes_bitwise_equal_to_unfused_loop(
+            self, tau_mode, aggregation, monkeypatch):
+        # Classes 1 and 3 hold fewer than M=3 images (1 and 2), so the
+        # fused passes hold segments of 3, 1, 3 rows, then 2, 3 rows.
+        monkeypatch.setattr(importance_module, "_FUSE_IMAGE_CAP", 9)
+        model = vgg11(num_classes=5, image_size=8, width=0.125, seed=1)
+        full, _ = make_cifar_like(num_classes=5, image_size=8,
+                                  samples_per_class=4, seed=1)
+        keep = {1: 1, 3: 2}
+        seen: dict[int, int] = {}
+        indices = []
+        for i, label in enumerate(full.labels):
+            seen[label] = seen.get(label, 0) + 1
+            if seen[label] <= keep.get(label, 4):
+                indices.append(i)
+        train = Subset(full, np.array(indices))
+        paths = [g.conv for g in model.prunable_groups()]
+        cfg = ImportanceConfig(images_per_class=3, tau_mode=tau_mode,
+                               tau_quantile=0.5, aggregation=aggregation,
+                               seed=4)
+        expected = _unfused_reference(model, train, 5, cfg, paths)
+        report = ImportanceEvaluator(model, train, 5, cfg).evaluate(paths)
+        for p in paths:
+            np.testing.assert_array_equal(report.per_class[p], expected[p])
 
     @pytest.mark.parametrize("training", [True, False])
     def test_scoring_leaves_the_model_as_it_found_it(self, training,

@@ -10,6 +10,8 @@ class TestRunBench:
     def test_smoke_payload_structure(self):
         results = run_bench(smoke=True, batch_sizes=(1, 4), repeats=1)
         assert results["smoke"] is True
+        # Timings are only comparable between hosts of equal core count.
+        assert results["cpu_count"] >= 1
         entries = results["entries"]
         # 3 models x 2 variants x 2 batch sizes.
         assert len(entries) == 12

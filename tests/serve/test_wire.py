@@ -4,8 +4,9 @@ Covers the codec itself, both request encodings (binary body and legacy
 ``input`` list) on the in-process path and through a 2-replica fleet,
 the frame limits (oversize or malformed ``input_shape``, a body cut
 short by EOF), rid replay of a binary response, the pre-admission shape
-check that keeps a wrong-shape request away from its batch-mates, and
-the ``queue_wait`` reservoir the batcher's ticket stamps feed.
+and finiteness checks that keep a wrong-shape or NaN/Inf request away
+from its batch-mates, and the ``queue_wait`` reservoir the batcher's
+ticket stamps feed.
 """
 
 import io
@@ -255,6 +256,110 @@ class TestFrameLimits:
                 client.infer("m", np.zeros((3, 4, 4), np.float32))
             assert excinfo.value.error == "bad-request"
             assert client.ping()
+
+
+def _poisoned(value, seed=0):
+    sample = _samples(1, seed=seed)[0].copy()
+    sample[1, 2, 3] = value
+    return sample
+
+
+class TestNonFiniteRefused:
+    """NaN/Inf samples are ``bad-request`` (``reason: non-finite``) before
+    admission, on the frontend and on a replica, for binary bodies and
+    legacy ``input`` lists alike."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("encoding", ["binary", "legacy"])
+    @pytest.mark.parametrize("path", ["local", "fleet"])
+    def test_refused_before_admission(self, path, encoding, value, request,
+                                      reference):
+        srv = request.getfixturevalue(f"{path}_server")
+        before = srv.server.stats()["models"]["m"]["admission"]["admitted"]
+        sample = _poisoned(value)
+        with ServeClient("127.0.0.1", srv.port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                if encoding == "binary":
+                    client.request({"op": "infer", "model": "m"},
+                                   body=sample)
+                else:
+                    client.request({"op": "infer", "model": "m",
+                                    "input": sample.tolist()})
+            assert excinfo.value.error == "bad-request"
+            assert excinfo.value.payload["reason"] == "non-finite"
+            # The connection survives and the next good sample is served.
+            good = _samples(1, seed=4)[0]
+            assert client.infer("m", good).tobytes() == \
+                reference.run(good[None])[0].tobytes()
+        after = srv.server.stats()["models"]["m"]["admission"]["admitted"]
+        assert after == before + 1          # only the good request
+
+    def test_replica_refuses_a_non_finite_body(self, fleet_server):
+        # Straight to a replica's socket, past the frontend's own check.
+        router = fleet_server.server.router
+        assert _poll(lambda: router.usable)
+        path = str(router.set.handles[0].socket_path)
+        sample = _poisoned(np.nan)
+        shape, body = wire.pack(sample)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(path)
+            with sock.makefile("rwb") as stream:
+                stream.write(wire.encode({"op": "infer", "rid": "nf",
+                                          "model": "m",
+                                          "input_shape": shape}, body))
+                stream.flush()
+                reply, out = wire.read_frame(stream, "output_shape")
+        assert out is None
+        assert reply["rid"] == "nf" and reply["ok"] is False
+        assert reply["error"] == "bad-request"
+        assert reply["reason"] == "non-finite"
+
+    def test_batch_mates_are_unaffected(self):
+        batches = []
+
+        def record(name, version, batch, outputs):
+            batches.append(np.array(batch))
+
+        registry = ModelRegistry(
+            max_batch=8, on_batch=record,
+            shedding=SheddingConfig(max_pending=64, p99_budget_ms=None))
+        registry.deploy("m", "v1", model=_tiny_model(), input_shape=SHAPE)
+        _, version = registry.resolve("m")
+        gate = _GatedEngine(version.engine)
+        version.runner.engine = gate
+        samples = _samples(3, seed=6)
+        answers, errors = {}, []
+
+        def good(i):
+            try:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    answers[i] = client.infer("m", samples[i])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(repr(exc))
+
+        with registry, ServerThread(registry, ServeConfig()) as srv:
+            threads = [threading.Thread(target=good, args=(i,))
+                       for i in range(3)]
+            threads[0].start()
+            assert gate.entered.wait(10)    # batch 1 parks in the engine
+            for t in threads[1:]:
+                t.start()
+            assert _poll(lambda: srv.server.inflight == 3)
+            with ServeClient("127.0.0.1", srv.port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.infer("m", _poisoned(np.inf))
+            gate.release.set()
+            for t in threads:
+                t.join(timeout=30)
+            stats = srv.server.stats()
+
+        assert not errors and len(answers) == 3
+        assert excinfo.value.payload["reason"] == "non-finite"
+        assert [len(b) for b in batches] == [1, 2]
+        assert all(np.isfinite(b).all() for b in batches)
+        assert stats["counters"]["errors"] == 0
+        assert stats["counters"]["fallbacks"] == 0
 
 
 def _int8_artifact(model, path):

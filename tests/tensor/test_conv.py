@@ -50,19 +50,24 @@ class TestIm2Col:
 
     def test_adjointness(self):
         # <im2col(x), y> == <x, col2im(y)> — the defining adjoint property
-        # that makes the conv backward pass correct.
+        # that makes the conv backward pass correct. Two samples, so a
+        # column-to-sample mix-up in the (C*kh*kw, N*OH*OW) layout shows.
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 5, 5)).astype(np.float64)
-        cols = im2col(x, 3, 3, stride=1, padding=1)
-        y = rng.normal(size=cols.shape)
-        lhs = (cols * y).sum()
-        rhs = (x * col2im(y, x.shape, 3, 3, stride=1, padding=1)).sum()
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        x = rng.normal(size=(2, 2, 5, 5)).astype(np.float64)
+        for stride, padding in ((1, 1), (2, 0), (2, 2)):
+            cols = im2col(x, 3, 3, stride=stride, padding=padding)
+            oh = conv_output_size(5, 3, stride, padding)
+            assert cols.shape == (2 * 9, 2 * oh * oh)
+            y = rng.normal(size=cols.shape)
+            lhs = (cols * y).sum()
+            rhs = (x * col2im(y, x.shape, 3, 3, stride=stride,
+                              padding=padding)).sum()
+            assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_column_count(self):
         x = np.zeros((1, 2, 6, 6), dtype=np.float32)
         cols = im2col(x, 3, 3, stride=1, padding=0)
-        assert cols.shape == (1, 2 * 9, 4 * 4)
+        assert cols.shape == (2 * 9, 1 * 4 * 4)
 
 
 class TestConv2d:
@@ -105,6 +110,64 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
         check_gradients(lambda x, w: conv2d(x, w, stride=2), [x, w])
+
+
+def direct_conv2d_grads(x, w, grad, stride, padding):
+    """float64 loop reference for the conv backward: ``(dx, dw, db)``."""
+    n, c, h, wid = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(grad.shape[2]):
+                for xi in range(grad.shape[3]):
+                    g = grad[ni, oi, yi, xi]
+                    rows = slice(yi * stride, yi * stride + kh)
+                    cols = slice(xi * stride, xi * stride + kw)
+                    dw[oi] += g * xp[ni, :, rows, cols]
+                    dxp[ni, :, rows, cols] += g * w[oi]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wid]
+    return dx, dw, grad.sum(axis=(0, 2, 3))
+
+
+class TestConv2dDirectReference:
+    """Forward and all three gradients against float64 direct loops on
+    odd geometries: one input channel, a 1x1 output, stride 2, padding
+    0/1/2, kernels 1/3/5 and batch 1."""
+
+    @pytest.mark.parametrize("n,c,h,w,o,k,stride,padding", [
+        (1, 1, 5, 5, 2, 3, 1, 0),      # C=1, batch 1
+        (2, 3, 3, 3, 4, 3, 1, 0),      # OH*OW = 1
+        (1, 3, 5, 5, 1, 5, 1, 0),      # OH*OW = 1, kernel 5
+        (2, 2, 1, 1, 3, 1, 1, 0),      # 1x1 image, kernel 1
+        (3, 2, 6, 5, 2, 1, 2, 0),      # kernel 1, stride 2
+        (2, 1, 4, 7, 3, 3, 2, 1),      # C=1, stride 2, padding 1
+        (1, 2, 7, 6, 3, 5, 2, 2),      # kernel 5, stride 2, padding 2
+        (1, 2, 2, 3, 2, 5, 1, 2),      # kernel larger than the image
+    ])
+    def test_forward_and_gradients(self, n, c, h, w, o, k, stride, padding):
+        rng = np.random.default_rng(n * 1000 + c * 100 + k * 10 + padding)
+        x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True)
+        wt = Tensor(rng.normal(size=(o, c, k, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=(o,)), requires_grad=True)
+        out = conv2d(x, wt, b, stride=stride, padding=padding)
+        # The reference runs in float64 on the float32 operands, so the
+        # tolerance only absorbs conv2d's own float32 rounding.
+        x64, w64, b64 = (t.data.astype(np.float64) for t in (x, wt, b))
+        ref = naive_conv2d(x64, w64, b64, stride, padding)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
+
+        grad = rng.normal(size=ref.shape).astype(np.float32)
+        (out * Tensor(grad)).sum().backward()
+        dx, dw, db = direct_conv2d_grads(x64, w64, grad.astype(np.float64),
+                                         stride, padding)
+        assert x.grad.shape == dx.shape and wt.grad.shape == dw.shape
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(wt.grad, dw, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(b.grad, db, rtol=1e-5, atol=1e-5)
 
 
 class TestPooling:

@@ -9,6 +9,13 @@ from repro.tensor.conv import (IM2COL_CACHE_SIZE, _SIGNATURE_CACHE,
                                im2col_gather, im2col_signature)
 
 
+def _per_sample(cols: np.ndarray, n: int) -> np.ndarray:
+    """:func:`im2col`'s ``(K, N*L)`` columns in the gather's ``(N, K, L)``
+    layout."""
+    k = cols.shape[0]
+    return cols.reshape(k, n, -1).transpose(1, 0, 2)
+
+
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_im2col_cache()
@@ -51,13 +58,13 @@ class TestSignatureCache:
         for stride, padding in ((1, 1), (2, 0), (2, 1)):
             np.testing.assert_array_equal(
                 im2col_gather(x, 3, 3, stride, padding),
-                im2col(x, 3, 3, stride, padding))
+                _per_sample(im2col(x, 3, 3, stride, padding), 2))
 
     def test_gather_supports_out_buffer(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        expected = im2col(x, 3, 3, 1, 1)
-        out = np.empty_like(expected)
+        expected = _per_sample(im2col(x, 3, 3, 1, 1), 2)
+        out = np.empty(expected.shape, dtype=expected.dtype)
         result = im2col_gather(x, 3, 3, 1, 1, out=out)
         assert result.base is out or result is out
         np.testing.assert_array_equal(result, expected)
@@ -132,5 +139,5 @@ class TestDtypeInSignature:
     def test_int8_gather_matches_strided(self):
         rng = np.random.default_rng(1)
         x = rng.integers(-127, 128, size=(2, 3, 8, 8), dtype=np.int8)
-        np.testing.assert_array_equal(im2col(x, 3, 3, 1, 1),
+        np.testing.assert_array_equal(_per_sample(im2col(x, 3, 3, 1, 1), 2),
                                       im2col_gather(x, 3, 3, 1, 1))
