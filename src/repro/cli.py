@@ -48,11 +48,7 @@ def _training(args):
     from .core import TrainingConfig
     return TrainingConfig(epochs=args.epochs, batch_size=args.batch_size,
                           lr=args.lr, momentum=0.9, weight_decay=5e-4,
-                          lambda1=args.lambda1, lambda2=args.lambda2,
-                          workers=getattr(args, "workers", 0),
-                          grad_transport=getattr(args, "grad_transport",
-                                                 "fp32"),
-                          grad_bucket_kb=getattr(args, "grad_bucket_kb", 512))
+                          lambda1=args.lambda1, lambda2=args.lambda2)
 
 
 def _training_args(parser: argparse.ArgumentParser, epochs: int) -> None:
@@ -63,18 +59,6 @@ def _training_args(parser: argparse.ArgumentParser, epochs: int) -> None:
                         help="L1 coefficient of the modified loss (Eq. 1)")
     parser.add_argument("--lambda2", type=float, default=1e-2,
                         help="orthogonality coefficient of the modified loss")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="logical worker shards for importance scoring "
-                             "and fine-tuning (0 = serial); results are "
-                             "reproducible for a fixed worker count")
-    parser.add_argument("--grad-transport", choices=("fp32", "int8"),
-                        default="fp32",
-                        help="gradient wire format for sharded fine-tuning: "
-                             "fp32 is bit-exact, int8 trades bounded "
-                             "deterministic rounding for 4x less traffic")
-    parser.add_argument("--grad-bucket-kb", type=int, default=512,
-                        help="target gradient bucket size (KiB) for the "
-                             "overlapped all-reduce")
 
 
 def _load_checkpoint(path: str):
@@ -102,7 +86,6 @@ def cmd_train(args) -> int:
 
 def _framework_config(args):
     from .core import FrameworkConfig, ImportanceConfig
-    from .parallel import SupervisionConfig
     return FrameworkConfig(
         score_threshold=(args.threshold if args.threshold is not None
                          else 0.3 * args.num_classes),
@@ -114,12 +97,7 @@ def _framework_config(args):
         importance=ImportanceConfig(
             images_per_class=args.images_per_class,
             tau=args.tau, tau_mode=args.tau_mode,
-            tau_quantile=args.tau_quantile),
-        supervision=SupervisionConfig(
-            task_deadline_seconds=args.worker_deadline,
-            stale_after_seconds=args.worker_stale_after,
-            max_respawns=args.worker_respawns,
-            max_task_retries=args.worker_task_retries))
+            tau_quantile=args.tau_quantile))
 
 
 def _build_framework(args, model):
@@ -181,6 +159,7 @@ def _resume_run(args):
 
     from .core import (ClassAwarePruningFramework, FrameworkConfig,
                        ImportanceConfig, TrainingConfig)
+    from .core.framework import ResumeError
     from .data import make_cifar_like
     from .io import load_model
     from .resilience import RunJournal, SentinelConfig
@@ -201,12 +180,14 @@ def _resume_run(args):
     cfg_dict["importance"] = ImportanceConfig(**cfg_dict["importance"])
     cfg_dict["sentinel"] = (SentinelConfig(**cfg_dict["sentinel"])
                             if cfg_dict.get("sentinel") else None)
-    from .parallel import SupervisionConfig
-    cfg_dict["supervision"] = (SupervisionConfig(**cfg_dict["supervision"])
-                               if cfg_dict.get("supervision") else None)
-    config = FrameworkConfig(**cfg_dict)
     tr_dict = dict(payload["training"])
     tr_dict["lr_milestones"] = tuple(tr_dict.get("lr_milestones", ()))
+    # Journals of older versions also record the retired worker-pool
+    # settings; the framework refuses any that used them (workers > 0).
+    cfg_dict.pop("supervision", None)
+    for key in ("workers", "grad_transport", "grad_bucket_kb"):
+        tr_dict.pop(key, None)
+    config = FrameworkConfig(**cfg_dict)
     training = TrainingConfig(**tr_dict)
 
     train, test = make_cifar_like(
@@ -220,7 +201,10 @@ def _resume_run(args):
     framework = ClassAwarePruningFramework(
         model, train, test, num_classes=num_classes,
         input_shape=input_shape, config=config, training=training)
-    result = framework.run(log=not args.quiet, resume_from=run_dir)
+    try:
+        result = framework.run(log=not args.quiet, resume_from=run_dir)
+    except ResumeError as exc:
+        raise SystemExit(f"repro run: {exc}") from exc
     return result, payload["arch"]
 
 
@@ -306,18 +290,6 @@ def cmd_infer_bench(args) -> int:
     results = run_bench(models=models, batch_sizes=batch_sizes,
                         repeats=args.repeats, smoke=args.smoke,
                         seed=args.seed, quant=args.quant)
-    print(format_table(results))
-    if args.out:
-        write_bench(results, args.out)
-        print(f"results written to {args.out}")
-    return 0
-
-
-def cmd_train_bench(args) -> int:
-    from .parallel.bench import format_table, run_bench, write_bench
-    results = run_bench(workers=args.workers, repeats=args.repeats,
-                        smoke=args.smoke, seed=args.seed,
-                        transport=args.grad_transport)
     print(format_table(results))
     if args.out:
         write_bench(results, args.out)
@@ -451,20 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau-mode", default="quantile",
                        choices=["absolute", "quantile"])
         p.add_argument("--tau-quantile", type=float, default=0.9)
-        p.add_argument("--worker-deadline", type=float, default=120.0,
-                       help="wall-clock seconds one parallel task may run "
-                            "before its worker is treated as hung, killed "
-                            "and respawned (workers > 0 only)")
-        p.add_argument("--worker-stale-after", type=float, default=10.0,
-                       help="heartbeat silence after which a worker counts "
-                            "as frozen and is killed")
-        p.add_argument("--worker-respawns", type=int, default=3,
-                       help="pool-lifetime respawn budget; exhausting it "
-                            "degrades the run to serial execution "
-                            "(stop_reason=parallel-degraded)")
-        p.add_argument("--worker-task-retries", type=int, default=2,
-                       help="re-dispatch budget per task before the pool "
-                            "degrades to serial execution")
         p.add_argument("--quiet", action="store_true")
         _dataset_args(p)
         _training_args(p, epochs=5)
@@ -534,25 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None,
                          help="write results JSON to this path")
     p_bench.set_defaults(func=cmd_infer_bench)
-
-    p_tbench = sub.add_parser(
-        "train-bench",
-        help="benchmark parallel scoring + fused/sharded fine-tuning")
-    p_tbench.add_argument("--workers", type=int, default=4,
-                          help="logical worker shards for the parallel paths")
-    p_tbench.add_argument("--repeats", type=int, default=3)
-    p_tbench.add_argument("--seed", type=int, default=0)
-    p_tbench.add_argument("--smoke", action="store_true",
-                          help="tiny models / few repeats (CI); also caps "
-                               "workers at 2")
-    p_tbench.add_argument("--grad-transport", choices=("fp32", "int8"),
-                          default="fp32",
-                          help="gradient wire format for the sharded "
-                               "fine-tune lane")
-    p_tbench.add_argument("--out", default=None,
-                          help="write results JSON to this path "
-                               "(e.g. BENCH_train.json)")
-    p_tbench.set_defaults(func=cmd_train_bench)
 
     p_serve = sub.add_parser(
         "serve", help="serve checkpoints over the socket protocol "

@@ -34,7 +34,6 @@ from ..flops import ModelProfile, flops_reduction, profile_model, pruning_ratio
 from ..io import CheckpointCorruptError, load_model, save_model
 from ..models.pruning_spec import FilterGroup, PrunableModel
 from ..nn import Module
-from ..parallel.supervisor import SupervisionConfig
 from ..resilience.journal import RunDirectory, decode_payload
 from ..resilience.retry import RetryingDataset
 from ..resilience.sentinels import NumericalHealthError, SentinelConfig
@@ -55,14 +54,30 @@ STOP_REASONS = {
     "max_iterations": "iteration budget exhausted",
     "sentinel-abort": "numerical-health sentinel exhausted its retry "
                       "budget during fine-tuning",
-    "parallel-degraded": "worker pool exhausted its respawn/retry budget; "
-                         "the run completed serially (results are "
-                         "bit-identical, wall-clock is not)",
 }
 
 
 class ResumeError(RuntimeError):
     """A run directory cannot be resumed (no journal, no usable state)."""
+
+
+def _check_serial_journal(run_dir: Path, journal, start: dict) -> None:
+    """Refuse a journal whose trajectory the serial loop cannot replay.
+
+    Older versions could fine-tune and score on worker shards
+    (``training.workers > 0`` in ``run_start``) and degrade to serial
+    mid-run (a ``parallel_degrade`` record). Their gradients depended on
+    the shard count, so a serial resume would silently fork the run.
+    """
+    workers = int(start["training"].get("workers", 0))
+    if workers > 0:
+        raise ResumeError(
+            f"{run_dir} was recorded with workers={workers}; worker-sharded "
+            "runs cannot be resumed serially — restart the run")
+    if journal.last_event("parallel_degrade") is not None:
+        raise ResumeError(
+            f"{run_dir} holds a parallel_degrade record from a worker pool; "
+            "it cannot be resumed serially — restart the run")
 
 
 @dataclass(frozen=True)
@@ -106,14 +121,6 @@ class FrameworkConfig:
         When positive, both datasets are wrapped in a
         :class:`~repro.resilience.RetryingDataset` so transient read
         faults are retried this many times before surfacing.
-    supervision:
-        Optional :class:`~repro.parallel.SupervisionConfig` for the worker
-        pools of parallel runs (``workers > 0``): heartbeat/deadline
-        detection of crashed and hung workers, bounded respawn with
-        deterministic backoff, and graceful serial fallback. A run whose
-        pool degraded completes with ``stop_reason="parallel-degraded"``
-        instead of aborting; every supervision decision is journaled.
-        ``None`` applies the defaults (supervision is always on).
     """
 
     score_threshold: float = 3.0
@@ -126,7 +133,6 @@ class FrameworkConfig:
     importance: ImportanceConfig = field(default_factory=ImportanceConfig)
     sentinel: SentinelConfig | None = None
     loader_retries: int = 0
-    supervision: SupervisionConfig | None = None
 
 
 @dataclass
@@ -271,68 +277,21 @@ class ClassAwarePruningFramework:
         self.finetune_training = (
             dataclasses.replace(self.training, lr=self.config.finetune_lr)
             if self.config.finetune_lr is not None else self.training)
-        #: Supervision decisions (WorkerEvent) observed across the run.
-        self.worker_events: list = []
-        self._degraded = False
-        self._degrade_detail = ""
-        self._rundir: RunDirectory | None = None
-
-    # ------------------------------------------------------------------
-    # Worker supervision
-    # ------------------------------------------------------------------
-    def _on_worker_event(self, event) -> None:
-        """Collect and journal one supervision decision of a worker pool.
-
-        Called by :class:`~repro.parallel.SupervisedWorkerPool` from the
-        dispatching thread whenever it crashes-detects, respawns, retries
-        or degrades. Faults become ``worker_fault`` journal records; a
-        degrade additionally flips the run's stop reason to
-        ``"parallel-degraded"`` (see :meth:`_finalize`).
-        """
-        self.worker_events.append(event)
-        if event.kind == "degrade":
-            self._degraded = True
-            self._degrade_detail = event.detail
-        if self._rundir is not None:
-            kind = ("parallel_degrade" if event.kind == "degrade"
-                    else "worker_fault")
-            self._rundir.journal.append(kind, **event.payload())
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any worker pool of this run fell back to serial."""
-        return self._degraded
 
     # ------------------------------------------------------------------
     def pretrain(self, epochs: int | None = None, log: bool = False):
         """Phase 1 of Fig. 5: train with the modified cost function."""
         trainer = Trainer(self.model, self.train_dataset, self.test_dataset,
-                          self.training, sentinel=self.config.sentinel,
-                          supervision=self.config.supervision,
-                          on_worker_event=self._on_worker_event)
+                          self.training, sentinel=self.config.sentinel)
         return trainer.train(epochs=epochs, log=log)
 
-    def evaluate_importance(self, workers: int | None = None) -> ImportanceReport:
-        """Score all prunable groups on the current model.
-
-        ``workers`` defaults to the training config's shard count, so a
-        ``run(workers=N)`` fans the per-class Taylor evaluations across
-        the same pool size it fine-tunes with. Results are bit-identical
-        to the serial evaluator for any worker count.
-        """
+    def evaluate_importance(self) -> ImportanceReport:
+        """Score all prunable groups on the current model."""
         groups = self.model.prunable_groups()
-        if workers is None:
-            workers = self.training.workers
         evaluator = ImportanceEvaluator(self.model, self.train_dataset,
                                         self.num_classes,
-                                        self.config.importance,
-                                        workers=workers,
-                                        supervision=self.config.supervision,
-                                        on_worker_event=self._on_worker_event)
-        try:
-            return evaluator.evaluate([g.conv for g in groups])
-        finally:
-            evaluator.close()
+                                        self.config.importance)
+        return evaluator.evaluate([g.conv for g in groups])
 
     # ------------------------------------------------------------------
     # Journaling helpers
@@ -353,8 +312,7 @@ class ClassAwarePruningFramework:
     # ------------------------------------------------------------------
     def run(self, log: bool = False, run_dir: str | Path | None = None,
             resume_from: str | Path | None = None,
-            post_iteration=None, meta: dict | None = None,
-            workers: int | None = None) -> PruningResult:
+            post_iteration=None, meta: dict | None = None) -> PruningResult:
         """Execute the iterative prune/fine-tune loop on a trained model.
 
         The model is expected to be trained already (call :meth:`pretrain`
@@ -381,28 +339,12 @@ class ClassAwarePruningFramework:
             Caller-defined JSON-serialisable dict stored verbatim in the
             ``run_start`` journal record (the CLI stores its dataset recipe
             there so ``repro run --resume`` is self-contained).
-        workers:
-            When given, overrides the shard count of both the fine-tuning
-            and importance-evaluation phases for this run (equivalent to
-            setting ``TrainingConfig.workers``). Applied *before* the
-            ``run_start`` record is journaled, so a resumed run replays
-            with the same worker count and stays bit-identical.
         """
-        if workers is not None:
-            self.training = dataclasses.replace(self.training,
-                                                workers=workers)
-            self.finetune_training = dataclasses.replace(
-                self.finetune_training, workers=workers)
         if resume_from is not None:
             return self._resume(Path(resume_from), log=log,
                                 post_iteration=post_iteration)
 
         rundir = RunDirectory(run_dir) if run_dir is not None else None
-        # Degradation is scoped to this run: pools are rebuilt per phase,
-        # so an earlier degraded run does not taint a fresh one.
-        self._degraded = False
-        self._degrade_detail = ""
-        self._rundir = rundir
         cfg = self.config
         original_profile = profile_model(self.model, self.input_shape)
         _, baseline_acc = evaluate_model(self.model, self.test_dataset,
@@ -457,9 +399,7 @@ class ClassAwarePruningFramework:
             # No test set: the end-of-epoch accuracy would be discarded.
             trainer = Trainer(self.model, self.train_dataset, None,
                               self.finetune_training,
-                              sentinel=cfg.sentinel,
-                              supervision=cfg.supervision,
-                              on_worker_event=self._on_worker_event)
+                              sentinel=cfg.sentinel)
             try:
                 trainer.train(epochs=cfg.finetune_epochs)
             except NumericalHealthError as exc:
@@ -560,14 +500,6 @@ class ClassAwarePruningFramework:
             _, final_acc = evaluate_model(self.model, self.test_dataset,
                                           self.training.batch_size)
         report_after = self.evaluate_importance()
-        if self._degraded:
-            # The pool fell back to serial execution at some point: the
-            # results are still bit-identical (idempotent tasks, ordered
-            # reduction), but the run should say its parallel layer gave
-            # up — "parallel-degraded" outranks the loop's own verdict.
-            termination = (f"{termination}; worker pool degraded to serial "
-                           f"execution ({self._degrade_detail})")
-            stop_reason = "parallel-degraded"
         if rundir is not None:
             self._commit_checkpoint(rundir, "final")
             rundir.journal.append(
@@ -605,15 +537,7 @@ class ClassAwarePruningFramework:
         payload = decode_payload(start_record)
         baseline_acc = float(payload["baseline_accuracy"])
         report_before = _decode_report(payload["report_before"])
-        self._rundir = rundir
-
-        # A degraded run resumes as degraded: the journal is the only
-        # witness of the original pool's collapse, and the resumed result
-        # must replay the same stop_reason to stay bit-identical.
-        degrade_record = journal.last_event("parallel_degrade")
-        if degrade_record is not None:
-            self._degraded = True
-            self._degrade_detail = str(degrade_record.get("detail", ""))
+        _check_serial_journal(run_dir, journal, payload)
 
         # The baseline checkpoint is the root recovery point: without it
         # neither the original profile nor a full rollback is possible.

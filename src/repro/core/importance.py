@@ -282,88 +282,22 @@ class ImportanceEvaluator:
         Total class count of the task.
     config:
         Evaluation hyperparameters.
-    workers:
-        When positive, the per-class evaluations are sharded across a
-        persistent worker pool (:mod:`repro.parallel`) — bit-identical to
-        the serial loop under the same seed. The pool is created lazily
-        on the first :meth:`evaluate` and reused while the model's shapes
-        are unchanged; call :meth:`close` (or use the evaluator as a
-        context manager) to release it. Requires the model to carry an
-        architecture recipe (``model.arch``).
-    processes:
-        Physical process cap for the pool (default: ``min(workers,
-        usable CPUs)``; see :func:`repro.parallel.resolve_processes`).
-    supervision:
-        Optional :class:`~repro.parallel.SupervisionConfig` tuning the
-        self-healing layer of the pool (heartbeats, deadlines, respawn
-        budget, serial fallback); defaults apply when ``None``.
-    on_worker_event:
-        Optional callback receiving each
-        :class:`~repro.parallel.WorkerEvent` (crash/hang/respawn/degrade)
-        — the framework uses it to journal supervision decisions.
     """
 
     def __init__(self, model: Module, dataset: Dataset, num_classes: int,
-                 config: ImportanceConfig | None = None, workers: int = 0,
-                 processes: int | None = None, supervision=None,
-                 on_worker_event=None):
+                 config: ImportanceConfig | None = None):
         self.model = model
         self.dataset = dataset
         self.num_classes = num_classes
         self.config = config or ImportanceConfig()
-        self.workers = workers
-        self.processes = processes
-        self.supervision = supervision
-        self.on_worker_event = on_worker_event
-        self._session = None
 
-    def close(self) -> None:
-        """Release the worker pool and shared memory, if any."""
-        if self._session is not None:
-            self._session.close()
-            self._session = None
-
-    def __enter__(self) -> "ImportanceEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _evaluate_parallel(self, group_paths: list[str],
-                           workers: int) -> ImportanceReport:
-        from ..parallel.scoring import ScoringSession
-        session = self._session
-        if session is not None and not session.compatible(
-                self.model, group_paths, workers):
-            session.close()
-            session = self._session = None
-        if session is None:
-            session = self._session = ScoringSession(
-                self.model, self.dataset, self.num_classes, self.config,
-                list(group_paths), workers, processes=self.processes,
-                supervision=self.supervision,
-                on_event=self.on_worker_event)
-        return session.evaluate(self.dataset)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the scoring pool fell back to serial execution."""
-        return self._session is not None and self._session.degraded
-
-    def evaluate(self, group_paths: list[str],
-                 workers: int | None = None) -> ImportanceReport:
+    def evaluate(self, group_paths: list[str]) -> ImportanceReport:
         """Score the filters of the given producer layers.
 
         All classes' images are sampled first; then each fused pass of
         :func:`score_classes` scores several classes at once, for every
-        layer, through a backward that computes no weight gradient. With
-        ``workers`` (argument or constructor default) positive, the
-        classes are scored by the worker pool instead, through the same
-        functions; the report is bit-identical either way.
+        layer, through a backward that computes no weight gradient.
         """
-        workers = self.workers if workers is None else workers
-        if workers and workers > 0:
-            return self._evaluate_parallel(list(group_paths), workers)
         cfg = self.config
         bank, entries = sample_class_images(
             self.dataset, self.num_classes, cfg.images_per_class, cfg.seed)

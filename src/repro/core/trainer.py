@@ -8,11 +8,8 @@ with the modified cost function in Equation 1").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from ..data import DataLoader, Dataset, EmptyDatasetError
 from ..nn import Module, accuracy, cross_entropy
@@ -46,36 +43,14 @@ class TrainingConfig:
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1
     seed: int = 0
-    #: Logical shard count for data-parallel fine-tuning; 0 keeps the
-    #: serial loop. Part of the numerics (see repro.parallel.shard) —
-    #: fixed (workers, seed) reproduces the training history bitwise.
-    workers: int = 0
     #: Use closed-form regularizer gradients instead of the autograd
-    #: penalty graph (implied by workers > 0; kernel orth mode only).
+    #: penalty graph (kernel orth mode only).
     fused_reg: bool = False
     #: Double-buffer training batches on a background thread.
     prefetch: bool = True
     #: Materialise per-term L1/orth floats for the history. Turning this
     #: off skips two device-scalar syncs per batch in the autograd path.
     track_terms: bool = True
-    #: Gradient wire format of the sharded all-reduce (workers > 0):
-    #: "fp32" ships raw float32 buckets (bit-exact, the default); "int8"
-    #: ships int8 codes under per-bucket power-of-two scales — ~4× less
-    #: bucket traffic, deterministic, but lossy through quantization
-    #: rounding (see docs/performance.md).
-    grad_transport: str = "fp32"
-    #: Size target of one gradient bucket in KiB (workers > 0). Smaller
-    #: buckets publish earlier (more compute/reduce overlap), larger ones
-    #: amortise per-bucket costs better.
-    grad_bucket_kb: int = 512
-
-    def __post_init__(self):
-        if self.grad_transport not in ("fp32", "int8"):
-            raise ValueError(
-                f"unknown grad_transport {self.grad_transport!r}; "
-                "expected 'fp32' or 'int8'")
-        if self.grad_bucket_kb <= 0:
-            raise ValueError("grad_bucket_kb must be positive")
 
     def loss(self) -> ModifiedLoss:
         """The modified cost function this config describes."""
@@ -201,32 +176,24 @@ class Trainer:
                  config: TrainingConfig | None = None,
                  loss_fn: ModifiedLoss | None = None,
                  post_step: Callable[[], None] | None = None,
-                 sentinel: SentinelConfig | None = None,
-                 supervision=None, on_worker_event=None):
+                 sentinel: SentinelConfig | None = None):
         self.model = model
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset
         self.config = config or TrainingConfig()
         self.sentinel = sentinel
-        # Supervision knobs of the sharded-training pool (workers > 0):
-        # see repro.parallel.SupervisionConfig / docs/supervision.md.
-        self.supervision = supervision
-        self.on_worker_event = on_worker_event
-        use_fused = self.config.workers > 0 or self.config.fused_reg
-        if use_fused and loss_fn is not None:
+        if self.config.fused_reg and loss_fn is not None:
             raise ValueError(
-                "a custom loss_fn cannot be combined with workers > 0 or "
-                "fused_reg: the fused/sharded paths compute cross entropy "
-                "plus the closed-form Eq. 2 penalties and would silently "
-                "ignore the override")
-        if use_fused:
+                "a custom loss_fn cannot be combined with fused_reg: the "
+                "fused path computes cross entropy plus the closed-form "
+                "Eq. 2 penalties and would silently ignore the override")
+        if self.config.fused_reg:
             from .regularizers import FusedRegularizer
             self._fused = FusedRegularizer(self.config.lambda1,
                                            self.config.lambda2,
                                            self.config.orth_mode)
         else:
             self._fused = None
-        self._session = None
         # Baselines (SSS, TPP, OrthConv) substitute their own regularised
         # objectives here; anything with the ModifiedLoss call signature works.
         self.loss_fn = loss_fn if loss_fn is not None else self.config.loss()
@@ -240,16 +207,6 @@ class Trainer:
                                       list(self.config.lr_milestones),
                                       self.config.lr_gamma)
                           if self.config.lr_milestones else None)
-        #: Cumulative parent-side wall-clock split of the sharded path
-        #: (seconds), surviving session teardown; `repro train-bench`
-        #: reports it per step. "step" covers the parent-side fused
-        #: regularizer + sentinel + optimizer work, "setup" the session
-        #: construction/teardown (pool spawn, shm segments), the rest
-        #: comes from ShardedTrainingSession.run_batch.
-        self.phase_totals = {"broadcast": 0.0, "compute": 0.0,
-                             "publish": 0.0, "reduce": 0.0, "step": 0.0,
-                             "setup": 0.0}
-        self.steps_run = 0
 
     def rebind(self) -> None:
         """Re-attach the optimizer to the model's current parameters.
@@ -258,11 +215,6 @@ class Trainer:
         momentum buffers are allocated for resized tensors.
         """
         self.optimizer.rebind(self.model.parameters())
-        if self._session is not None:
-            # The shared weight/grad buffers were sized for the old
-            # parameter shapes; a fresh session is built on the next batch.
-            self._session.close()
-            self._session = None
 
     def _run_epoch(self, loader: DataLoader, epoch: int,
                    monitor: HealthMonitor | None):
@@ -273,8 +225,6 @@ class Trainer:
         between ``backward`` and the optimiser step, so a poisoned update
         is never applied to the weights.
         """
-        if self.config.workers > 0:
-            return self._run_epoch_sharded(loader, epoch, monitor)
         if self._fused is not None:
             return self._run_epoch_fused(loader, epoch, monitor)
         sums = {"loss": 0.0, "ce": 0.0, "l1": 0.0, "orth": 0.0, "acc": 0.0}
@@ -305,22 +255,6 @@ class Trainer:
             batches += 1
         return sums, batches
 
-    def _observe(self, monitor: HealthMonitor | None, total: float,
-                 epoch: int, step: int):
-        """Sentinel checks for the fused/sharded paths (grads are ready).
-
-        Runs after the gradients are assembled but before the optimiser
-        step, preserving the guarantee that a poisoned update is never
-        applied to the weights.
-        """
-        if monitor is None:
-            return None
-        event = monitor.observe_loss(total, epoch, step)
-        if event is not None:
-            return event
-        return monitor.observe_gradients(self.model.named_parameters(),
-                                         epoch, step)
-
     def _run_epoch_fused(self, loader: DataLoader, epoch: int,
                          monitor: HealthMonitor | None):
         """Serial epoch with closed-form regularizer gradients.
@@ -344,9 +278,14 @@ class Trainer:
             ce_value = float(ce.data)
             total = (ce_value + cfg.lambda1 * l1_value
                      + cfg.lambda2 * orth_value)
-            event = self._observe(monitor, total, epoch, step)
-            if event is not None:
-                return event
+            if monitor is not None:
+                # Gradients are complete here, before the optimiser step,
+                # so a poisoned update is never applied to the weights.
+                event = (monitor.observe_loss(total, epoch, step)
+                         or monitor.observe_gradients(
+                             self.model.named_parameters(), epoch, step))
+                if event is not None:
+                    return event
             self.optimizer.step()
             if self.post_step is not None:
                 self.post_step()
@@ -357,81 +296,6 @@ class Trainer:
             sums["acc"] += accuracy(logits, labels)
             batches += 1
         return sums, batches
-
-    def _ensure_session(self, images: np.ndarray):
-        if self._session is not None and not self._session.compatible(
-                images.shape):
-            self._session.close()
-            self._session = None
-        if self._session is None:
-            from ..parallel.shard import ShardedTrainingSession
-            t_setup = time.perf_counter()
-            self._session = ShardedTrainingSession(
-                self.model, self.config.workers,
-                capacity=max(self.config.batch_size, len(images)),
-                sample_shape=images.shape[1:],
-                supervision=self.supervision,
-                on_event=self.on_worker_event,
-                bucket_bytes=self.config.grad_bucket_kb * 1024,
-                transport=self.config.grad_transport)
-            # The parent parameters are now views of the shared weight
-            # segment; in-place SGD updates make the optimizer step
-            # itself the weight broadcast (bitwise-identical values).
-            self.optimizer.in_place = True
-            self.phase_totals["setup"] += time.perf_counter() - t_setup
-        return self._session
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the sharded pool fell back to serial execution."""
-        return self._session is not None and self._session.degraded
-
-    def _run_epoch_sharded(self, loader: DataLoader, epoch: int,
-                           monitor: HealthMonitor | None):
-        """Data-parallel epoch over a persistent worker pool.
-
-        Each batch is broadcast through shared memory, its cross-entropy
-        gradients computed shard-wise by the pool and all-reduced into the
-        parameters (``repro.parallel.shard``); the fused regularizer
-        gradients and the SGD step run in the parent. With ``workers=1``
-        this is bitwise identical to :meth:`_run_epoch_fused`.
-        """
-        cfg = self.config
-        sums = {"loss": 0.0, "ce": 0.0, "l1": 0.0, "orth": 0.0, "acc": 0.0}
-        batches = 0
-        for step, (images, labels) in enumerate(loader):
-            self.optimizer.zero_grad()
-            session = self._ensure_session(images)
-            batch = session.run_batch(images, labels)
-            t_step = time.perf_counter()
-            l1_value, orth_value = self._fused.accumulate(self.model)
-            total = (batch["ce"] + cfg.lambda1 * l1_value
-                     + cfg.lambda2 * orth_value)
-            event = self._observe(monitor, total, epoch, step)
-            if event is not None:
-                return event
-            self.optimizer.step()
-            if self.post_step is not None:
-                self.post_step()
-            self.phase_totals["step"] += time.perf_counter() - t_step
-            for phase, seconds in batch["phases"].items():
-                self.phase_totals[phase] += seconds
-            self.steps_run += 1
-            sums["loss"] += total
-            sums["ce"] += batch["ce"]
-            sums["l1"] += l1_value
-            sums["orth"] += orth_value
-            sums["acc"] += batch["correct"] / batch["count"]
-            batches += 1
-        return sums, batches
-
-    def close(self) -> None:
-        """Release the sharded-training worker pool, if one was started."""
-        if self._session is not None:
-            t_setup = time.perf_counter()
-            self._session.close()
-            self._session = None
-            self.phase_totals["setup"] += time.perf_counter() - t_setup
 
     def _rewind(self, healthy_state, monitor: HealthMonitor) -> None:
         """Restore the last healthy weights and back off the learning rate."""
@@ -460,55 +324,52 @@ class Trainer:
         healthy = self.model.state_dict() if monitor is not None else None
         retries = 0
         epoch = 0
-        try:
-            while epoch < epochs:
-                self.model.train()
-                outcome = self._run_epoch(loader, epoch, monitor)
-                if isinstance(outcome, SentinelEvent):
-                    retries += 1
-                    if retries > self.sentinel.max_retries:
-                        outcome.action = "abort"
-                        history.sentinel_events.append(outcome)
-                        self.model.load_state_dict(healthy)
-                        raise NumericalHealthError(
-                            f"retry budget ({self.sentinel.max_retries}) "
-                            f"exhausted; last fault: {outcome.describe()} — "
-                            "weights restored to the last healthy epoch",
-                            events=history.sentinel_events)
-                    outcome.action = "rewind"
+        while epoch < epochs:
+            self.model.train()
+            outcome = self._run_epoch(loader, epoch, monitor)
+            if isinstance(outcome, SentinelEvent):
+                retries += 1
+                if retries > self.sentinel.max_retries:
+                    outcome.action = "abort"
                     history.sentinel_events.append(outcome)
-                    self._rewind(healthy, monitor)
-                    if log:
-                        print(f"sentinel: {outcome.describe()} "
-                              f"(retry {retries}/{self.sentinel.max_retries}, "
-                              f"lr -> {self.optimizer.lr:.2e})")
-                    continue  # retry the same epoch index
-                sums, batches = outcome
-                test_acc = None
-                if self.test_dataset is not None:
-                    _, test_acc = evaluate_model(self.model, self.test_dataset,
-                                                 self.config.batch_size)
-                stats = EpochStats(
-                    epoch=epoch,
-                    train_loss=sums["loss"] / batches,
-                    cross_entropy=sums["ce"] / batches,
-                    l1=sums["l1"] / batches,
-                    orth=sums["orth"] / batches,
-                    train_accuracy=sums["acc"] / batches,
-                    test_accuracy=test_acc,
-                    lr=self.optimizer.lr,
-                )
-                history.epochs.append(stats)
-                if self.scheduler is not None:
-                    self.scheduler.step()
+                    self.model.load_state_dict(healthy)
+                    raise NumericalHealthError(
+                        f"retry budget ({self.sentinel.max_retries}) "
+                        f"exhausted; last fault: {outcome.describe()} — "
+                        "weights restored to the last healthy epoch",
+                        events=history.sentinel_events)
+                outcome.action = "rewind"
+                history.sentinel_events.append(outcome)
+                self._rewind(healthy, monitor)
                 if log:
-                    acc_str = f" test_acc={test_acc:.3f}" if test_acc is not None else ""
-                    print(f"epoch {epoch:3d} loss={stats.train_loss:.4f} "
-                          f"ce={stats.cross_entropy:.4f} acc={stats.train_accuracy:.3f}"
-                          f"{acc_str}")
-                if monitor is not None:
-                    healthy = self.model.state_dict()
-                epoch += 1
-        finally:
-            self.close()
+                    print(f"sentinel: {outcome.describe()} "
+                          f"(retry {retries}/{self.sentinel.max_retries}, "
+                          f"lr -> {self.optimizer.lr:.2e})")
+                continue  # retry the same epoch index
+            sums, batches = outcome
+            test_acc = None
+            if self.test_dataset is not None:
+                _, test_acc = evaluate_model(self.model, self.test_dataset,
+                                             self.config.batch_size)
+            stats = EpochStats(
+                epoch=epoch,
+                train_loss=sums["loss"] / batches,
+                cross_entropy=sums["ce"] / batches,
+                l1=sums["l1"] / batches,
+                orth=sums["orth"] / batches,
+                train_accuracy=sums["acc"] / batches,
+                test_accuracy=test_acc,
+                lr=self.optimizer.lr,
+            )
+            history.epochs.append(stats)
+            if self.scheduler is not None:
+                self.scheduler.step()
+            if log:
+                acc_str = f" test_acc={test_acc:.3f}" if test_acc is not None else ""
+                print(f"epoch {epoch:3d} loss={stats.train_loss:.4f} "
+                      f"ce={stats.cross_entropy:.4f} acc={stats.train_accuracy:.3f}"
+                      f"{acc_str}")
+            if monitor is not None:
+                healthy = self.model.state_dict()
+            epoch += 1
         return history

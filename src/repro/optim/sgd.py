@@ -42,13 +42,6 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        #: When True, :meth:`step` writes the update into ``p.data``
-        #: in place instead of rebinding it to a fresh array. Bitwise the
-        #: same values; required when parameters are bound to
-        #: shared-memory views that worker processes read (the sharded
-        #: trainer flips this on while a session is live, so the update
-        #: itself *is* the weight broadcast).
-        self.in_place = False
         self._velocity: dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
@@ -76,10 +69,7 @@ class SGD:
                 update = vel
             else:
                 update = grad
-            if self.in_place:
-                np.subtract(p.data, self.lr * update, out=p.data)
-            else:
-                p.data = p.data - self.lr * update
+            p.data = p.data - self.lr * update
 
     def reset_state(self) -> None:
         """Drop all velocity buffers.

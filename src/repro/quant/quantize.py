@@ -25,9 +25,7 @@ __all__ = ["quantize_array", "dequantize_array", "quantize_model",
 
 
 def quantize_array(values: np.ndarray, bits: int,
-                   per_channel: bool = False,
-                   scale: np.ndarray | float | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   per_channel: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Uniform symmetric quantization.
 
     Parameters
@@ -37,12 +35,6 @@ def quantize_array(values: np.ndarray, bits: int,
     bits:
         Integer width (2–16); one value is reserved for symmetry, so the
         grid is ``[-(2^{b-1}-1), 2^{b-1}-1]``.
-    scale:
-        Optional externally chosen positive scale overriding the
-        max-|x|-derived one (e.g. the power-of-two bucket scales of the
-        gradient transport in :mod:`repro.parallel.bucket`, chosen so
-        dequantization is exact in float32). Values are still clamped
-        onto the symmetric grid.
 
     Returns
     -------
@@ -70,14 +62,7 @@ def quantize_array(values: np.ndarray, bits: int,
             f"cannot quantize non-finite values ({bad} NaN/inf element(s); "
             "a non-finite weight would produce a non-finite scale)")
     qmax = 2 ** (bits - 1) - 1
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
-        if scale.size != 1 and per_channel is False:
-            raise ValueError("an explicit per-tensor scale must be scalar")
-        if not (np.isfinite(scale).all() and (scale > 0).all()):
-            raise ValueError("explicit quantization scales must be "
-                             "positive and finite")
-    elif per_channel:
+    if per_channel:
         flat = np.abs(values.reshape(values.shape[0], -1))
         amax = flat.max(axis=1)
         shape = (-1,) + (1,) * (values.ndim - 1)

@@ -15,8 +15,7 @@ the failures that show up at that time scale:
   (NaN/Inf loss, NaN gradients, loss explosion) with rewind + learning-rate
   backoff inside the :class:`~repro.core.Trainer`;
 * :mod:`repro.resilience.retry` — deterministic backoff policies
-  (:class:`RetryPolicy`, used by the worker-pool supervisor to pace
-  respawns) and the bounded-retry dataset wrapper for flaky storage;
+  (:class:`RetryPolicy`, used by the replica fleet to pace respawns) and the bounded-retry dataset wrapper for flaky storage;
 * :mod:`repro.resilience.chaos` — deterministic fault injection used by the
   tests and the ``python -m repro.verify`` resilience drills to prove every
   recovery path actually recovers.
@@ -27,7 +26,7 @@ lazily by the runner to keep this package free of ``repro.core`` imports.
 
 from .chaos import (ChaosError, FlakyDataset, SimulatedCrash,
                     corrupt_checkpoint, plant_numerical_fault,
-                    sabotage_method, scribble_shm, worker_fault)
+                    sabotage_method)
 from .journal import (JournalCorruptError, RunDirectory, RunJournal,
                       decode_payload, encode_payload)
 from .retry import (DataUnavailableError, RetryBudgetExhausted, RetryPolicy,
@@ -46,5 +45,4 @@ __all__ = [
     "RetryPolicy", "RetryBudgetExhausted",
     "ChaosError", "SimulatedCrash", "FlakyDataset",
     "plant_numerical_fault", "sabotage_method", "corrupt_checkpoint",
-    "worker_fault", "scribble_shm",
 ]

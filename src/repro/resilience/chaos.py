@@ -20,11 +20,6 @@ the ``python -m repro.verify`` drills are reproducible.
 from __future__ import annotations
 
 import contextlib
-import os
-import signal
-import tempfile
-import time
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +29,7 @@ from ..nn import HookHandle, Module
 from ..tensor import Tensor
 
 __all__ = ["ChaosError", "SimulatedCrash", "plant_numerical_fault",
-           "sabotage_method", "corrupt_checkpoint", "FlakyDataset",
-           "worker_fault", "scribble_shm"]
+           "sabotage_method", "corrupt_checkpoint", "FlakyDataset"]
 
 
 class ChaosError(RuntimeError):
@@ -125,111 +119,6 @@ def sabotage_method(module: Module, method: str, after_calls: int = 0,
         yield
     finally:
         object.__delattr__(module, method)
-
-
-# ----------------------------------------------------------------------
-# Worker-process faults
-# ----------------------------------------------------------------------
-def scribble_shm(bundle, seed: int = 0) -> None:
-    """Overwrite every array of a :class:`SharedArrayBundle` with garbage.
-
-    Floats become NaN, integers their most-negative value — the loudest
-    possible corruption, guaranteed to poison any consumer that reads the
-    segment without recomputing it. Used (worker-side, right before a
-    kill) to prove that a retried task fully rewrites its output slots
-    rather than trusting leftover bytes.
-    """
-    del seed  # deterministic on purpose; kept for signature stability
-    for array in bundle.arrays.values():
-        if np.issubdtype(array.dtype, np.floating):
-            array[...] = np.nan
-        else:
-            array[...] = np.iinfo(array.dtype).min
-
-
-@contextlib.contextmanager
-def worker_fault(service_cls, mode: str = "kill", at_call: int = 0,
-                 marker: str | Path | None = None, prelude=None,
-                 method: str = "handle"):
-    """Arm a one-shot fault inside a worker-side service method.
-
-    Monkeypatches ``service_cls.<method>`` (``handle`` by default) so
-    that the ``at_call``-th call *in any worker process* triggers the
-    fault — exactly once
-    across the whole pool, coordinated through an ``O_EXCL`` marker file
-    that survives ``fork``. Must be entered *before* the pool is created
-    (fork-start workers inherit the patched class); respawned workers
-    fork the patch too, but find the marker claimed and behave cleanly,
-    which is precisely the transient-fault shape the supervisor recovers
-    from.
-
-    Parameters
-    ----------
-    mode:
-        ``"kill"`` — ``SIGKILL`` the worker mid-task (kill -9);
-        ``"hang"`` — loop forever with a healthy heartbeat (only the task
-        deadline catches it);
-        ``"freeze"`` — ``SIGSTOP`` the whole process, heartbeat thread
-        included (only heartbeat staleness catches it).
-    at_call:
-        Zero-based count of ``method`` calls in the faulting process
-        before the fault fires.
-    marker:
-        Claim-file path (auto-generated when ``None``); yielded so tests
-        can assert the fault actually fired.
-    prelude:
-        Optional callable ``(service) -> None`` run in the worker right
-        before the fault — e.g. ``lambda s: scribble_shm(s._out)`` to
-        model a crash that corrupted its shared output first.
-    method:
-        Name of the service method to trap. Standing-pipeline services
-        call ``handle`` only once per dispatch; trap an inner per-unit
-        method (e.g. ``TrainingService.run_shard``) to plant the fault
-        mid-stream — killing between two bucket publications of a step.
-    """
-    if mode not in ("kill", "hang", "freeze"):
-        raise ValueError(f"unknown worker fault mode {mode!r}")
-    if marker is not None:
-        marker = Path(marker)
-    else:
-        # One shared directory with unique filenames, not mkdtemp per
-        # call: an unfired fault then leaves nothing behind at all, and
-        # a fired one only its single marker file until the caller
-        # unlinks it.
-        chaos_dir = Path(tempfile.gettempdir()) / "repro-chaos"
-        chaos_dir.mkdir(exist_ok=True)
-        marker = chaos_dir / f"worker-fault-{os.getpid()}-{uuid.uuid4().hex}"
-    original = getattr(service_cls, method)
-    state = {"calls": 0}
-
-    def _claim() -> bool:
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-    def faulty_method(self, *args, **kwargs):
-        index = state["calls"]       # per-process counter (fork copies it)
-        state["calls"] += 1
-        if index == at_call and _claim():
-            if prelude is not None:
-                prelude(self)
-            if mode == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif mode == "freeze":
-                os.kill(os.getpid(), signal.SIGSTOP)
-            else:                    # "hang"
-                while True:
-                    time.sleep(3600)
-        return original(self, *args, **kwargs)
-
-    setattr(service_cls, method, faulty_method)
-    try:
-        yield marker
-    finally:
-        setattr(service_cls, method, original)
 
 
 # ----------------------------------------------------------------------

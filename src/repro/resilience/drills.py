@@ -11,23 +11,6 @@ the matching recovery path actually recovers:
   be rewound, leaving finite weights and a recorded sentinel event;
 * ``loader.retry`` — a flaky dataset behind the bounded-retry wrapper must
   feed a full epoch;
-* ``worker.crash`` — a worker process killed mid-task must surface as a
-  clean :class:`~repro.parallel.ParallelExecutionError` in the parent,
-  and a fresh pool must work afterwards;
-* ``worker.respawn`` — a scoring worker SIGKILLed mid-task under the
-  *supervised* pool must be respawned and the importance report must come
-  out bit-identical to the fault-free run, without degrading;
-* ``worker.hang`` — a hung worker (and a SIGSTOPped one) must be caught
-  by the task deadline / heartbeat staleness, killed and replaced;
-* ``worker.degrade`` — a poison task that kills every host must drain the
-  retry budget and finish *serially* (``degraded`` set, results intact);
-* ``worker.bucket`` — a sharded-training worker SIGKILLed *between two
-  gradient-bucket publications of one step* must be respawned, the
-  supervised re-dispatch must recompute the in-flight step, and the
-  final weights must come out bit-identical to the fault-free run (the
-  seqlock words keep the half-published buckets invisible);
-* ``shm.reaper`` — a shared-memory segment orphaned by a dead process
-  must be reclaimed by the next startup sweep;
 * ``quant.deploy`` / ``quant.corrupt`` — the int8 deployable: a
   quantized plan artifact must swap in through the serve validation
   gate and come back bit-identical from a warm restart, and an artifact
@@ -200,232 +183,6 @@ def _drill_loader_retry(seed: int) -> DrillResult:
     return result
 
 
-def _drill_worker_crash(seed: int) -> DrillResult:
-    result = DrillResult("worker.crash")
-    from ..parallel import (CRASH_TASK, EchoService, ParallelExecutionError,
-                            WorkerPool)
-    pool = WorkerPool(2, EchoService, ("drill",))
-    try:
-        try:
-            pool.run_tasks(["before", CRASH_TASK, "after"])
-        except ParallelExecutionError:
-            pass
-        else:
-            result.fail("killed worker did not raise ParallelExecutionError")
-    finally:
-        pool.close()
-    with WorkerPool(2, EchoService, ("drill",)) as fresh:
-        echoed = fresh.run_tasks(["x", "y"])
-        if echoed != [("drill", "x"), ("drill", "y")]:
-            result.fail(f"fresh pool after the crash returned {echoed!r}")
-    result.detail = "crash detected, fresh pool unaffected"
-    return result
-
-
-def _drill_worker_respawn(seed: int) -> DrillResult:
-    result = DrillResult("worker.respawn")
-    from ..core.importance import ImportanceEvaluator
-    from ..parallel import SupervisionConfig
-    from ..parallel.scoring import ScoringService
-    from .chaos import worker_fault
-
-    model = _tiny_model(seed)
-    train, _ = _tiny_data(seed)
-    cfg = ImportanceConfig(images_per_class=3)
-    groups = [g.conv for g in model.prunable_groups()]
-
-    with ImportanceEvaluator(model, train, 3, cfg, workers=2) as evaluator:
-        clean = evaluator.evaluate(groups)
-
-    # task_deadline below the default 120s: on an oversubscribed CI host a
-    # respawned worker can miss its start-up deadline, and the drill must
-    # not stall a full default deadline before supervision recovers.
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    task_deadline_seconds=30.0)
-    events = []
-    with worker_fault(ScoringService, mode="kill", at_call=0) as marker:
-        with ImportanceEvaluator(model, train, 3, cfg, workers=2,
-                                 supervision=supervision,
-                                 on_worker_event=events.append) as evaluator:
-            faulted = evaluator.evaluate(groups)
-            degraded = evaluator.degraded
-    if not marker.exists():
-        result.fail("SIGKILL fault never fired in any worker")
-    marker.unlink(missing_ok=True)
-    if degraded:
-        result.fail("pool degraded on a single transient kill")
-    kinds = {e.kind for e in events}
-    if "respawn" not in kinds:
-        result.fail(f"no respawn event recorded (saw {sorted(kinds)})")
-    for path in clean.total:
-        if not np.array_equal(clean.total[path], faulted.total[path]):
-            result.fail(f"scores differ at {path!r} after kill+respawn")
-            break
-    from ..parallel import reaper
-    if reaper.live_segments():
-        result.fail(f"orphaned shm segments: {reaper.live_segments()}")
-    result.detail = "kill -9 mid-task healed, report bit-identical"
-    return result
-
-
-def _drill_worker_hang(seed: int) -> DrillResult:
-    result = DrillResult("worker.hang")
-    from ..parallel import EchoService, SupervisedWorkerPool, SupervisionConfig
-    from .chaos import worker_fault
-
-    for mode, knob in (("hang", dict(task_deadline_seconds=1.0)),
-                       ("freeze", dict(stale_after_seconds=0.6,
-                                       task_deadline_seconds=30.0))):
-        supervision = SupervisionConfig(poll_seconds=0.02,
-                                        heartbeat_seconds=0.05,
-                                        respawn_delay=0.01,
-                                        respawn_jitter=0.0, **knob)
-        with worker_fault(EchoService, mode=mode) as marker:
-            with SupervisedWorkerPool(2, EchoService, ("drill",),
-                                      supervision=supervision) as pool:
-                out = pool.run_tasks(["a", "b", "c", "d"])
-                if pool.degraded:
-                    result.fail(f"{mode}: degraded on one transient fault")
-                kinds = {e.kind for e in pool.events}
-        if not marker.exists():
-            result.fail(f"{mode} fault never fired")
-        marker.unlink(missing_ok=True)
-        if out != [("drill", t) for t in ("a", "b", "c", "d")]:
-            result.fail(f"{mode}: wrong results {out!r}")
-        if "respawn" not in kinds:
-            result.fail(f"{mode}: no respawn event (saw {sorted(kinds)})")
-    result.detail = "hang + freeze both detected and healed"
-    return result
-
-
-def _drill_worker_degrade(seed: int) -> DrillResult:
-    result = DrillResult("worker.degrade")
-    from ..parallel import (CRASH_TASK, EchoService, SupervisedWorkerPool,
-                            SupervisionConfig)
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    max_respawns=2, max_task_retries=1,
-                                    task_deadline_seconds=30.0)
-    with SupervisedWorkerPool(2, EchoService, ("drill",),
-                              supervision=supervision) as pool:
-        out = pool.run_tasks(["a", CRASH_TASK, "b", "c"])
-        if not pool.degraded:
-            result.fail("poison task did not degrade the pool")
-        expected = [("drill", t) for t in ("a", CRASH_TASK, "b", "c")]
-        if out != expected:
-            result.fail(f"degraded run returned {out!r}")
-        # A degraded pool must stay usable (serially) for the rest of
-        # the run instead of failing every later batch.
-        again = pool.run_tasks(["d", "e"])
-        if again != [("drill", "d"), ("drill", "e")]:
-            result.fail(f"post-degrade serial execution returned {again!r}")
-    result.detail = "budget exhausted -> completed serially"
-    return result
-
-
-def _drill_worker_bucket(seed: int) -> DrillResult:
-    result = DrillResult("worker.bucket")
-    from ..parallel import SupervisionConfig
-    from ..parallel.shard import TrainingService
-    from .chaos import worker_fault
-
-    train, _ = _tiny_data(seed)
-    cfg = TrainingConfig(epochs=1, batch_size=16, lr=0.05, seed=seed,
-                         workers=2, grad_bucket_kb=2)
-
-    clean = _tiny_model(seed)
-    trainer = Trainer(clean, train, None, cfg)
-    try:
-        trainer.train(epochs=1)
-    finally:
-        trainer.close()
-
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    task_deadline_seconds=30.0)
-    events = []
-    faulted = _tiny_model(seed)
-    # The kill lands inside backward, after the second bucket of the step
-    # was sealed and mid-publication of the third: the parent may already
-    # have reduced the sealed buckets when the worker dies.
-    with worker_fault(TrainingService, mode="kill", at_call=2,
-                      method="_publish_bucket") as marker:
-        trainer = Trainer(faulted, train, None, cfg,
-                          supervision=supervision,
-                          on_worker_event=events.append)
-        try:
-            trainer.train(epochs=1)
-            degraded = trainer.degraded
-        finally:
-            trainer.close()
-    if not marker.exists():
-        result.fail("mid-publish SIGKILL never fired in any worker")
-    marker.unlink(missing_ok=True)
-    if degraded:
-        result.fail("pool degraded on a single transient kill")
-    kinds = {e.kind for e in events}
-    if "respawn" not in kinds:
-        result.fail(f"no respawn event recorded (saw {sorted(kinds)})")
-    ref = clean.state_dict()
-    for key, value in faulted.state_dict().items():
-        if not np.array_equal(value, ref[key]):
-            result.fail(f"weights differ at {key!r} after kill+respawn")
-            break
-    from ..parallel import reaper
-    if reaper.live_segments():
-        result.fail(f"orphaned shm segments: {reaper.live_segments()}")
-    result.detail = "kill -9 mid-bucket-publish healed, weights bit-identical"
-    return result
-
-
-def _drill_shm_reaper(seed: int) -> DrillResult:
-    result = DrillResult("shm.reaper")
-    import multiprocessing as mp
-    import os
-
-    from multiprocessing import shared_memory
-
-    from ..parallel import reaper
-    from ..parallel.shm import SharedArrayBundle
-
-    ctx = mp.get_context("fork")
-    queue = ctx.Queue()
-
-    def orphan(queue):
-        from multiprocessing import resource_tracker
-        bundle = SharedArrayBundle.create({"x": np.ones(8, np.float32)})
-        # Model the fault the ledger exists for: kill -9 of the whole
-        # process group takes the stdlib resource tracker down with the
-        # owner, so nobody unlinks. (A lone SIGKILL is already covered by
-        # the tracker; untracking here keeps it from racing the sweep.)
-        resource_tracker.unregister("/" + bundle.spec.name, "shared_memory")
-        queue.put(bundle.spec.name)
-        queue.close()
-        queue.join_thread()
-        os._exit(0)
-
-    child = ctx.Process(target=orphan, args=(queue,))
-    child.start()
-    name = queue.get(timeout=10)
-    child.join(timeout=10)
-    ledger = reaper.ledger_dir() / f"{child.pid}.json"
-    if not ledger.exists():
-        result.fail(f"orphan ledger {ledger} was not written")
-    reaper.sweep_orphans()
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        pass                  # reclaimed, as required
-    else:
-        segment.close()
-        result.fail(f"segment {name!r} survived the orphan sweep")
-    if ledger.exists():
-        result.fail(f"dead pid's ledger {ledger} survived the sweep")
-    result.detail = "orphaned segment reclaimed at startup sweep"
-    return result
-
-
 def _drill_crash_resume(seed: int) -> DrillResult:
     result = DrillResult("crash.resume")
 
@@ -487,9 +244,9 @@ def run_drills(seed: int = 0, quick: bool = False,
                only: str | None = None) -> list[DrillResult]:
     """Run the battery; ``quick`` skips the (slower) crash-resume drill.
 
-    ``only`` filters by substring of the drill name (e.g. ``"worker"``
-    selects the whole worker-fault battery) — the CI supervision job uses
-    it to run exactly the supervisor drills under a wall-clock guard.
+    ``only`` filters by substring of the drill name (e.g. ``"replica"``
+    selects the replica-fleet drills) — the CI serve job uses it to run
+    exactly the serving drills under a wall-clock guard.
     """
     # Serving drills live next to the serving layer; imported lazily so
     # this module stays importable without pulling repro.serve (and its
@@ -498,10 +255,7 @@ def run_drills(seed: int = 0, quick: bool = False,
     from ..serve.drills import SERVE_DRILLS
     drills = [_drill_surgery_rollback, _drill_checkpoint_tamper,
               _drill_sentinel_recovery, _drill_loader_retry,
-              _drill_worker_crash, _drill_worker_respawn,
-              _drill_worker_hang, _drill_worker_degrade,
-              _drill_worker_bucket,
-              _drill_shm_reaper, *QUANT_DRILLS, *SERVE_DRILLS]
+              *QUANT_DRILLS, *SERVE_DRILLS]
     if not quick:
         drills.append(_drill_crash_resume)
     if only:

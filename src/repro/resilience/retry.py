@@ -8,7 +8,7 @@ bound that trade-off:
 
 * :class:`RetryPolicy` — a deterministic exponential-backoff schedule
   (bounded attempts, multiplicative growth, seeded jitter) used by the
-  :mod:`repro.parallel.supervisor` to pace worker respawns and by
+  replica fleet (:class:`~repro.serve.ReplicaSet`) to pace respawns and by
   :meth:`RetryPolicy.call` to wrap arbitrary flaky callables;
 * :class:`RetryingDataset` — a dataset view that retries transient
   ``__getitem__`` failures and then raises

@@ -8,19 +8,19 @@ dials those sockets and spreads traffic across them, so a crash, hang,
 or GIL-bound compute spike in one replica costs 1/N capacity instead of
 the whole service.
 
-Supervision reuses the PR 5 machinery
-(:mod:`repro.parallel.supervisor`): each replica stamps a heartbeat slot
-in a shared ``mp.Array``; a parent-side watchdog SIGKILLs any replica
-whose heartbeat goes stale, funnelling *every* fault — crash, freeze,
-kill -9 — into one detection path (process death, seen by the router as
-EOF on the replica socket). Respawns are bounded by a deterministic
+Supervision: each replica stamps a heartbeat slot in a shared
+``mp.Array``; a parent-side watchdog SIGKILLs any replica whose
+heartbeat goes stale, funnelling *every* fault — crash, freeze, kill -9
+— into one detection path (process death, seen by the router as EOF on
+the replica socket). Respawns are bounded by a deterministic
 :class:`~repro.resilience.retry.RetryPolicy` budget shared across the
 set; once it is spent the router degrades to the in-process single-runner
-path with ``stop_reason="replicas-degraded"`` instead of flapping.
+path with ``stop_reason="replicas-degraded"`` instead of flapping. Every
+decision is recorded as a :class:`WorkerEvent`.
 
 Replica-owned filesystem artifacts (the socket directory, each
 incarnation's socket and pid file) are ledgered with
-:func:`repro.parallel.reaper.register_path`, so a SIGKILLed serve run
+:func:`repro.serve.reaper.register_path`, so a SIGKILLed serve run
 leaves nothing behind that the next run's orphan sweep won't reclaim.
 
 Replica wire protocol (the binary frames of :mod:`.wire`, as on the
@@ -55,15 +55,30 @@ import socket
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..parallel import reaper
-from ..parallel.supervisor import WorkerEvent
 from ..resilience.retry import RetryPolicy
-from . import wire
+from . import reaper, wire
 
-__all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet"]
+__all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet", "WorkerEvent"]
+
+
+@dataclass
+class WorkerEvent:
+    """One supervision decision of the fleet (kill, respawn, degrade, …)."""
+
+    kind: str           # crash | hang | stale | respawn | rolling | degrade
+    worker_id: int
+    attempt: int = 0
+    detail: str = ""
+    wallclock: float = field(default_factory=time.time)
+
+    def payload(self) -> dict:
+        """JSON-serialisable form, as the ``stats`` op reports it."""
+        return {"kind": self.kind, "worker_id": self.worker_id,
+                "attempt": self.attempt, "detail": self.detail,
+                "wallclock": self.wallclock}
 
 
 @dataclass(frozen=True)

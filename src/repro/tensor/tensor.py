@@ -129,7 +129,6 @@ class Tensor:
     __slots__ = (
         "data",
         "grad",
-        "grad_sink",
         "requires_grad",
         "name",
         "_backward",
@@ -142,7 +141,6 @@ class Tensor:
                  dtype=np.float32):
         self.data: np.ndarray = _as_array(data, dtype) if dtype is not None else np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.grad_sink: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _grad_enabled()
         self.name = name
         self._backward: Callable[[np.ndarray], tuple] | None = None
@@ -193,7 +191,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = self.data
         out.grad = None
-        out.grad_sink = None
         out.requires_grad = False
         out.name = self.name
         out._backward = None
@@ -230,7 +227,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.grad_sink = None
         out.requires_grad = requires
         out.name = None
         out._retains_grad = False
@@ -246,25 +242,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            if self.grad_sink is not None:
-                # Write straight into the preassigned buffer (typically a
-                # shared-memory gradient-bucket view, see
-                # repro.parallel.bucket): the copy happens while the
-                # freshly computed gradient is still cache-hot, replacing
-                # the cache-cold publish pass a separate copy would need.
-                np.copyto(self.grad_sink, grad)
-                self.grad = self.grad_sink
-            else:
-                self.grad = grad.copy() if grad.base is not None or not grad.flags.owndata else grad
-        elif self.grad is self.grad_sink:
-            # In-place keeps the sink authoritative; elementwise identical
-            # to ``self.grad + grad``.
-            np.add(self.grad, grad, out=self.grad)
+            self.grad = grad.copy() if grad.base is not None or not grad.flags.owndata else grad
         else:
             self.grad = self.grad + grad
 
-    def backward(self, grad: np.ndarray | None = None,
-                 on_leaf: Callable[["Tensor"], None] | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
         Parameters
@@ -273,14 +255,6 @@ class Tensor:
             Gradient of the final objective with respect to this tensor.
             Defaults to ones (only sensible for scalar outputs, which is the
             usual loss case).
-        on_leaf:
-            Optional callback invoked once per leaf tensor right after its
-            gradient has been accumulated. Because the traversal is in
-            reverse topological order, every contribution to a leaf has
-            been summed by the time the leaf itself is visited, so the
-            gradient seen by the callback is final. Used by the sharded
-            trainer to publish gradient buckets while backward is still
-            running through earlier layers.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -314,8 +288,6 @@ class Tensor:
                 continue
             if node.is_leaf or node._retains_grad:
                 node._accumulate(node_grad)
-                if on_leaf is not None and node.is_leaf:
-                    on_leaf(node)
             if node._backward is None:
                 continue
             parent_grads = node._backward(node_grad)

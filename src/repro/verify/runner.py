@@ -56,9 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the fault-injection recovery drills")
     parser.add_argument("--drills", type=str, default=None,
                         help="substring filter on resilience drill names "
-                             "(e.g. 'worker' runs the worker-fault "
-                             "battery, 'shm' the reaper drill, 'serve' "
-                             "the serving shed/hot-swap drills)")
+                             "(e.g. 'serve' runs the serving drills, "
+                             "replica failover included, 'replica' only "
+                             "the replica-fleet drills, 'quant' the int8 "
+                             "deploy drills)")
     parser.add_argument("--write-golden", action="store_true",
                         help="regenerate the golden fixtures and exit")
     parser.add_argument("--list", action="store_true", dest="list_specs",

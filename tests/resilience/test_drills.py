@@ -9,8 +9,6 @@ class TestRunDrills:
         names = [r.name for r in results]
         assert names == ["surgery.rollback", "checkpoint.tamper",
                          "sentinel.recovery", "loader.retry",
-                         "worker.crash", "worker.respawn", "worker.hang",
-                         "worker.degrade", "worker.bucket", "shm.reaper",
                          "quant.deploy", "quant.corrupt",
                          "serve.shed", "serve.swap",
                          "serve.drain", "serve.restart", "serve.frame",

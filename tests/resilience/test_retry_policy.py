@@ -96,15 +96,19 @@ class TestCall:
                         on_retry=lambda attempt, exc: seen.append(attempt))
         assert seen == [0, 1, 2]
 
-    def test_supervision_config_derives_policy(self):
-        from repro.parallel import SupervisionConfig
-        cfg = SupervisionConfig(max_respawns=4, respawn_delay=0.02,
-                                respawn_factor=3.0, respawn_jitter=0.0,
-                                seed=9)
+    def test_replica_config_derives_policy(self):
+        from repro.serve import ReplicaConfig
+        cfg = ReplicaConfig(max_respawns=4, respawn_base_delay_s=0.02,
+                            respawn_max_delay_s=0.1, respawn_seed=9)
         policy = cfg.retry_policy()
         assert policy.max_attempts == 5
-        assert policy.max_delay == 1.0  # max(respawn_delay * 8, 1.0)
-        assert policy.delays() == pytest.approx([0.02, 0.06, 0.18, 0.54])
+        assert policy.max_delay == 0.1
+        # Doubling from the base delay, capped, with at most +10% jitter.
+        delays = policy.delays()
+        for got, raw in zip(delays, [0.02, 0.04, 0.08, 0.1]):
+            assert raw <= got <= raw * 1.1
+        assert len(delays) == 4
+        assert cfg.retry_policy().delays() == delays
 
     def test_jitter_draw_is_pure_numpy_seeded(self):
         # The jitter must come from a per-attempt seeded rng, not global

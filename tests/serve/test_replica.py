@@ -18,9 +18,9 @@ import numpy as np
 from repro.infer import compile_model
 from repro.io import load_model, save_model
 from repro.models import build_model
-from repro.parallel import reaper
 from repro.serve import (ModelRegistry, ReplicaConfig, ReplicaRouter,
-                         ReplicaSet, ReplicaSpec, ServeConfig, ServerThread)
+                         ReplicaSet, ReplicaSpec, ServeConfig, ServerThread,
+                         reaper)
 from repro.serve.client import ServeClient
 from repro.verify.invariants import perturb_batchnorm_stats
 
@@ -177,8 +177,7 @@ class TestReplicaSetLifecycle:
             assert _poll(lambda: all(
                 h.socket_path.exists() and h.pid_path.exists()
                 for h in rset.handles))
-            entries = {e for e in reaper.live_segments()
-                       if e.startswith("path:")}
+            entries = reaper.live_paths()
             # Socket dir + per-replica socket and pid file, all ledgered
             # so a crashed parent's sweep can reclaim them.
             assert len(entries) >= 1 + 2 * len(rset.handles)
@@ -186,7 +185,7 @@ class TestReplicaSetLifecycle:
         finally:
             rset.close()
         assert all(not p.exists() for p in paths)
-        assert not any(e.startswith("path:") for e in reaper.live_segments())
+        assert not reaper.live_paths()
         assert all(not h.alive for h in rset.handles)
 
     def test_kill_and_respawn_replaces_the_seat(self, tmp_path):

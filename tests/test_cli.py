@@ -150,6 +150,69 @@ class TestRun:
         from repro.io import load_model
         assert load_model(export).num_parameters() > 0
 
+    def test_resume_of_older_journals(self, base_checkpoint, tmp_path):
+        """Journals written while worker pools existed record their
+        settings in ``run_start``: a serial one (``workers: 0``) resumes
+        bitwise, a worker-sharded or degraded one is refused."""
+        import shutil
+
+        from repro.io import load_model
+        from repro.resilience import RunJournal
+
+        args = list(self.RUN_ARGS)
+        args[args.index("--max-iterations") + 1] = "2"
+        run_dir = tmp_path / "run"
+        reference = tmp_path / "reference.npz"
+        assert main(["run", "--checkpoint", str(base_checkpoint),
+                     "--run-dir", str(run_dir), "--out", str(reference)]
+                    + args) == 0
+        records = RunJournal.read(run_dir / "journal.jsonl")
+        first = next(i for i, r in enumerate(records)
+                     if r["event"] == "iteration")
+
+        def older_run(name, workers=0, tail=()):
+            """Copy of the run, cut after its first iteration, whose
+            run_start carries the retired settings."""
+            target = tmp_path / name
+            shutil.copytree(run_dir, target)
+            (target / "journal.jsonl").unlink()
+            journal = RunJournal(target / "journal.jsonl")
+            for record in records[:first + 1] + list(tail):
+                fields = {k: v for k, v in record.items()
+                          if k not in ("seq", "event")}
+                if record["event"] == "run_start":
+                    fields["config"] = dict(fields["config"], supervision={
+                        "heartbeat_seconds": 0.2,
+                        "stale_after_seconds": 10.0,
+                        "task_deadline_seconds": 120.0, "max_respawns": 3,
+                        "max_task_retries": 2, "respawn_delay": 0.05,
+                        "respawn_factor": 2.0, "respawn_jitter": 0.1,
+                        "seed": 0, "poll_seconds": 0.05})
+                    fields["training"] = dict(
+                        fields["training"], workers=workers,
+                        grad_transport="fp32", grad_bucket_kb=512)
+                journal.append(record["event"], **fields)
+            return target
+
+        resumed = tmp_path / "resumed.npz"
+        assert main(["run", "--run-dir", str(older_run("serial")),
+                     "--resume", "--out", str(resumed), "--quiet"]) == 0
+        want = load_model(reference).state_dict()
+        got = load_model(resumed).state_dict()
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            np.testing.assert_array_equal(got[key], value, err_msg=key)
+
+        with pytest.raises(SystemExit, match="workers=2"):
+            main(["run", "--run-dir", str(older_run("sharded", workers=2)),
+                  "--resume", "--quiet"])
+        degrade = {"event": "parallel_degrade", "kind": "degrade",
+                   "worker_id": 0, "detail": "respawn budget exhausted"}
+        with pytest.raises(SystemExit, match="parallel_degrade"):
+            main(["run", "--run-dir",
+                  str(older_run("degraded", tail=[degrade])),
+                  "--resume", "--quiet"])
+
     def test_fresh_run_requires_checkpoint(self, tmp_path):
         with pytest.raises(SystemExit, match="checkpoint"):
             main(["run", "--run-dir", str(tmp_path / "r"), "--quiet"])
