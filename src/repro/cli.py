@@ -182,10 +182,12 @@ def _resume_run(args):
                             if cfg_dict.get("sentinel") else None)
     tr_dict = dict(payload["training"])
     tr_dict["lr_milestones"] = tuple(tr_dict.get("lr_milestones", ()))
-    # Journals of older versions also record the retired worker-pool
-    # settings; the framework refuses any that used them (workers > 0).
+    # Journals of older versions also record retired settings: the
+    # worker-pool ones (the framework refuses any run that used them,
+    # workers > 0) and two numerically inert trainer switches.
     cfg_dict.pop("supervision", None)
-    for key in ("workers", "grad_transport", "grad_bucket_kb"):
+    for key in ("workers", "grad_transport", "grad_bucket_kb",
+                "prefetch", "track_terms"):
         tr_dict.pop(key, None)
     config = FrameworkConfig(**cfg_dict)
     training = TrainingConfig(**tr_dict)
@@ -346,8 +348,6 @@ def cmd_serve(args) -> int:
                 replicas=args.replicas,
                 max_batch=args.max_batch,
                 max_respawns=args.replica_respawns,
-                hedge_after_ms=args.replica_hedge_ms
-                if args.replica_hedge_ms > 0 else None,
                 request_timeout_s=args.request_timeout))
             router = ReplicaRouter(rset, [
                 ReplicaSpec(name, version, checkpoint=checkpoint)
@@ -531,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--replica-respawns", type=int, default=3,
                          help="total crashed-replica respawns before the "
                               "fleet degrades to in-process serving")
-    p_serve.add_argument("--replica-hedge-ms", type=float, default=0.0,
-                         help="hedge a straggling replica request onto a "
-                              "second replica after this many ms "
-                              "(<= 0 disables hedging)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_sbench = sub.add_parser(

@@ -176,23 +176,18 @@ class ModifiedLoss:
         Coefficient of the orthogonality term (paper: 1e-2).
     orth_mode:
         Orthogonality computation (see :func:`orthogonality_term`).
-    track_terms:
-        When False the per-term ``float(...)`` materialisations are
-        skipped and :class:`LossTerms` reports 0.0 for ``l1``/``orth`` —
-        for history-less loops that only backpropagate ``total``.
 
     With both coefficients zero this reduces to plain cross entropy, which
     is how the "no regularisation" ablation row of Table III is produced.
     """
 
     def __init__(self, lambda1: float = 1e-4, lambda2: float = 1e-2,
-                 orth_mode: OrthMode = "kernel", track_terms: bool = True):
+                 orth_mode: OrthMode = "kernel"):
         if lambda1 < 0 or lambda2 < 0:
             raise ValueError("regularisation coefficients must be non-negative")
         self.lambda1 = lambda1
         self.lambda2 = lambda2
         self.orth_mode = orth_mode
-        self.track_terms = track_terms
 
     def __call__(self, model: Module, logits: Tensor,
                  targets: np.ndarray) -> LossTerms:
@@ -203,13 +198,11 @@ class ModifiedLoss:
         orth_value = 0.0
         if self.lambda1 > 0:
             l1 = l1_regularizer(model)
-            if self.track_terms:
-                l1_value = float(l1.data)
+            l1_value = float(l1.data)
             total = ops.add(total, ops.mul(Tensor(np.float32(self.lambda1)), l1))
         if self.lambda2 > 0:
             orth = orthogonality_term(model, mode=self.orth_mode)
-            if self.track_terms:
-                orth_value = float(orth.data)
+            orth_value = float(orth.data)
             total = ops.add(total, ops.mul(Tensor(np.float32(self.lambda2)), orth))
         return LossTerms(total=total, cross_entropy=float(ce.data),
                          l1=l1_value, orth=orth_value)

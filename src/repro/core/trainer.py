@@ -46,17 +46,11 @@ class TrainingConfig:
     #: Use closed-form regularizer gradients instead of the autograd
     #: penalty graph (kernel orth mode only).
     fused_reg: bool = False
-    #: Double-buffer training batches on a background thread.
-    prefetch: bool = True
-    #: Materialise per-term L1/orth floats for the history. Turning this
-    #: off skips two device-scalar syncs per batch in the autograd path.
-    track_terms: bool = True
 
     def loss(self) -> ModifiedLoss:
         """The modified cost function this config describes."""
         return ModifiedLoss(lambda1=self.lambda1, lambda2=self.lambda2,
-                            orth_mode=self.orth_mode,
-                            track_terms=self.track_terms)
+                            orth_mode=self.orth_mode)
 
 
 @dataclass
@@ -317,8 +311,7 @@ class Trainer:
             raise EmptyDatasetError(
                 "Trainer received an empty training dataset")
         loader = DataLoader(self.train_dataset, batch_size=self.config.batch_size,
-                            shuffle=True, seed=self.config.seed,
-                            prefetch=self.config.prefetch)
+                            shuffle=True, seed=self.config.seed)
         monitor = (HealthMonitor(self.sentinel)
                    if self.sentinel is not None else None)
         healthy = self.model.state_dict() if monitor is not None else None

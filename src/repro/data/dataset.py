@@ -7,8 +7,6 @@ would have written, while remaining pure numpy.
 
 from __future__ import annotations
 
-import queue as queue_mod
-import threading
 from typing import Callable, Iterator
 
 import numpy as np
@@ -96,20 +94,11 @@ class DataLoader:
     transform:
         Optional callable applied to each *batch* of images
         ``(B, C, H, W) -> (B, C, H, W)``; data augmentation lives here.
-    prefetch:
-        Assemble batches on a background thread, double-buffered (at most
-        two batches in flight), so indexing/stacking/augmentation overlaps
-        with the consumer's compute. The batch *stream* is unchanged — all
-        randomness still draws from the loader's single generator in the
-        same order, so prefetched and non-prefetched iteration yield
-        bit-identical batches. The trainer turns this on by default;
-        ``prefetch=False`` is the escape hatch.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int = 32,
                  shuffle: bool = False, seed: int = 0, drop_last: bool = False,
-                 transform: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
-                 prefetch: bool = False):
+                 transform: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
@@ -117,7 +106,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.drop_last = drop_last
         self.transform = transform
-        self.prefetch = prefetch
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
@@ -127,11 +115,6 @@ class DataLoader:
         return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if self.prefetch:
-            return self._iter_prefetch()
-        return self._iter_serial()
-
-    def _iter_serial(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         for start in range(0, n, self.batch_size):
@@ -143,52 +126,6 @@ class DataLoader:
             if self.transform is not None:
                 images = self.transform(images, self._rng)
             yield images, labels
-
-    def _iter_prefetch(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Double-buffered iteration: one producer thread, bounded queue.
-
-        The producer runs the ordinary serial iterator (sole user of the
-        loader's RNG, so determinism is untouched) and pushes into a
-        2-slot queue. Exceptions are forwarded to the consumer; breaking
-        out of the loop early sets a stop event the producer polls on
-        every blocked put, so abandoned iterations never leak the thread.
-        """
-        out: queue_mod.Queue = queue_mod.Queue(maxsize=2)
-        stop = threading.Event()
-
-        def put(item) -> bool:
-            while not stop.is_set():
-                try:
-                    out.put(item, timeout=0.05)
-                    return True
-                except queue_mod.Full:
-                    continue
-            return False
-
-        def produce() -> None:
-            try:
-                for batch in self._iter_serial():
-                    if not put(("batch", batch)):
-                        return
-                put(("done", None))
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                put(("error", exc))
-
-        thread = threading.Thread(target=produce, daemon=True,
-                                  name="repro-prefetch")
-        thread.start()
-        try:
-            while True:
-                kind, payload = out.get()
-                if kind == "batch":
-                    yield payload
-                elif kind == "error":
-                    raise payload
-                else:
-                    break
-        finally:
-            stop.set()
-            thread.join(timeout=5.0)
 
 
 def per_class_indices(dataset: Dataset, class_index: int, count: int,

@@ -20,10 +20,6 @@ The context object (``ctx``) provides:
     Named preallocated scratch array owned by this step.
 ``shape(vid)``
     Capacity shape (batch axis already rescaled to ``max_batch``).
-``im2col``
-    ``"strided"`` (pad + as_strided + copy, the default — fastest) or
-    ``"gather"`` (cached index table via
-    :func:`repro.tensor.conv.im2col_gather`).
 
 Closures never use augmented assignment on closed-over buffers (``buf +=
 x`` rebinds locally); they call the ufunc with ``out=`` instead.
@@ -33,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-from ..tensor.conv import im2col_gather
 
 __all__ = ["BUILDERS", "build_step", "register_builders"]
 
@@ -79,17 +73,6 @@ def _build_conv2d(step, ctx, relu=False):
     span = oh * ow
     out3 = out.reshape(nb, o, span)
     cols = ctx.scratch("cols", (nb, c * kh * kw, span))
-
-    if ctx.im2col == "gather":
-        def run(n):
-            im2col_gather(get(n), kh, kw, stride, padding, out=cols[:n])
-            np.matmul(w2d, cols[:n], out=out3[:n])
-            if bcol is not None:
-                np.add(out3[:n], bcol, out=out3[:n])
-            if relu:
-                _maybe_relu(out3, n)
-        return run
-
     cols6 = cols.reshape(nb, c, kh, kw, oh, ow)
     padbuf = (ctx.scratch("pad", (nb, c, h + 2 * padding, w_in + 2 * padding),
                           zero=True)

@@ -80,10 +80,6 @@ class _BuildContext:
         self._step = step
 
     @property
-    def im2col(self) -> str:
-        return self._engine.im2col
-
-    @property
     def max_batch(self) -> int:
         return self._engine.max_batch
 
@@ -125,17 +121,12 @@ def _ensure_quant_kernels(plan: Plan) -> bool:
 class InferenceEngine:
     """Executable form of a plan: flat kernel program over a buffer arena."""
 
-    def __init__(self, plan: Plan, max_batch: int | None = None,
-                 im2col: str = "strided"):
-        if im2col not in ("strided", "gather"):
-            raise ValueError(f"im2col must be 'strided' or 'gather', "
-                             f"got {im2col!r}")
+    def __init__(self, plan: Plan, max_batch: int | None = None):
         self.plan = plan
         self.max_batch = int(plan.example_batch if max_batch is None
                              else max_batch)
         if self.max_batch < 1:
             raise ValueError("max_batch must be positive")
-        self.im2col = im2col
         self.arena = BufferArena()
         self.optimization: OptimizationReport | None = None
         self._aliases: dict[int, callable] = {}
@@ -241,7 +232,7 @@ class InferenceEngine:
 
     def describe(self) -> str:
         lines = [f"InferenceEngine: {len(self._program)} kernels, "
-                 f"max_batch={self.max_batch}, im2col={self.im2col}, "
+                 f"max_batch={self.max_batch}, "
                  f"arena={len(self.arena)} buffers "
                  f"({self.arena.nbytes / 1e6:.2f} MB)"]
         if self.optimization is not None:
@@ -251,9 +242,9 @@ class InferenceEngine:
 
 
 def compile_model(model: Module, example_input, *, optimize: bool = True,
-                  max_batch: int | None = None, im2col: str = "strided",
-                  validate: bool = True, rtol: float = 1e-4,
-                  atol: float = 1e-5, quantize: str | None = None,
+                  max_batch: int | None = None, validate: bool = True,
+                  rtol: float = 1e-4, atol: float = 1e-5,
+                  quantize: str | None = None,
                   calibrate=None, observer="percentile",
                   max_calibration_batches: int | None = None
                   ) -> InferenceEngine:
@@ -270,9 +261,6 @@ def compile_model(model: Module, example_input, *, optimize: bool = True,
     max_batch:
         Buffer capacity (defaults to the example batch size). Larger
         inputs are chunked at runtime.
-    im2col:
-        Column-lowering strategy for conv kernels (``"strided"`` or
-        ``"gather"``).
     validate:
         Compare compiled vs eager outputs on the example input and raise
         :class:`CompileValidationError` on mismatch. For quantized
@@ -320,7 +308,7 @@ def compile_model(model: Module, example_input, *, optimize: bool = True,
         report.steps_after = len(plan.steps)
         report.notes.append(qreport.summary())
 
-    engine = InferenceEngine(plan, max_batch=max_batch, im2col=im2col)
+    engine = InferenceEngine(plan, max_batch=max_batch)
     engine.optimization = report
 
     if validate:

@@ -32,15 +32,9 @@ import numpy as np
 
 from ..infer import compile_model
 from ..models import build_model
+from ..resilience.drills import DrillResult
 from ..verify.invariants import perturb_batchnorm_stats
 from .artifact import load_plan, save_plan
-
-__all__ = ["QUANT_DRILLS"]
-
-
-def _drill_result(name: str):
-    from ..resilience.drills import DrillResult
-    return DrillResult(name)
 
 
 def _pruned_model(seed: int):
@@ -64,7 +58,7 @@ def _drill_quant_deploy(seed: int):
     from ..serve.manifest import restore_registry
     from ..serve.registry import ModelRegistry
 
-    result = _drill_result("quant.deploy")
+    result = DrillResult()
     model = _pruned_model(seed)
     loader = _calibration_loader(seed)
     engine = compile_model(model, loader[0], max_batch=16,
@@ -116,7 +110,7 @@ def _drill_quant_deploy(seed: int):
 def _drill_quant_corrupt(seed: int):
     from ..serve.registry import ModelRegistry, SwapValidationError
 
-    result = _drill_result("quant.corrupt")
+    result = DrillResult()
     model = _pruned_model(seed)
     loader = _calibration_loader(seed)
     engine = compile_model(model, loader[0], max_batch=16,
@@ -159,6 +153,3 @@ def _drill_quant_corrupt(seed: int):
             pass
     result.detail = "tampered artifact rejected, old version kept serving"
     return result
-
-
-QUANT_DRILLS = [_drill_quant_deploy, _drill_quant_corrupt]

@@ -33,7 +33,6 @@ class _RefContext:
     def __init__(self, plan: Plan, n: int):
         self.plan = plan
         self.n = n
-        self.im2col = "strided"
         self.max_batch = n
         self._arrays: dict[int, np.ndarray] = {}
         self._aliases: dict[int, callable] = {}

@@ -24,7 +24,10 @@ the matching recovery path actually recovers:
   from the deploy manifest must re-validate every version, skipping
   corrupted ones with a report; and ``serve.frame`` sends truncated,
   oversize and wrong-shape frames amid good traffic, which must still be
-  answered bitwise with zero fallbacks (see :mod:`repro.serve.drills`);
+  answered bitwise with zero fallbacks;
+* ``serve.replica.kill`` / ``serve.replica.hang`` /
+  ``serve.replica.rolling`` — the replica fleet under SIGKILL, a wedged
+  replica and a rolling deploy (see :mod:`repro.serve.drills`);
 * ``crash.resume`` (skipped with ``--quick``) — a framework run killed
   after its first committed iteration must resume to a bit-identical final
   state.
@@ -62,9 +65,13 @@ __all__ = ["DrillResult", "run_drills"]
 
 @dataclass
 class DrillResult:
-    """One drill's outcome, shaped for the verify runner's report table."""
+    """One drill's outcome, shaped for the verify runner's report table.
 
-    name: str
+    Drills leave ``name`` empty; :func:`run_drills` stamps the drill's
+    table name on every outcome, crashed or not.
+    """
+
+    name: str = ""
     passed: bool = True
     seconds: float = 0.0
     detail: str = ""
@@ -87,7 +94,7 @@ def _tiny_data(seed: int):
 
 # ----------------------------------------------------------------------
 def _drill_surgery_rollback(seed: int) -> DrillResult:
-    result = DrillResult("surgery.rollback")
+    result = DrillResult()
     model = _tiny_model(seed)
     groups = model.prunable_groups()
     reference = ModelSnapshot(model)
@@ -118,7 +125,7 @@ def _drill_surgery_rollback(seed: int) -> DrillResult:
 
 
 def _drill_checkpoint_tamper(seed: int) -> DrillResult:
-    result = DrillResult("checkpoint.tamper")
+    result = DrillResult()
     model = _tiny_model(seed)
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("flip", "truncate"):
@@ -140,7 +147,7 @@ def _drill_checkpoint_tamper(seed: int) -> DrillResult:
 
 
 def _drill_sentinel_recovery(seed: int) -> DrillResult:
-    result = DrillResult("sentinel.recovery")
+    result = DrillResult()
     model = _tiny_model(seed)
     train, test = _tiny_data(seed)
     trainer = Trainer(model, train, None,
@@ -170,7 +177,7 @@ def _drill_sentinel_recovery(seed: int) -> DrillResult:
 
 
 def _drill_loader_retry(seed: int) -> DrillResult:
-    result = DrillResult("loader.retry")
+    result = DrillResult()
     train, _ = _tiny_data(seed)
     flaky = RetryingDataset(FlakyDataset(train, failures=2), max_retries=2)
     loader = DataLoader(flaky, batch_size=16, shuffle=True, seed=seed)
@@ -184,7 +191,7 @@ def _drill_loader_retry(seed: int) -> DrillResult:
 
 
 def _drill_crash_resume(seed: int) -> DrillResult:
-    result = DrillResult("crash.resume")
+    result = DrillResult()
 
     def framework(run_dir=None):
         model = _tiny_model(seed)
@@ -245,32 +252,44 @@ def run_drills(seed: int = 0, quick: bool = False,
     """Run the battery; ``quick`` skips the (slower) crash-resume drill.
 
     ``only`` filters by substring of the drill name (e.g. ``"replica"``
-    selects the replica-fleet drills) — the CI serve job uses it to run
-    exactly the serving drills under a wall-clock guard.
+    selects the three ``serve.replica.*`` drills) — the CI serve job uses
+    it to run exactly the serving drills under a wall-clock guard.
     """
-    # Serving drills live next to the serving layer; imported lazily so
-    # this module stays importable without pulling repro.serve (and its
+    # Serving and int8 drills live next to their layers; imported lazily
+    # so this module stays importable without pulling repro.serve (and its
     # compiled-engine stack) until the battery actually runs.
-    from ..qinfer.drills import QUANT_DRILLS
-    from ..serve.drills import SERVE_DRILLS
-    drills = [_drill_surgery_rollback, _drill_checkpoint_tamper,
-              _drill_sentinel_recovery, _drill_loader_retry,
-              *QUANT_DRILLS, *SERVE_DRILLS]
-    if not quick:
-        drills.append(_drill_crash_resume)
-    if only:
-        drills = [d for d in drills
-                  if only in d.__name__.replace("_drill_", "")
-                  .replace("_", ".")]
+    from ..qinfer import drills as quant
+    from ..serve import drills as serve
+    # (name, drill, runs under quick): the name is what the report shows
+    # and what ``only`` matches.
+    table = [
+        ("surgery.rollback", _drill_surgery_rollback, True),
+        ("checkpoint.tamper", _drill_checkpoint_tamper, True),
+        ("sentinel.recovery", _drill_sentinel_recovery, True),
+        ("loader.retry", _drill_loader_retry, True),
+        ("quant.deploy", quant._drill_quant_deploy, True),
+        ("quant.corrupt", quant._drill_quant_corrupt, True),
+        ("serve.shed", serve._drill_serve_shed, True),
+        ("serve.swap", serve._drill_serve_swap, True),
+        ("serve.drain", serve._drill_serve_drain, True),
+        ("serve.restart", serve._drill_serve_restart, True),
+        ("serve.frame", serve._drill_serve_frame, True),
+        ("serve.replica.kill", serve._drill_serve_replica_kill, True),
+        ("serve.replica.hang", serve._drill_serve_replica_hang, True),
+        ("serve.replica.rolling", serve._drill_serve_replica_rolling, True),
+        ("crash.resume", _drill_crash_resume, False),
+    ]
     results = []
-    for drill in drills:
+    for name, drill, in_quick in table:
+        if (quick and not in_quick) or (only and only not in name):
+            continue
         start = time.perf_counter()
         try:
             outcome = drill(seed)
         except Exception as exc:  # noqa: BLE001 - a drill crash is a failure
-            outcome = DrillResult(drill.__name__.replace("_drill_", "")
-                                  .replace("_", "."))
+            outcome = DrillResult()
             outcome.fail(f"drill crashed: {type(exc).__name__}: {exc}")
+        outcome.name = name
         outcome.seconds = time.perf_counter() - start
         results.append(outcome)
     return results

@@ -27,8 +27,9 @@ Pieces (each importable on its own):
 ``loadgen``     closed-loop load generator behind ``repro serve-bench``
 ``bench``       the BENCH_serve.json lane
 ``drills``      ``serve.shed`` / ``serve.swap`` / ``serve.drain`` /
-                ``serve.restart`` / ``serve.frame`` / ``replica.kill`` /
-                ``replica.hang`` / ``replica.rolling`` fault drills for
+                ``serve.restart`` / ``serve.frame`` /
+                ``serve.replica.kill`` / ``serve.replica.hang`` /
+                ``serve.replica.rolling`` fault drills for
                 ``python -m repro.verify --drills serve``
 
 Typical use::

@@ -23,15 +23,20 @@ resilience battery to the serving layer:
   NaN/Inf sample are each refused without touching the batcher, and every good request is
   answered bitwise equal to the batch the engine ran, with zero
   fallbacks and nothing left in flight;
-* ``replica.kill`` — SIGKILL of a replica mid-batch under live traffic:
-  every accepted request completes exactly once, bitwise-identical to an
-  unfaulted run, and the dead replica respawns within budget;
-* ``replica.hang`` — a wedged replica (healthy heartbeat, dead serving
-  path): the router's liveness probe times out, the replica is killed
-  and respawned, and traffic never notices;
-* ``replica.rolling`` — a rolling deploy across the replica fleet under
-  live traffic: zero drops, capacity never below N−1, and a
+* ``serve.replica.kill`` — SIGKILL of a replica mid-batch under live
+  traffic: every accepted request completes exactly once,
+  bitwise-identical to an unfaulted run, and the dead replica respawns
+  within budget;
+* ``serve.replica.hang`` — a wedged replica (healthy heartbeat, dead
+  serving path): the router's liveness probe times out, the replica is
+  killed and respawned, and traffic never notices;
+* ``serve.replica.rolling`` — a rolling deploy across the replica fleet
+  under live traffic: zero drops, capacity never below N−1, and a
   gate-failing checkpoint leaves every replica on the old version.
+
+Each drill returns an unnamed :class:`~repro.resilience.drills.DrillResult`;
+the battery's table in :func:`repro.resilience.drills.run_drills` names
+it.
 
 All timing goes through the injectable :data:`repro.clock.SYSTEM_CLOCK`
 (the drills poll real threads, so virtual time would lie) — consistent
@@ -52,6 +57,7 @@ import numpy as np
 
 from ..clock import SYSTEM_CLOCK
 from ..models import build_model
+from ..resilience.drills import DrillResult
 from ..tensor import Tensor, inference_mode
 from ..verify.invariants import perturb_batchnorm_stats
 from . import wire
@@ -61,14 +67,7 @@ from .registry import ModelRegistry
 from .server import ServeConfig, ServerThread
 from .shedding import SheddingConfig
 
-__all__ = ["SERVE_DRILLS"]
-
 _CLOCK = SYSTEM_CLOCK
-
-
-def _drill_result(name: str):
-    from ..resilience.drills import DrillResult
-    return DrillResult(name)
 
 
 def _tiny_model(seed: int, pruned: bool = False):
@@ -146,7 +145,7 @@ def _poll_until(predicate, timeout_s: float = 10.0,
 
 
 def _drill_serve_shed(seed: int):
-    result = _drill_result("serve.shed")
+    result = DrillResult()
     max_pending = 4
     registry = ModelRegistry(
         max_batch=4,
@@ -229,7 +228,7 @@ def _drill_serve_shed(seed: int):
 
 
 def _drill_serve_swap(seed: int):
-    result = _drill_result("serve.swap")
+    result = DrillResult()
     from ..io import save_model
 
     dense = _tiny_model(seed)
@@ -315,7 +314,7 @@ def _drill_serve_swap(seed: int):
 
 
 def _drill_serve_drain(seed: int):
-    result = _drill_result("serve.drain")
+    result = DrillResult()
     registry = ModelRegistry(max_batch=4,
                              shedding=SheddingConfig(max_pending=64,
                                                      p99_budget_ms=None))
@@ -400,7 +399,7 @@ def _drill_serve_drain(seed: int):
 
 
 def _drill_serve_restart(seed: int):
-    result = _drill_result("serve.restart")
+    result = DrillResult()
     from ..io import save_model
 
     dense = _tiny_model(seed)
@@ -474,7 +473,7 @@ def _raw_frame(port: int, header: dict, body: bytes = b"") -> list[bytes]:
 
 
 def _drill_serve_frame(seed: int):
-    result = _drill_result("serve.frame")
+    result = DrillResult()
     limit = 4096
     lock = threading.Lock()
     executed: dict[bytes, np.ndarray] = {}
@@ -583,7 +582,7 @@ def _drill_serve_frame(seed: int):
 
 
 def _drill_serve_replica_kill(seed: int):
-    result = _drill_result("replica.kill")
+    result = DrillResult()
     from ..io import save_model
     from .replica import ReplicaConfig, ReplicaSet, ReplicaSpec
     from .router import ReplicaRouter
@@ -664,7 +663,7 @@ def _drill_serve_replica_kill(seed: int):
 
 
 def _drill_serve_replica_hang(seed: int):
-    result = _drill_result("replica.hang")
+    result = DrillResult()
     from ..io import save_model
     from .replica import ReplicaConfig, ReplicaSet, ReplicaSpec
     from .router import ReplicaRouter
@@ -744,7 +743,7 @@ def _drill_serve_replica_hang(seed: int):
 
 
 def _drill_serve_replica_rolling(seed: int):
-    result = _drill_result("replica.rolling")
+    result = DrillResult()
     from ..io import save_model
     from .replica import ReplicaConfig, ReplicaSet, ReplicaSpec
     from .router import ReplicaRouter
@@ -873,9 +872,3 @@ def _drill_serve_replica_rolling(seed: int):
                      f"across roll, min capacity {capacity['min']}, "
                      f"bad artifact rejected fleet-wide")
     return result
-
-
-SERVE_DRILLS = [_drill_serve_shed, _drill_serve_swap, _drill_serve_drain,
-                _drill_serve_restart, _drill_serve_frame,
-                _drill_serve_replica_kill,
-                _drill_serve_replica_hang, _drill_serve_replica_rolling]

@@ -121,7 +121,6 @@ class ReplicaConfig:
     respawn_max_delay_s: float = 1.0
     respawn_seed: int = 0
     max_dispatch_retries: int = 2       # re-dispatches per request
-    hedge_after_ms: float | None = None  # None ⇒ hedging off
     breaker_failures: int = 3           # per-replica circuit breaker
     breaker_cooldown_s: float = 0.5
     request_timeout_s: float = 30.0     # router-side wait per request

@@ -18,9 +18,6 @@ replica processes:
   The first reply wins and duplicates are discarded, so an accepted
   request is answered exactly once no matter how many replicas failed
   under it;
-* **hedged retries** — with ``hedge_after_ms`` set, a request still
-  unanswered after that long is duplicated onto a second replica *if*
-  its deadline budget allows; first answer wins;
 * **bounded respawn → degrade** — dead replicas are respawned through
   the set's shared :class:`~repro.resilience.retry.RetryPolicy` budget;
   once it is spent the router flips to ``degraded``
@@ -82,14 +79,13 @@ class _Peer:
 class _ReqMeta:
     """Re-dispatch bookkeeping for one inference rid."""
 
-    __slots__ = ("payload", "body", "deadline", "attempts", "hedged")
+    __slots__ = ("payload", "body", "deadline", "attempts")
 
     def __init__(self, payload: dict, body, deadline: float | None):
         self.payload = payload
         self.body = body                # request tensor bytes, forwarded
         self.deadline = deadline
         self.attempts = 0               # re-dispatches so far
-        self.hedged = False
 
 
 class ReplicaRouter:
@@ -255,8 +251,7 @@ class ReplicaRouter:
             return
         fut = self._inflight.get(rid)
         if fut is None or fut.done():
-            # A hedge/re-dispatch duplicate arriving after the winner, or
-            # a reply to a request whose caller already timed out.
+            # A reply to a request whose caller already timed out.
             self._incr("replica_duplicates")
             return
         peer.served += 1
@@ -294,8 +289,6 @@ class ReplicaRouter:
         fut = self._inflight.get(rid)
         if fut is None or fut.done():
             return
-        if any(rid in p.rids for p in self._peers):
-            return                      # hedged copy still in flight
         meta = self._meta.get(rid)
         if meta is None:                # control request: not re-playable
             fut.set_exception(
@@ -362,11 +355,9 @@ class ReplicaRouter:
 
     # -- routing --------------------------------------------------------
 
-    def _pick(self, exclude: tuple[int, ...] = ()) -> _Peer | None:
+    def _pick(self) -> _Peer | None:
         """Least-outstanding routable replica whose breaker admits it."""
-        candidates = [p for p in self._peers
-                      if p.alive and p.routable
-                      and p.handle.replica_id not in exclude]
+        candidates = [p for p in self._peers if p.alive and p.routable]
         candidates.sort(key=lambda p: (len(p.rids), p.served,
                                        p.handle.replica_id))
         for peer in candidates:
@@ -387,30 +378,6 @@ class ReplicaRouter:
             peer.rids.discard(rid)
             self._on_peer_down(peer)    # dead transport found early
             self._redispatch(rid)       # bounded by meta.attempts
-
-    def _hedge_wait(self, deadline: float | None) -> float | None:
-        """Seconds to wait before hedging, or None when hedging is off /
-        the deadline budget cannot fund a useful second attempt."""
-        if self.config.hedge_after_ms is None:
-            return None
-        wait = self.config.hedge_after_ms / 1e3
-        if deadline is not None:
-            remaining = deadline - self.clock.monotonic()
-            if remaining <= 2 * wait:
-                return None
-        return wait
-
-    def _hedge(self, rid: str, exclude: tuple[int, ...]) -> None:
-        fut = self._inflight.get(rid)
-        meta = self._meta.get(rid)
-        if fut is None or fut.done() or meta is None or meta.hedged:
-            return
-        peer = self._pick(exclude=exclude)
-        if peer is None:
-            return                      # nobody to hedge onto; keep waiting
-        meta.hedged = True
-        self._incr("replica_hedges")
-        self._send_infer(peer, rid, meta)
 
     async def dispatch_infer(self, ref: str, input_shape: list[int], body,
                              deadline: float | None = None
@@ -437,24 +404,13 @@ class ReplicaRouter:
             peer = self._pick()
             if peer is None:
                 raise ReplicasUnavailable("no routable replica")
-            primary = peer.handle.replica_id
             self._send_infer(peer, rid, meta)
             timeout = self.config.request_timeout_s
             if deadline is not None:
                 timeout = min(timeout,
                               max(deadline - self.clock.monotonic(), 0.0))
-            hedge_wait = self._hedge_wait(deadline)
             try:
-                if hedge_wait is not None and hedge_wait < timeout:
-                    try:
-                        reply = await asyncio.wait_for(
-                            asyncio.shield(fut), hedge_wait)
-                    except asyncio.TimeoutError:
-                        self._hedge(rid, exclude=(primary,))
-                        reply = await asyncio.wait_for(
-                            fut, timeout - hedge_wait)
-                else:
-                    reply = await asyncio.wait_for(fut, timeout)
+                reply = await asyncio.wait_for(fut, timeout)
             except asyncio.TimeoutError:
                 if deadline is not None \
                         and self.clock.monotonic() >= deadline:

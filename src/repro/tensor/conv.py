@@ -21,8 +21,8 @@ from .tensor import Tensor, _tape_active
 
 __all__ = [
     "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
-    "im2col", "col2im", "im2col_gather", "im2col_signature",
-    "clear_im2col_cache", "conv_output_size", "IM2COL_CACHE_SIZE",
+    "im2col", "col2im", "im2col_signature", "clear_im2col_cache",
+    "conv_output_size", "IM2COL_CACHE_SIZE",
 ]
 
 
@@ -35,21 +35,17 @@ class ColSignature:
     """Precomputed geometry of one im2col lowering.
 
     Holds the output extent for a ``(C, H, W, kh, kw, stride, padding,
-    dtype)`` signature and lazily materialises the flat gather indices that
-    map the padded image to the ``(C*kh*kw, OH*OW)`` patch matrix. The
-    indices are built at most once per signature; :func:`im2col_signature`
-    memoizes the whole object, so repeated forward passes on fixed shapes
-    (the training and inference steady state) never recompute either.
+    dtype)`` signature; :func:`im2col_signature` memoizes the whole
+    object, so repeated forward passes on fixed shapes (the training and
+    inference steady state) never recompute it.
 
     The element dtype is part of the signature: the quantized engine lowers
     int8 activations through the same geometries as the float32 engine, and
-    a signature must never be shared between the two — cached per-dtype
-    state (scratch layouts, byte strides derived from the element size)
-    would silently alias otherwise.
+    the two never share an entry.
     """
 
     __slots__ = ("c", "h", "w", "kh", "kw", "stride", "padding", "dtype",
-                 "oh", "ow", "_indices")
+                 "oh", "ow")
 
     def __init__(self, c: int, h: int, w: int, kh: int, kw: int,
                  stride: int, padding: int, dtype=np.float32):
@@ -59,27 +55,10 @@ class ColSignature:
         self.dtype = np.dtype(dtype)
         self.oh = conv_output_size(h, kh, stride, padding)
         self.ow = conv_output_size(w, kw, stride, padding)
-        self._indices: np.ndarray | None = None
 
     @property
     def padded_extent(self) -> tuple[int, int]:
         return self.h + 2 * self.padding, self.w + 2 * self.padding
-
-    @property
-    def indices(self) -> np.ndarray:
-        """``(C*kh*kw, OH*OW)`` indices into the flattened padded image."""
-        if self._indices is None:
-            hp, wp = self.padded_extent
-            ci = np.repeat(np.arange(self.c), self.kh * self.kw)
-            ki = np.tile(np.repeat(np.arange(self.kh), self.kw), self.c)
-            kj = np.tile(np.tile(np.arange(self.kw), self.kh), self.c)
-            oi = self.stride * np.repeat(np.arange(self.oh), self.ow)
-            oj = self.stride * np.tile(np.arange(self.ow), self.oh)
-            rows = ki[:, None] + oi[None, :]
-            cols = kj[:, None] + oj[None, :]
-            self._indices = np.ascontiguousarray(
-                (ci[:, None] * (hp * wp) + rows * wp + cols).astype(np.intp))
-        return self._indices
 
 
 # Bounded LRU of ColSignature objects. A handful of distinct shapes exist
@@ -110,26 +89,6 @@ def im2col_signature(c: int, h: int, w: int, kh: int, kw: int,
 def clear_im2col_cache() -> None:
     """Drop all memoized im2col signatures (tests and memory pressure)."""
     _SIGNATURE_CACHE.clear()
-
-
-def im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Per-sample ``(N, C*kh*kw, OH*OW)`` im2col for the compiled engine.
-
-    Indexes the flattened (padded) image with the memoized gather table
-    and supports an ``out`` buffer, which lets the compiled inference
-    runtime reuse one preallocated column matrix across calls. Sample
-    ``n``'s block equals columns ``n*OH*OW:(n+1)*OH*OW`` of :func:`im2col`.
-    """
-    n, c, h, w = x.shape
-    sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=x.dtype)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    flat = np.ascontiguousarray(x).reshape(n, -1)
-    k, l = sig.indices.shape
-    target = None if out is None else out.reshape(n, k * l)
-    cols = np.take(flat, sig.indices.reshape(-1), axis=1, out=target)
-    return cols.reshape(n, k, l)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:

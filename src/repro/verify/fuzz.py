@@ -678,8 +678,8 @@ def _build_orth(rng):
 # and introspection helpers, non-differentiable utilities, and the grad
 # checker itself.
 NON_DIFFERENTIABLE: dict[str, set[str]] = {
-    "conv": {"im2col", "col2im", "im2col_gather", "im2col_signature",
-             "clear_im2col_cache", "conv_output_size", "IM2COL_CACHE_SIZE"},
+    "conv": {"im2col", "col2im", "im2col_signature", "clear_im2col_cache",
+             "conv_output_size", "IM2COL_CACHE_SIZE"},
     "nn": {"Module", "Sequential", "HookHandle", "init", "accuracy"},
 }
 

@@ -57,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--drills", type=str, default=None,
                         help="substring filter on resilience drill names "
                              "(e.g. 'serve' runs the serving drills, "
-                             "replica failover included, 'replica' only "
-                             "the replica-fleet drills, 'quant' the int8 "
-                             "deploy drills)")
+                             "serve.replica.* failover included, "
+                             "'replica' only the three replica-fleet "
+                             "drills, 'quant' the int8 deploy drills)")
     parser.add_argument("--write-golden", action="store_true",
                         help="regenerate the golden fixtures and exit")
     parser.add_argument("--list", action="store_true", dest="list_specs",

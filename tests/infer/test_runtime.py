@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.infer import (CompileValidationError, InferenceEngine,
-                         capture_plan, compile_model)
+from repro.infer import CompileValidationError, compile_model
 from repro.models import build_model
 from repro.tensor import Tensor, no_grad
 from repro.verify.invariants import perturb_batchnorm_stats
@@ -67,19 +66,6 @@ class TestInferenceEngine:
         engine = compile_model(_model(), _example())
         with pytest.raises(ValueError, match="shape"):
             engine.run(np.zeros((2, 3, 16, 16), dtype=np.float32))
-
-    def test_invalid_im2col_mode_rejected(self):
-        plan = capture_plan(_model(), _example())
-        with pytest.raises(ValueError, match="im2col"):
-            InferenceEngine(plan, im2col="magic")
-
-    def test_gather_mode_matches_strided(self):
-        model = _model()
-        x = _example()
-        strided = compile_model(model, x, im2col="strided")
-        gather = compile_model(model, x, im2col="gather")
-        np.testing.assert_allclose(strided.run(x), gather.run(x),
-                                   rtol=1e-6, atol=1e-7)
 
     def test_describe_reports_arena_and_optimization(self):
         engine = compile_model(_model(), _example())

@@ -1,6 +1,10 @@
 """The verify-runner drill battery must pass and report correctly."""
 
 from repro.resilience import drills
+from repro.serve import drills as serve_drills
+
+REPLICA_DRILLS = ["serve.replica.kill", "serve.replica.hang",
+                  "serve.replica.rolling"]
 
 
 class TestRunDrills:
@@ -12,8 +16,7 @@ class TestRunDrills:
                          "quant.deploy", "quant.corrupt",
                          "serve.shed", "serve.swap",
                          "serve.drain", "serve.restart", "serve.frame",
-                         "replica.kill", "replica.hang",
-                         "replica.rolling"]
+                         *REPLICA_DRILLS]
         for result in results:
             assert result.passed, f"{result.name}: {result.failures}"
             assert result.seconds >= 0.0
@@ -33,3 +36,23 @@ class TestRunDrills:
         assert hasattr(result, "failures")
         result.fail("boom")
         assert not result.passed and result.failures == ["boom"]
+
+    def test_crashed_drill_reports_its_table_name(self, monkeypatch):
+        def crash(seed):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(serve_drills, "_drill_serve_replica_kill", crash)
+        [result] = drills.run_drills(seed=0, only="serve.replica.kill")
+        assert result.name == "serve.replica.kill"
+        assert not result.passed
+        assert result.failures == ["drill crashed: RuntimeError: planted"]
+
+    def test_filter_and_report_use_table_names(self, monkeypatch):
+        # Stub the fleet drills: only selection and naming are under test.
+        for attr in ("_drill_serve_replica_kill", "_drill_serve_replica_hang",
+                     "_drill_serve_replica_rolling"):
+            monkeypatch.setattr(serve_drills, attr,
+                                lambda seed: drills.DrillResult("stub"))
+        results = drills.run_drills(seed=0, only="replica")
+        assert [r.name for r in results] == REPLICA_DRILLS
+        assert all(r.passed for r in results)

@@ -6,14 +6,7 @@ import pytest
 from repro.tensor import Tensor, inference_mode, no_grad, ops
 from repro.tensor.conv import (IM2COL_CACHE_SIZE, _SIGNATURE_CACHE,
                                clear_im2col_cache, conv2d, im2col,
-                               im2col_gather, im2col_signature)
-
-
-def _per_sample(cols: np.ndarray, n: int) -> np.ndarray:
-    """:func:`im2col`'s ``(K, N*L)`` columns in the gather's ``(N, K, L)``
-    layout."""
-    k = cols.shape[0]
-    return cols.reshape(k, n, -1).transpose(1, 0, 2)
+                               im2col_signature)
 
 
 @pytest.fixture(autouse=True)
@@ -30,13 +23,6 @@ class TestSignatureCache:
         assert a is b
         assert len(_SIGNATURE_CACHE) == 1
 
-    def test_indices_built_lazily_and_once(self):
-        sig = im2col_signature(3, 8, 8, 3, 3, 1, 1)
-        assert sig._indices is None
-        first = sig.indices
-        assert sig.indices is first
-        assert first.shape == (3 * 3 * 3, sig.oh * sig.ow)
-
     def test_cache_is_bounded(self):
         for size in range(IM2COL_CACHE_SIZE + 10):
             im2col_signature(1, 8 + size, 8, 3, 3, 1, 1)
@@ -51,23 +37,6 @@ class TestSignatureCache:
         assert im2col_signature(3, 8, 8, 3, 3, 1, 1) is keep
         im2col_signature(2, 200, 8, 3, 3, 1, 1)
         assert im2col_signature(3, 8, 8, 3, 3, 1, 1) is keep
-
-    def test_gather_matches_strided_im2col(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        for stride, padding in ((1, 1), (2, 0), (2, 1)):
-            np.testing.assert_array_equal(
-                im2col_gather(x, 3, 3, stride, padding),
-                _per_sample(im2col(x, 3, 3, stride, padding), 2))
-
-    def test_gather_supports_out_buffer(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        expected = _per_sample(im2col(x, 3, 3, 1, 1), 2)
-        out = np.empty(expected.shape, dtype=expected.dtype)
-        result = im2col_gather(x, 3, 3, 1, 1, out=out)
-        assert result.base is out or result is out
-        np.testing.assert_array_equal(result, expected)
 
 
 class TestInferenceModeFastPaths:
@@ -135,9 +104,3 @@ class TestDtypeInSignature:
         assert cols_i.dtype == np.int8
         keys = {(sig.dtype) for sig in _SIGNATURE_CACHE.values()}
         assert np.dtype(np.float32) in keys and np.dtype(np.int8) in keys
-
-    def test_int8_gather_matches_strided(self):
-        rng = np.random.default_rng(1)
-        x = rng.integers(-127, 128, size=(2, 3, 8, 8), dtype=np.int8)
-        np.testing.assert_array_equal(_per_sample(im2col(x, 3, 3, 1, 1), 2),
-                                      im2col_gather(x, 3, 3, 1, 1))

@@ -151,9 +151,11 @@ class TestRun:
         assert load_model(export).num_parameters() > 0
 
     def test_resume_of_older_journals(self, base_checkpoint, tmp_path):
-        """Journals written while worker pools existed record their
-        settings in ``run_start``: a serial one (``workers: 0``) resumes
-        bitwise, a worker-sharded or degraded one is refused."""
+        """Journals of older versions record retired settings in
+        ``run_start`` (the worker-pool ones, and the trainer's
+        ``prefetch``/``track_terms`` switches): a serial one
+        (``workers: 0``) resumes bitwise, a worker-sharded or degraded
+        one is refused."""
         import shutil
 
         from repro.io import load_model
@@ -190,7 +192,8 @@ class TestRun:
                         "seed": 0, "poll_seconds": 0.05})
                     fields["training"] = dict(
                         fields["training"], workers=workers,
-                        grad_transport="fp32", grad_bucket_kb=512)
+                        grad_transport="fp32", grad_bucket_kb=512,
+                        prefetch=True, track_terms=True)
                 journal.append(record["event"], **fields)
             return target
 
