@@ -8,7 +8,7 @@ the autograd tape:
 1. run one forward pass and collect the recorded operation graph;
 2. start a channel "tag" at the output of every conv/linear producer;
 3. propagate tags forward through channel-preserving ops (ReLU, pooling,
-   batch-norm arithmetic, padding, flatten — tracked with a column group
+   batch norm, padding, flatten — tracked with a column group
    size — and global average pooling);
 4. a tag entering the *data* input of a convolution or linear marks that
    layer as a consumer and stops;
@@ -79,9 +79,13 @@ class CoupledGroup:
 # Trace machinery
 # ----------------------------------------------------------------------
 
+# Elementwise ops keep the channel axis; a tag meeting another at a binary
+# op merges the two groups. ``mean`` is global average pooling, which
+# collapses the spatial axes but keeps channels.
 _PRESERVING_OPS = {"relu", "max_pool2d", "avg_pool2d", "pad2d", "dropout",
                    "neg", "clip", "abs", "sigmoid", "tanh", "exp", "log",
-                   "sqrt", "maximum", "minimum", "where"}
+                   "sqrt", "maximum", "minimum", "where", "add", "sub", "mul",
+                   "mean"}
 
 
 def build_operation_graph(model: Module, input_shape: tuple[int, int, int]
@@ -165,17 +169,6 @@ def _producer_output_nodes(graph: nx.DiGraph,
     return result
 
 
-def _bn_of_node(t: Tensor, param_owner: dict[int, tuple[str, Module]]) -> str | None:
-    """If ``t`` is (a reshape of) a batch-norm affine parameter, its path."""
-    probe = t
-    if probe._op == "reshape" and probe._parents:
-        probe = probe._parents[0]
-    owner = param_owner.get(id(probe))
-    if owner is not None and isinstance(owner[1], BatchNorm2d):
-        return owner[0]
-    return None
-
-
 def trace_coupled_groups(model: Module,
                          input_shape: tuple[int, int, int]) -> list[CoupledGroup]:
     """Derive all coupled channel groups of a model automatically."""
@@ -226,25 +219,12 @@ def trace_coupled_groups(model: Module,
                 continue
             if op in _PRESERVING_OPS:
                 worklist.append((child_id, root, group_size))
-            elif op in ("add", "sub"):
-                other = child._parents[1 - index] if len(child._parents) == 2 else None
-                if other is not None:
-                    bn_path = _bn_of_node(other, param_owner)
-                    if bn_path is not None:
-                        bns[root].add(bn_path)
-                worklist.append((child_id, root, group_size))
-            elif op == "mul":
-                other = child._parents[1 - index] if len(child._parents) == 2 else None
-                if other is not None:
-                    bn_path = _bn_of_node(other, param_owner)
-                    if bn_path is not None:
-                        bns[root].add(bn_path)
-                worklist.append((child_id, root, group_size))
-            elif op == "mean":
-                # Global average pooling collapses the spatial axes but
-                # keeps channels; other means (BN statistics) feed back
-                # into preserving arithmetic with the same channel axis.
-                worklist.append((child_id, root, group_size))
+            elif op == "batch_norm":
+                # One node per BatchNorm2d: (x, weight, bias). A tag on x
+                # passes through, and the layer joins the group's BNs.
+                if index == 0:
+                    bns[root].add(param_owner[id(child._parents[1])][0])
+                    worklist.append((child_id, root, group_size))
             elif op == "reshape":
                 parent_t: Tensor = graph.nodes[node_id]["t"]
                 if (parent_t.ndim == 4 and child.ndim == 2

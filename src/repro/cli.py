@@ -184,10 +184,13 @@ def _resume_run(args):
     tr_dict["lr_milestones"] = tuple(tr_dict.get("lr_milestones", ()))
     # Journals of older versions also record retired settings: the
     # worker-pool ones (the framework refuses any run that used them,
-    # workers > 0) and two numerically inert trainer switches.
+    # workers > 0), two numerically inert trainer switches, and
+    # ``fused_reg``. That one was not inert: closed-form penalty gradients
+    # are now the default objective, so a resumed older run continues
+    # under this build's numerics whichever value it recorded.
     cfg_dict.pop("supervision", None)
     for key in ("workers", "grad_transport", "grad_bucket_kb",
-                "prefetch", "track_terms"):
+                "prefetch", "track_terms", "fused_reg"):
         tr_dict.pop(key, None)
     config = FrameworkConfig(**cfg_dict)
     training = TrainingConfig(**tr_dict)

@@ -223,10 +223,11 @@ class FusedRegularizer:
     each weight's ``.grad`` (call it *after* the cross-entropy backward)
     and returns the penalty values, which fall out of the gradient
     computation for free. Agreement with the autograd path is pinned by
-    gradcheck in ``tests/parallel/test_fused_regularizers.py``.
+    gradcheck in ``tests/core/test_fused_regularizers.py``.
 
-    Only ``orth_mode="kernel"`` (the training default) has a closed form
-    here; ``conv``/``toeplitz`` must keep using the autograd path.
+    :class:`~repro.core.trainer.Trainer` uses it for its default
+    objective. Only ``orth_mode="kernel"`` (the training default) has a
+    closed form here; ``conv``/``toeplitz`` keep using the autograd path.
     """
 
     def __init__(self, lambda1: float = 1e-4, lambda2: float = 1e-2,
@@ -273,11 +274,7 @@ class FusedRegularizer:
                 weight.grad = grad
             else:
                 # One in-place add of the fully-assembled penalty gradient:
-                # elementwise identical to ``weight.grad + grad`` (the
-                # association of the penalty terms inside ``grad`` is
-                # unchanged), but never reallocates — ``weight.grad`` may
-                # be a view into the sharded trainer's preallocated
-                # reduction accumulators.
+                # elementwise identical to ``weight.grad + grad``.
                 np.add(weight.grad, grad, out=weight.grad)
         if not saw_weight:
             raise ValueError("model contains no conv or linear layers")

@@ -17,7 +17,7 @@ from ..optim import SGD, MultiStepLR
 from ..resilience.sentinels import (HealthMonitor, NumericalHealthError,
                                     SentinelConfig, SentinelEvent)
 from ..tensor import Tensor, inference_mode
-from .regularizers import ModifiedLoss
+from .regularizers import FusedRegularizer, ModifiedLoss
 
 __all__ = ["TrainingConfig", "EpochStats", "TrainingHistory", "Trainer",
            "evaluate_model"]
@@ -43,9 +43,6 @@ class TrainingConfig:
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1
     seed: int = 0
-    #: Use closed-form regularizer gradients instead of the autograd
-    #: penalty graph (kernel orth mode only).
-    fused_reg: bool = False
 
     def loss(self) -> ModifiedLoss:
         """The modified cost function this config describes."""
@@ -176,21 +173,17 @@ class Trainer:
         self.test_dataset = test_dataset
         self.config = config or TrainingConfig()
         self.sentinel = sentinel
-        if self.config.fused_reg and loss_fn is not None:
-            raise ValueError(
-                "a custom loss_fn cannot be combined with fused_reg: the "
-                "fused path computes cross entropy plus the closed-form "
-                "Eq. 2 penalties and would silently ignore the override")
-        if self.config.fused_reg:
-            from .regularizers import FusedRegularizer
-            self._fused = FusedRegularizer(self.config.lambda1,
-                                           self.config.lambda2,
-                                           self.config.orth_mode)
+        # Baselines (SSS, TPP, OrthConv) and distillation substitute their
+        # own regularised objectives here; anything with the ModifiedLoss
+        # call signature works, and runs through autograd. So do the
+        # conv/toeplitz orthogonality forms, which have no closed form.
+        self.loss_fn = loss_fn if loss_fn is not None else self.config.loss()
+        cfg = self.config
+        if loss_fn is None and (cfg.orth_mode == "kernel" or cfg.lambda2 == 0):
+            self._fused = FusedRegularizer(cfg.lambda1, cfg.lambda2,
+                                           cfg.orth_mode)
         else:
             self._fused = None
-        # Baselines (SSS, TPP, OrthConv) substitute their own regularised
-        # objectives here; anything with the ModifiedLoss call signature works.
-        self.loss_fn = loss_fn if loss_fn is not None else self.config.loss()
         # Called after every optimizer step; unstructured pruning uses it
         # to re-apply weight masks so masked entries stay zero.
         self.post_step = post_step
@@ -210,6 +203,31 @@ class Trainer:
         """
         self.optimizer.rebind(self.model.parameters())
 
+    def _backward(self, logits: Tensor, labels) -> tuple[float, float,
+                                                         float, float]:
+        """Backpropagate one batch's objective into the parameters' grads.
+
+        Returns the ``(total, cross entropy, l1, orth)`` values. The
+        default Eq. 1 objective backpropagates cross entropy through the
+        tape, then :class:`~repro.core.regularizers.FusedRegularizer`
+        adds the closed-form Eq. 2 penalty gradients, skipping a per-batch
+        penalty graph over every weight; its penalty values fall out of
+        the gradient computation. Any other objective runs through
+        autograd.
+        """
+        if self._fused is None:
+            terms = self.loss_fn(self.model, logits, labels)
+            terms.total.backward()
+            return (float(terms.total.data), terms.cross_entropy, terms.l1,
+                    terms.orth)
+        ce = cross_entropy(logits, labels)
+        ce.backward()
+        l1, orth = self._fused.accumulate(self.model)
+        ce_value = float(ce.data)
+        cfg = self.config
+        return (ce_value + cfg.lambda1 * l1 + cfg.lambda2 * orth, ce_value,
+                l1, orth)
+
     def _run_epoch(self, loader: DataLoader, epoch: int,
                    monitor: HealthMonitor | None):
         """One optimisation epoch.
@@ -219,62 +237,13 @@ class Trainer:
         between ``backward`` and the optimiser step, so a poisoned update
         is never applied to the weights.
         """
-        if self._fused is not None:
-            return self._run_epoch_fused(loader, epoch, monitor)
         sums = {"loss": 0.0, "ce": 0.0, "l1": 0.0, "orth": 0.0, "acc": 0.0}
         batches = 0
         for step, (images, labels) in enumerate(loader):
             self.optimizer.zero_grad()
             logits = self.model(Tensor(images))
-            terms = self.loss_fn(self.model, logits, labels)
+            total, ce, l1, orth = self._backward(logits, labels)
             if monitor is not None:
-                event = monitor.observe_loss(float(terms.total.data),
-                                             epoch, step)
-                if event is not None:
-                    return event
-            terms.total.backward()
-            if monitor is not None:
-                event = monitor.observe_gradients(
-                    self.model.named_parameters(), epoch, step)
-                if event is not None:
-                    return event
-            self.optimizer.step()
-            if self.post_step is not None:
-                self.post_step()
-            sums["loss"] += float(terms.total.data)
-            sums["ce"] += terms.cross_entropy
-            sums["l1"] += terms.l1
-            sums["orth"] += terms.orth
-            sums["acc"] += accuracy(logits, labels)
-            batches += 1
-        return sums, batches
-
-    def _run_epoch_fused(self, loader: DataLoader, epoch: int,
-                         monitor: HealthMonitor | None):
-        """Serial epoch with closed-form regularizer gradients.
-
-        Cross entropy backpropagates through the tape; the Eq. 2 penalty
-        gradients are then added analytically by
-        :class:`~repro.core.regularizers.FusedRegularizer`, skipping the
-        per-batch penalty graph over every weight matrix. The penalty
-        *values* fall out of the gradient computation for free, so the
-        history stays fully populated.
-        """
-        cfg = self.config
-        sums = {"loss": 0.0, "ce": 0.0, "l1": 0.0, "orth": 0.0, "acc": 0.0}
-        batches = 0
-        for step, (images, labels) in enumerate(loader):
-            self.optimizer.zero_grad()
-            logits = self.model(Tensor(images))
-            ce = cross_entropy(logits, labels)
-            ce.backward()
-            l1_value, orth_value = self._fused.accumulate(self.model)
-            ce_value = float(ce.data)
-            total = (ce_value + cfg.lambda1 * l1_value
-                     + cfg.lambda2 * orth_value)
-            if monitor is not None:
-                # Gradients are complete here, before the optimiser step,
-                # so a poisoned update is never applied to the weights.
                 event = (monitor.observe_loss(total, epoch, step)
                          or monitor.observe_gradients(
                              self.model.named_parameters(), epoch, step))
@@ -284,9 +253,9 @@ class Trainer:
             if self.post_step is not None:
                 self.post_step()
             sums["loss"] += total
-            sums["ce"] += ce_value
-            sums["l1"] += l1_value
-            sums["orth"] += orth_value
+            sums["ce"] += ce
+            sums["l1"] += l1
+            sums["orth"] += orth
             sums["acc"] += accuracy(logits, labels)
             batches += 1
         return sums, batches

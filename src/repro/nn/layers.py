@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, conv, ops
+from ..tensor.tensor import _tape_active
 from . import init as init_mod
 from .module import Module
 
@@ -201,7 +202,12 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation over the channel axis of NCHW tensors."""
+    """Batch normalisation over the channel axis of NCHW tensors.
+
+    The forward is one ``batch_norm`` tape node with a closed-form
+    backward, in train and eval mode alike. Outputs keep the input's
+    memory layout, so channels-last activations stay channels-last.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -214,39 +220,61 @@ class BatchNorm2d(Module):
                            requires_grad=True, name="bias")
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
-        # (batch_mean, biased batch_var, n) of the most recent training
-        # forward; the sharded trainer reads it to reduce per-shard batch
-        # statistics into the parent's running stats.
-        object.__setattr__(self, "last_batch_stats", None)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
+        axes = (0, 2, 3)
+        data = x.data
         if self.training:
-            mean = ops.mean(x, axis=(0, 2, 3), keepdims=True)
-            centered = ops.sub(x, mean)
-            var = ops.mean(ops.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
+            mean = data.mean(axis=axes, keepdims=True)
+            normed = data - mean
+            var = (normed * normed).mean(axis=axes, keepdims=True)
             # Update running statistics outside the graph.
             m = self.momentum
-            batch_mean = mean.data.reshape(-1)
-            batch_var = var.data.reshape(-1)
+            batch_mean = mean.reshape(-1)
+            batch_var = var.reshape(-1)
             n = x.shape[0] * x.shape[2] * x.shape[3]
             unbiased = batch_var * n / max(n - 1, 1)
-            object.__setattr__(self, "last_batch_stats",
-                               (batch_mean, batch_var, n))
             object.__setattr__(self, "running_mean",
                                (1 - m) * self.running_mean + m * batch_mean)
             object.__setattr__(self, "running_var",
                                (1 - m) * self.running_var + m * unbiased)
-            inv_std = ops.pow(ops.add(var, self.eps), -0.5)
-            normed = ops.mul(centered, inv_std)
+            inv_std = (var + np.float32(self.eps)) ** -0.5
+            normed *= inv_std
         else:
-            mean = self.running_mean.reshape(1, -1, 1, 1)
-            inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(1, -1, 1, 1)
-            normed = ops.mul(ops.sub(x, Tensor(mean)), Tensor(inv_std))
-        gamma = ops.reshape(self.weight, (1, self.num_features, 1, 1))
-        beta = ops.reshape(self.bias, (1, self.num_features, 1, 1))
-        return ops.add(ops.mul(normed, gamma), beta)
+            mean = np.asarray(self.running_mean, dtype=np.float32)
+            inv_std = np.asarray(1.0 / np.sqrt(self.running_var + self.eps),
+                                 dtype=np.float32).reshape(1, -1, 1, 1)
+            normed = data - mean.reshape(1, -1, 1, 1)
+            normed *= inv_std
+        gamma = self.weight.data.reshape(1, -1, 1, 1)
+        out = normed * gamma
+        out += self.bias.data.reshape(1, -1, 1, 1)
+        parents = (x, self.weight, self.bias)
+        if not _tape_active(*parents):
+            return Tensor._make(out, (), "batch_norm", None)
+        weight, bias, training = self.weight, self.bias, self.training
+
+        def backward(grad):
+            gw = (grad * normed).sum(axis=axes, keepdims=True)
+            gb = grad.sum(axis=axes, keepdims=True)
+            gx = None
+            if x.requires_grad:
+                if training:
+                    # d/dx of (x - mean(x)) / std(x) over the batch:
+                    # (γ/σ)·(g − mean(g) − x̂·mean(g·x̂)).
+                    count = grad.size // grad.shape[1]
+                    gx = grad - gb / count
+                    gx -= normed * (gw / count)
+                    gx *= gamma * inv_std
+                else:
+                    gx = grad * gamma * inv_std
+            return (gx,
+                    gw.reshape(-1) if weight.requires_grad else None,
+                    gb.reshape(-1) if bias.requires_grad else None)
+
+        return Tensor._make(out, parents, "batch_norm", backward)
 
     # -- surgery --------------------------------------------------------
     def select_channels(self, keep: np.ndarray) -> None:

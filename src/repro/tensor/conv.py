@@ -8,11 +8,11 @@ builds that sparse matrix explicitly for the orthogonality regulariser.
 
 Shapes follow the NCHW convention used by the rest of the code base:
 inputs are ``(N, C, H, W)``, convolution weights are ``(O, C, KH, KW)``.
+Memory is channels-last: ``conv2d`` and ``max_pool2d`` return NCHW views
+over NHWC memory, so the lowering reads contiguous channels.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -21,8 +21,7 @@ from .tensor import Tensor, _tape_active
 
 __all__ = [
     "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
-    "im2col", "col2im", "im2col_signature", "clear_im2col_cache",
-    "conv_output_size", "IM2COL_CACHE_SIZE",
+    "im2col", "col2im", "conv_output_size",
 ]
 
 
@@ -31,119 +30,69 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-class ColSignature:
-    """Precomputed geometry of one im2col lowering.
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """``(N, H, W, C)`` C-contiguous view of an ``(N, C, H, W)`` array.
 
-    Holds the output extent for a ``(C, H, W, kh, kw, stride, padding,
-    dtype)`` signature; :func:`im2col_signature` memoizes the whole
-    object, so repeated forward passes on fixed shapes (the training and
-    inference steady state) never recompute it.
-
-    The element dtype is part of the signature: the quantized engine lowers
-    int8 activations through the same geometries as the float32 engine, and
-    the two never share an entry.
+    Free for the NCHW views over NHWC memory that convolutions, batch norm
+    and pooling return; one transposing copy for NCHW-contiguous inputs.
     """
-
-    __slots__ = ("c", "h", "w", "kh", "kw", "stride", "padding", "dtype",
-                 "oh", "ow")
-
-    def __init__(self, c: int, h: int, w: int, kh: int, kw: int,
-                 stride: int, padding: int, dtype=np.float32):
-        self.c, self.h, self.w = c, h, w
-        self.kh, self.kw = kh, kw
-        self.stride, self.padding = stride, padding
-        self.dtype = np.dtype(dtype)
-        self.oh = conv_output_size(h, kh, stride, padding)
-        self.ow = conv_output_size(w, kw, stride, padding)
-
-    @property
-    def padded_extent(self) -> tuple[int, int]:
-        return self.h + 2 * self.padding, self.w + 2 * self.padding
-
-
-# Bounded LRU of ColSignature objects. A handful of distinct shapes exist
-# per network (one per layer geometry), so the bound is generous; it only
-# guards against unbounded growth in long-lived processes that sweep many
-# resolutions.
-IM2COL_CACHE_SIZE = 128
-_SIGNATURE_CACHE: OrderedDict[tuple, ColSignature] = OrderedDict()
-
-
-def im2col_signature(c: int, h: int, w: int, kh: int, kw: int,
-                     stride: int, padding: int,
-                     dtype=np.float32) -> ColSignature:
-    """Memoized :class:`ColSignature` for an im2col geometry + dtype."""
-    dtype = np.dtype(dtype)
-    key = (c, h, w, kh, kw, stride, padding, dtype)
-    sig = _SIGNATURE_CACHE.get(key)
-    if sig is not None:
-        _SIGNATURE_CACHE.move_to_end(key)
-        return sig
-    sig = ColSignature(*key)
-    _SIGNATURE_CACHE[key] = sig
-    while len(_SIGNATURE_CACHE) > IM2COL_CACHE_SIZE:
-        _SIGNATURE_CACHE.popitem(last=False)
-    return sig
-
-
-def clear_im2col_cache() -> None:
-    """Drop all memoized im2col signatures (tests and memory pressure)."""
-    _SIGNATURE_CACHE.clear()
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Lower image patches into one GEMM-ready column matrix.
+    """Lower image patches into one GEMM-ready row matrix.
 
     Parameters
     ----------
     x:
-        Input array ``(N, C, H, W)``.
+        Input array ``(N, C, H, W)`` in any memory layout.
 
     Returns
     -------
-    ``(C*kh*kw, N*OH*OW)`` array: row ``(c, i, j)`` holds kernel tap
-    ``(i, j)`` of channel ``c``, column ``(n, y, x)`` one receptive field.
-    A padded input is written once into a zero-filled buffer; the columns
-    are then one strided copy of it, so ``W.reshape(O, -1) @ cols`` is the
-    whole batch's convolution in a single matrix product.
+    ``(N*OH*OW, kh*kw*C)`` array: row ``(n, y, x)`` holds one receptive
+    field, column ``(i, j, c)`` kernel tap ``(i, j)`` of channel ``c`` —
+    the tap order of the int8 engine's lowering. The input is read as
+    channels-last (zero-padded into an NHWC buffer when ``padding > 0``),
+    so the rows are one strided copy whose inner run is ``kw*C``
+    contiguous elements.
     """
     n, c, h, w = x.shape
-    sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=x.dtype)
-    oh, ow = sig.oh, sig.ow
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
     if padding > 0:
-        hp, wp = sig.padded_extent
-        padded = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
-        x = padded
-    sn, sc, sh, sw = x.strides
+        xh = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xh[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    else:
+        xh = _channels_last(x)
+    sn, sh, sw, sc = xh.strides
     patches = as_strided(
-        x,
-        shape=(c, kh, kw, n, oh, ow),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        xh,
+        shape=(n, oh, ow, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return np.ascontiguousarray(patches).reshape(c * kh * kw, n * oh * ow)
+    return np.ascontiguousarray(patches).reshape(n * oh * ow, kh * kw * c)
 
 
-def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
+def col2im(rows: np.ndarray, x_shape: tuple[int, int, int, int],
            kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add ``(C*kh*kw, N*OH*OW)``
-    columns back to an ``(N, C, H, W)`` image."""
+    """Adjoint of :func:`im2col`: scatter-add ``(N*OH*OW, kh*kw*C)`` rows
+    back to an ``(N, C, H, W)`` image (an NCHW view over NHWC memory).
+
+    Taps are added in ``(i, j)`` order, each as one strided add whose
+    inner run is ``C`` contiguous elements.
+    """
     n, c, h, w = x_shape
-    sig = im2col_signature(c, h, w, kh, kw, stride, padding, dtype=cols.dtype)
-    oh, ow = sig.oh, sig.ow
-    hp, wp = sig.padded_extent
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    xt = x.transpose(1, 0, 2, 3)                   # (C, N, Hp, Wp) view
-    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    x = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=rows.dtype)
+    rows6 = rows.reshape(n, oh, ow, kh, kw, c)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            xt[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, i, j]
-    if padding > 0:
-        return x[:, :, padding:hp - padding, padding:wp - padding]
-    return x
+            x[:, i:i_max:stride, j:j_max:stride] += rows6[:, :, :, i, j]
+    return x[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -160,20 +109,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         Optional per-output-channel bias ``(O,)``.
 
     The forward, input-gradient and weight-gradient products are one
-    ``np.matmul`` each over the whole batch's :func:`im2col` columns.
+    ``np.matmul`` each over the whole batch's :func:`im2col` rows, against
+    the filters in ``(O, KH*KW*C)`` tap order. The output is an NCHW view
+    over channels-last memory, which the elementwise layers, batch norm and
+    pooling keep, so the next convolution reads contiguous channels.
     """
     n, c, h, w = x.shape
     o, c_w, kh, kw = weight.shape
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    sig = im2col_signature(c, h, w, kh, kw, stride, padding)
-    oh, ow = sig.oh, sig.ow
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, kh, kw, stride, padding)       # (C*KH*KW, N*OH*OW)
-    w2d = weight.data.reshape(o, -1)                     # (O, C*KH*KW)
-    # One (N*OH*OW, O) product: channels-last memory behind an NCHW view,
-    # which the elementwise layers keep and the pooling windows favour.
-    rows = np.matmul(cols.T, w2d.T)
+    cols = im2col(x.data, kh, kw, stride, padding)       # (N*OH*OW, KH*KW*C)
+    w2d = weight.data.transpose(0, 2, 3, 1).reshape(o, -1)   # (O, KH*KW*C)
+    rows = np.matmul(cols, w2d.T)                        # (N*OH*OW, O)
     if bias is not None:
         np.add(rows, bias.data, out=rows)
     out = rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
@@ -186,10 +136,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         grad_rows = grad.transpose(0, 2, 3, 1).reshape(-1, o)
         gx = gw = gb = None
         if x.requires_grad:
-            dcols = np.matmul(w2d.T, grad_rows.T)        # (C*KH*KW, N*OH*OW)
-            gx = col2im(dcols, (n, c, h, w), kh, kw, stride, padding)
+            gx = col2im(np.matmul(grad_rows, w2d), (n, c, h, w),
+                        kh, kw, stride, padding)
         if weight.requires_grad:
-            gw = np.matmul(grad_rows.T, cols.T).reshape(weight.shape)
+            gw = np.ascontiguousarray(
+                np.matmul(grad_rows.T, cols).reshape(o, kh, kw, c)
+                .transpose(0, 3, 1, 2))
         if bias is not None and bias.requires_grad:
             gb = grad_rows.sum(axis=0)
         if bias is None:
@@ -200,39 +152,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Windows are swept over channels-last memory as ``kernel²`` strided tap
+    views, and the result is an NCHW view over NHWC memory, so a following
+    convolution reads contiguous channels. Where a window holds several
+    equal maxima, the first in ``(i, j)`` tap order takes the gradient.
+    """
     stride = stride or kernel
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride, 0)
     ow = conv_output_size(w, kernel, stride, 0)
-    sn, sc, sh, sw = x.data.strides
-    windows = as_strided(
-        x.data,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
+    xh = _channels_last(x.data)
+    taps = [xh[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            for i in range(kernel) for j in range(kernel)]
+    out = taps[0].copy()
     if not _tape_active(x):
         # Forward-only: skip the argmax bookkeeping the backward needs.
-        return Tensor._make(np.ascontiguousarray(windows.max(axis=(-2, -1))),
-                            (), "max_pool2d", None)
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        return Tensor._make(out.transpose(0, 3, 1, 2), (), "max_pool2d", None)
+    # Flat (i, j) index of each window's first maximum.
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    for t, tap in enumerate(taps[1:], start=1):
+        better = tap > out
+        np.copyto(argmax, t, where=better)
+        np.maximum(out, tap, out=out)
 
     def backward(grad):
-        gx = np.zeros_like(x.data)
-        # Convert flat window argmax back to absolute coordinates.
-        ki, kj = np.unravel_index(argmax, (kernel, kernel))
-        oy, ox_ = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        rows = oy[None, None] * stride + ki
-        cols_ = ox_[None, None] * stride + kj
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (ni, ci, rows, cols_), grad)
-        return (gx,)
+        g = grad.transpose(0, 2, 3, 1)
+        gx = np.zeros((n, h, w, c), dtype=grad.dtype)
+        zero = np.zeros((), dtype=grad.dtype)
+        for t in range(kernel * kernel):
+            i, j = divmod(t, kernel)
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
+                np.where(argmax == t, g, zero)
+        return (gx.transpose(0, 3, 1, 2),)
 
-    return Tensor._make(np.ascontiguousarray(out), (x,), "max_pool2d", backward)
+    return Tensor._make(out.transpose(0, 3, 1, 2), (x,), "max_pool2d", backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:

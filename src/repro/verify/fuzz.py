@@ -144,6 +144,17 @@ def _t_distinct(rng: np.random.Generator, shape, gap: float = 0.1) -> Tensor:
     return Tensor(flat.reshape(shape).astype(np.float32), requires_grad=True)
 
 
+def _layout(rng: np.random.Generator, t: Tensor) -> str:
+    """Leave ``t`` as drawn, or half the time move it to an NCHW view over
+    channels-last memory: the layout convolution, batch norm and pooling
+    outputs have. Returns the layout's name for the case note."""
+    if rng.random() < 0.5:
+        return "nchw"
+    t.data = np.ascontiguousarray(
+        t.data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return "nhwc"
+
+
 def _broadcast_partner(rng: np.random.Generator, shape) -> tuple[int, ...]:
     """A shape that numpy-broadcasts against ``shape``."""
     out = list(shape)
@@ -446,8 +457,9 @@ def _build_pool(op, distinct: bool):
         size = kernel + int(rng.integers(0, 4))
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)), size, size)
         x = _t_distinct(rng, shape) if distinct else _t(rng, shape)
+        layout = _layout(rng, x) if distinct else "nchw"
         return FuzzCase(lambda a: op(a, kernel, stride_arg), [x],
-                        note=f"k={kernel} s={stride_arg} in={size}")
+                        note=f"k={kernel} s={stride_arg} in={size} {layout}")
     return build
 
 
@@ -511,8 +523,14 @@ def _build_nn_batchnorm(rng):
             np.float32)
     shape = (int(rng.integers(2, 4)), c, int(rng.integers(2, 4)),
              int(rng.integers(2, 4)))
-    return _layer_case(layer, _t(rng, shape),
-                       note="train" if training else "eval")
+    x = _t(rng, shape)
+    layout = _layout(rng, x)
+    # Train-mode outputs sum to β per channel whatever x is, so a plain
+    # sum would leave the input gradient unchecked: weight the outputs.
+    weights = Tensor(rng.uniform(-1.0, 1.0, size=shape).astype(np.float32))
+    params = list(layer.parameters())
+    return FuzzCase(lambda xi, *ps: ops.mul(layer(xi), weights), [x] + params,
+                    note=f"{'train' if training else 'eval'} {layout}")
 
 
 @register_spec("nn.ReLU", ["nn.ReLU"])
@@ -528,7 +546,7 @@ def _build_nn_maxpool(rng):
     size = kernel + int(rng.integers(0, 3))
     layer = MaxPool2d(kernel)
     x = _t_distinct(rng, (1, int(rng.integers(1, 3)), size, size))
-    return _layer_case(layer, x, note=f"k={kernel}")
+    return _layer_case(layer, x, note=f"k={kernel} {_layout(rng, x)}")
 
 
 @register_spec("nn.AvgPool2d", ["nn.AvgPool2d"])
@@ -678,8 +696,7 @@ def _build_orth(rng):
 # and introspection helpers, non-differentiable utilities, and the grad
 # checker itself.
 NON_DIFFERENTIABLE: dict[str, set[str]] = {
-    "conv": {"im2col", "col2im", "im2col_signature", "clear_im2col_cache",
-             "conv_output_size", "IM2COL_CACHE_SIZE"},
+    "conv": {"im2col", "col2im", "conv_output_size"},
     "nn": {"Module", "Sequential", "HookHandle", "init", "accuracy"},
 }
 

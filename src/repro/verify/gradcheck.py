@@ -28,24 +28,33 @@ def numerical_grad(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     """Central-difference gradient of ``sum(fn(*inputs))`` w.r.t. one input.
 
     The inputs are perturbed in float64 to keep the difference quotient
-    numerically meaningful.
+    numerically meaningful. Every perturbed copy keeps the input's memory
+    layout (an NCHW view over channels-last memory stays one), so layout-
+    dependent kernels are differenced on the layout they were called with.
     """
     target = inputs[wrt]
-    base = target.data.astype(np.float64)
+    layout = target.data
+    base = np.ascontiguousarray(layout, dtype=np.float64)
     grad = np.zeros_like(base)
     flat = base.reshape(-1)
     grad_flat = grad.reshape(-1)
+
+    def load() -> None:
+        data = np.empty_like(layout, dtype=np.float32)
+        data[...] = base
+        target.data = data
+
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + eps
-        target.data = base.astype(np.float32)
+        load()
         plus = float(fn(*inputs).data.sum())
         flat[i] = original - eps
-        target.data = base.astype(np.float32)
+        load()
         minus = float(fn(*inputs).data.sum())
         flat[i] = original
         grad_flat[i] = (plus - minus) / (2 * eps)
-    target.data = base.astype(np.float32)
+    load()
     return grad
 
 

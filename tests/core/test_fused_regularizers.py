@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.regularizers import (FusedRegularizer, _eye, l1_regularizer,
-                                     orthogonality_term)
+from repro.core.regularizers import (FusedRegularizer, ModifiedLoss, _eye,
+                                     l1_regularizer, orthogonality_term)
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data import make_cifar_like
 from repro.models import build_model
@@ -96,13 +96,17 @@ def test_non_kernel_orth_mode_rejected():
     FusedRegularizer(lambda2=0.0, orth_mode="conv")
 
 
-def _train_one_epoch(fused_reg):
+def _train_one_epoch(fused, samples_per_class=12, **overrides):
+    """One seeded epoch; ``fused=False`` passes the config's own
+    ModifiedLoss explicitly, which runs it through autograd."""
     model = _tiny_model()
     train, _ = make_cifar_like(num_classes=3, image_size=8,
-                               samples_per_class=12, seed=0)
+                               samples_per_class=samples_per_class, seed=0)
     config = TrainingConfig(epochs=1, batch_size=16, lr=0.05, seed=0,
-                            fused_reg=fused_reg)
-    return model, Trainer(model, train, config=config).train()
+                            **overrides)
+    loss_fn = None if fused else config.loss()
+    return model, Trainer(model, train, config=config,
+                          loss_fn=loss_fn).train()
 
 
 def _history_rows(history):
@@ -132,19 +136,56 @@ def test_fused_trainer_epoch_matches_autograd_and_reproduces():
                                    err_msg=key)
 
 
-def test_custom_loss_fn_rejected_with_fused_reg():
-    model = _tiny_model()
-    train, _ = make_cifar_like(num_classes=3, image_size=8,
-                               samples_per_class=2, seed=0)
-    with pytest.raises(ValueError, match="loss_fn"):
-        Trainer(model, train, config=TrainingConfig(fused_reg=True),
-                loss_fn=lambda m, logits, targets: None)
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Count per-batch calls of the fused and the autograd objective."""
+    calls = {"fused": 0, "autograd": 0}
+    accumulate = FusedRegularizer.accumulate
+    modified = ModifiedLoss.__call__
+
+    def counted_accumulate(self, model):
+        calls["fused"] += 1
+        return accumulate(self, model)
+
+    def counted_modified(self, *args):
+        calls["autograd"] += 1
+        return modified(self, *args)
+
+    monkeypatch.setattr(FusedRegularizer, "accumulate", counted_accumulate)
+    monkeypatch.setattr(ModifiedLoss, "__call__", counted_modified)
+    return calls
 
 
-def test_non_kernel_orth_rejected_with_fused_reg():
+def test_default_runs_fused_objective(objective_calls):
+    _, history = _train_one_epoch(True, samples_per_class=6)
+    assert objective_calls == {"fused": 2, "autograd": 0}   # 18 samples
+    assert history.epochs[0].orth > 0 and history.epochs[0].l1 > 0
+
+
+def test_custom_loss_fn_runs_autograd_objective(objective_calls):
     model = _tiny_model()
     train, _ = make_cifar_like(num_classes=3, image_size=8,
-                               samples_per_class=2, seed=0)
-    with pytest.raises(ValueError, match="kernel"):
-        Trainer(model, train,
-                config=TrainingConfig(fused_reg=True, orth_mode="conv"))
+                               samples_per_class=6, seed=0)
+    seen = []
+
+    def loss_fn(m, logits, targets):
+        seen.append(len(targets))
+        return ModifiedLoss(lambda1=0.0, lambda2=0.0)(m, logits, targets)
+
+    history = Trainer(model, train,
+                      config=TrainingConfig(epochs=1, batch_size=16),
+                      loss_fn=loss_fn).train()
+    assert seen == [16, 2]
+    assert objective_calls == {"fused": 0, "autograd": 2}
+    assert history.epochs[0].l1 == 0.0 and history.epochs[0].orth == 0.0
+
+
+def test_non_kernel_orth_runs_autograd_objective(objective_calls):
+    _, history = _train_one_epoch(True, samples_per_class=6,
+                                  orth_mode="conv")
+    assert objective_calls == {"fused": 0, "autograd": 2}
+    assert history.epochs[0].orth > 0
+    # λ2 = 0 makes the orth form irrelevant: the fused objective runs.
+    _train_one_epoch(True, samples_per_class=6, orth_mode="conv",
+                     lambda2=0.0)
+    assert objective_calls == {"fused": 2, "autograd": 2}

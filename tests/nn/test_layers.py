@@ -128,6 +128,29 @@ class TestBatchNorm2d:
         x = Tensor(rand((3, 2, 3, 3), seed=13), requires_grad=True)
         check_gradients(lambda x: bn(x), [x])
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_one_node_gradcheck_channels_last(self, training):
+        # One batch_norm tape node over (x, weight, bias), gradchecked for
+        # all three on an NCHW view over NHWC memory (the layout conv
+        # outputs have), which the output keeps.
+        rng = np.random.default_rng(15)
+        bn = BatchNorm2d(3)
+        bn.weight.data = rng.normal(size=3).astype(np.float32)
+        bn.bias.data = rng.normal(size=3).astype(np.float32)
+        bn.running_mean[:] = rng.normal(size=3)
+        bn.running_var[:] = np.exp(rng.normal(size=3))
+        bn.train(training)
+        nhwc = rand((3, 4, 2, 3), seed=16)
+        x = Tensor(nhwc.transpose(0, 3, 1, 2), requires_grad=True)
+        out = bn(x)
+        assert out._op == "batch_norm"
+        assert out._parents == (x, bn.weight, bn.bias)
+        assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        # Weighted outputs: in train mode a plain sum is constant in x.
+        weights = Tensor(rand((3, 3, 4, 2), seed=17))
+        check_gradients(lambda x, w, b: bn(x) * weights,
+                        [x, bn.weight, bn.bias])
+
     def test_affine_parameters_receive_gradients(self):
         bn = BatchNorm2d(2)
         bn(Tensor(rand((3, 2, 3, 3), seed=14))).sum().backward()

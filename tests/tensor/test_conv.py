@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import (Tensor, avg_pool2d, check_gradients, conv2d,
-                          conv_output_size, max_pool2d)
+                          conv_output_size, max_pool2d, no_grad)
 from repro.tensor.conv import col2im, im2col
 
 
@@ -38,6 +38,29 @@ class TestConvOutputSize:
         assert conv_output_size(size, k, s, p) == expected
 
 
+def naive_im2col(x, kh, kw, stride, padding):
+    """Loop reference of the ``(N*OH*OW, kh*kw*C)`` row layout."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    rows = np.zeros((n * oh * ow, kh * kw * c), dtype=x.dtype)
+    for ni in range(n):
+        for yi in range(oh):
+            for xi in range(ow):
+                for i in range(kh):
+                    for j in range(kw):
+                        for ci in range(c):
+                            rows[(ni * oh + yi) * ow + xi, (i * kw + j) * c + ci] = \
+                                xp[ni, ci, yi * stride + i, xi * stride + j]
+    return rows
+
+
+def channels_last(x):
+    """The same values as ``x``, as an NCHW view over NHWC memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 class TestIm2Col:
     def test_round_trip_is_multiplicity_weighted(self):
         # col2im(im2col(x)) adds each pixel once per window covering it;
@@ -46,28 +69,63 @@ class TestIm2Col:
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
         cols = im2col(x, 2, 2, stride=2, padding=0)
         back = col2im(cols, x.shape, 2, 2, stride=2, padding=0)
-        np.testing.assert_allclose(back, x, rtol=1e-6)
+        np.testing.assert_array_equal(back, x)
+        # Overlapping 3x3/stride-1 windows: the centre pixel of a 3x3
+        # image is covered once per tap.
+        x = np.ones((1, 2, 3, 3), dtype=np.float32)
+        back = col2im(im2col(x, 3, 3, 1, 1), x.shape, 3, 3, 1, 1)
+        assert back[0, 0, 1, 1] == 9 and back[0, 1, 0, 0] == 4
+
+    ADJOINT_CASES = [
+        (shape, k, stride, padding)
+        for shape, k in (((2, 3, 5, 5), 3), ((1, 2, 4, 7), 3),
+                         ((2, 1, 6, 3), 2), ((3, 2, 1, 1), 1),
+                         ((2, 3, 1, 1), 3))
+        for stride in (1, 2) for padding in (0, 1, 2)
+        if conv_output_size(min(shape[2:]), k, stride, padding) >= 1]
 
     def test_adjointness(self):
         # <im2col(x), y> == <x, col2im(y)> — the defining adjoint property
-        # that makes the conv backward pass correct. Two samples, so a
-        # column-to-sample mix-up in the (C*kh*kw, N*OH*OW) layout shows.
+        # that makes the conv backward pass correct — across strides 1/2,
+        # paddings 0/1/2, non-square and 1x1 spatial inputs. The rows also
+        # match a loop reference, so a row/tap/channel mix-up in the
+        # (N*OH*OW, kh*kw*C) layout shows.
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 2, 5, 5)).astype(np.float64)
-        for stride, padding in ((1, 1), (2, 0), (2, 2)):
-            cols = im2col(x, 3, 3, stride=stride, padding=padding)
-            oh = conv_output_size(5, 3, stride, padding)
-            assert cols.shape == (2 * 9, 2 * oh * oh)
+        for shape, k, stride, padding in self.ADJOINT_CASES:
+            n, c, h, w = shape
+            x = rng.normal(size=shape)
+            cols = im2col(x, k, k, stride=stride, padding=padding)
+            oh = conv_output_size(h, k, stride, padding)
+            ow = conv_output_size(w, k, stride, padding)
+            assert cols.shape == (n * oh * ow, k * k * c)
+            np.testing.assert_array_equal(
+                cols, naive_im2col(x, k, k, stride, padding))
             y = rng.normal(size=cols.shape)
-            lhs = (cols * y).sum()
-            rhs = (x * col2im(y, x.shape, 3, 3, stride=stride,
-                              padding=padding)).sum()
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            back = col2im(y, x.shape, k, k, stride=stride, padding=padding)
+            assert back.shape == x.shape
+            assert (cols * y).sum() == pytest.approx((x * back).sum(),
+                                                     rel=1e-10)
 
     def test_column_count(self):
         x = np.zeros((1, 2, 6, 6), dtype=np.float32)
         cols = im2col(x, 3, 3, stride=1, padding=0)
-        assert cols.shape == (2 * 9, 1 * 4 * 4)
+        assert cols.shape == (1 * 4 * 4, 9 * 2)
+
+    def test_layout_independent(self):
+        # NCHW-contiguous and channels-last inputs lower to the same rows.
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+        for padding in (0, 1):
+            np.testing.assert_array_equal(
+                im2col(x, 3, 3, 1, padding),
+                im2col(channels_last(x), 3, 3, 1, padding))
+
+    def test_preserves_input_dtype(self):
+        rng = np.random.default_rng(0)
+        xi = rng.integers(-127, 128, size=(2, 3, 4, 4), dtype=np.int8)
+        cols = im2col(xi, 3, 3, 1, 1)
+        assert cols.dtype == np.int8
+        np.testing.assert_array_equal(cols, naive_im2col(xi, 3, 3, 1, 1))
 
 
 class TestConv2d:
@@ -192,6 +250,44 @@ class TestPooling:
         out = max_pool2d(x, 2, stride=3)
         assert out.shape == (1, 1, 2, 2)
         check_gradients(lambda a: max_pool2d(a, 2, stride=3), [x])
+
+    def test_overlapping_max_pool_gradcheck(self):
+        # kernel 3, stride 2: neighbouring windows share a row/column, so
+        # an input can collect gradient from several windows.
+        rng = np.random.default_rng(10)
+        # Distinct values 0.02 apart, well clear of the 1e-3 FD step.
+        x = Tensor((rng.permutation(252).reshape(2, 3, 7, 6) - 126) * 0.02,
+                   requires_grad=True)
+        assert max_pool2d(x, 3, stride=2).shape == (2, 3, 3, 2)
+        check_gradients(lambda a: max_pool2d(a, 3, stride=2), [x])
+        x = Tensor(channels_last(x.data), requires_grad=True)
+        check_gradients(lambda a: max_pool2d(a, 3, stride=2), [x])
+
+    def test_max_pool_tie_goes_to_first_max(self):
+        # Equal maxima: the first in (i, j) tap order takes the gradient,
+        # once per window, also where overlapping windows share it.
+        x = np.zeros((1, 1, 5, 5), dtype=np.float32)
+        x[0, 0, 0, 1] = x[0, 0, 1, 0] = 2.0      # tie inside window (0, 0)
+        x[0, 0, 2, 2] = x[0, 0, 2, 4] = 3.0      # shared by windows (0/1, 1)
+        x[0, 0, 4, 0] = x[0, 0, 4, 1] = 1.0      # window (1, 0) ties 1.0 vs 3.0
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, 3, stride=2)
+        np.testing.assert_array_equal(out.data, [[[[3.0, 3.0], [3.0, 3.0]]]])
+        out.sum().backward()
+        expected = np.zeros_like(x)
+        expected[0, 0, 2, 2] = 4.0               # first max of all four windows
+        np.testing.assert_array_equal(t.grad, expected)
+        y = Tensor(np.array([[[[1.0, 2.0], [2.0, 0.0]]]]), requires_grad=True)
+        max_pool2d(y, 2).sum().backward()
+        np.testing.assert_array_equal(y.grad, [[[[0.0, 1.0], [0.0, 0.0]]]])
+
+    def test_max_pool_output_is_channels_last(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        out = max_pool2d(x, 2)
+        assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        with no_grad():
+            np.testing.assert_array_equal(max_pool2d(x, 2).data, out.data)
 
     def test_avg_pool_values(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))

@@ -153,7 +153,7 @@ class TestRun:
     def test_resume_of_older_journals(self, base_checkpoint, tmp_path):
         """Journals of older versions record retired settings in
         ``run_start`` (the worker-pool ones, and the trainer's
-        ``prefetch``/``track_terms`` switches): a serial one
+        ``prefetch``/``track_terms``/``fused_reg`` switches): a serial one
         (``workers: 0``) resumes bitwise, a worker-sharded or degraded
         one is refused."""
         import shutil
@@ -193,7 +193,7 @@ class TestRun:
                     fields["training"] = dict(
                         fields["training"], workers=workers,
                         grad_transport="fp32", grad_bucket_kb=512,
-                        prefetch=True, track_terms=True)
+                        prefetch=True, track_terms=True, fused_reg=False)
                 journal.append(record["event"], **fields)
             return target
 
