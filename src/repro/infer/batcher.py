@@ -188,7 +188,11 @@ class BatchRunner:
         self.stats = {"samples": 0, "batches": 0, "largest_batch": 0,
                       "restarts": 0, "cancelled": 0, "expired": 0,
                       "observer_faults": 0}
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        # queue.Queue, not SimpleQueue: on CPython 3.11 a SimpleQueue
+        # get(timeout=...) racing a put() can block past its timeout until
+        # the next put(), which held whole batches for the 30 s request
+        # timeout when no other request arrived.
+        self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()
         self._worker = self._start_worker()
@@ -205,6 +209,15 @@ class BatchRunner:
             if not self._worker.is_alive() and not self._closed:
                 self.stats["restarts"] += 1
                 self._worker = self._start_worker()
+
+    @property
+    def queued(self) -> int:
+        """Submissions waiting in the queue (not yet collected)."""
+        return self._queue.qsize()
+
+    @property
+    def worker_alive(self) -> bool:
+        return self._worker.is_alive()
 
     def submit(self, sample, *,
                deadline: float | None = None) -> InferenceTicket:

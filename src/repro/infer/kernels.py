@@ -3,11 +3,20 @@
 Each builder receives a :class:`~repro.infer.plan.Step` plus a build
 context and returns ``run(n)`` — a closure that reads its input buffers,
 computes the step for the first ``n`` rows, and writes the step's output
-buffer in place. All large arrays (activations, im2col column matrices,
+buffer in place. All large arrays (activations, im2col row matrices,
 padded-image scratch) are preallocated at engine build time at the
 engine's batch capacity; a steady-state ``run`` performs no large
 allocations. View-only ops (``flatten``, ``reshape``) return ``None`` and
-register an alias instead of a buffer, so they cost nothing at runtime.
+register an alias instead of a buffer.
+
+Layout: plan shapes are NCHW, but every 4-D float value the plan computes
+is NHWC memory behind an NCHW view (:func:`alloc_value`). Elementwise,
+batch-norm, concat, pad and reduction kernels index the views and never
+see the difference. A convolution is one tall GEMM whose ``(n·OH·OW, O)``
+output rows *are* that memory, pooling combines NHWC window slices, and
+a linear layer fed by a flatten reads the NHWC memory directly through
+weight columns permuted at build time. The plan input alone stays NCHW,
+as the caller passes it; the first convolution reads it as NCHW columns.
 
 The context object (``ctx``) provides:
 
@@ -20,6 +29,8 @@ The context object (``ctx``) provides:
     Named preallocated scratch array owned by this step.
 ``shape(vid)``
     Capacity shape (batch axis already rescaled to ``max_batch``).
+``producer(vid)``
+    The step computing a value, or None for the input and constants.
 
 Closures never use augmented assignment on closed-over buffers (``buf +=
 x`` rebinds locally); they call the ufunc with ``out=`` instead.
@@ -30,7 +41,42 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["BUILDERS", "build_step", "register_builders"]
+from ..tensor.conv import im2col
+
+__all__ = ["BUILDERS", "alloc_value", "build_step", "pool_builder",
+           "register_builders"]
+
+
+def alloc_value(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """Zeroed buffer for one computed plan value, in the runtime's layout.
+
+    A 4-D float value is NHWC memory behind an NCHW view: plan shapes and
+    every kernel's indexing stay NCHW, while convolutions, pooling and
+    the int8 boundaries read and write contiguous channels. Other values
+    (int8 codes, whose plan shapes are already NHWC, and 2-D features)
+    are plain C-contiguous arrays.
+    """
+    dtype = np.dtype(dtype)
+    if len(shape) == 4 and dtype.kind == "f":
+        n, c, h, w = shape
+        return np.zeros((n, h, w, c), dtype=dtype).transpose(0, 3, 1, 2)
+    return np.zeros(shape, dtype=dtype)
+
+
+def _nhwc(x: np.ndarray) -> np.ndarray:
+    """NHWC view of an NCHW-shaped array; C-contiguous for arena values."""
+    return x.transpose(0, 2, 3, 1)
+
+
+def _is_nhwc(x: np.ndarray) -> bool:
+    """Whether a 4-D array is NHWC memory. Lowerings choose their memory
+    access order by it; their results do not depend on it."""
+    return x.ndim == 4 and _nhwc(x).flags.c_contiguous
+
+
+def _rows(buf: np.ndarray) -> np.ndarray:
+    """``(N*H*W, C)`` row view of a 4-D arena value (never a copy)."""
+    return _nhwc(buf).reshape(-1, buf.shape[1], copy=False)
 
 
 def _maybe_relu(buf, n):
@@ -57,57 +103,96 @@ def _layer_weight(params) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _build_conv2d(step, ctx, relu=False):
+    """One tall GEMM ``rows @ (K, O)`` per run, ``rows = n·OH·OW``.
+
+    The rows it writes are the output value's NHWC memory, so ReLU applies
+    in place and the next conv reads contiguous channels; the bias joins
+    the GEMM as a ones column. An NHWC input is lowered by
+    :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order. An
+    NCHW input (the plan input, whose few channels would make each tap
+    copy move ``C`` floats) is lowered into ``(c, kh, kw)``-major columns
+    whose inner run is an image row, and multiplied transposed.
+    """
     p = step.params
-    w = np.ascontiguousarray(_layer_weight(p), dtype=np.float32)
+    w = np.asarray(_layer_weight(p), dtype=np.float32)
     o, c, kh, kw = w.shape
     stride, padding = int(p["stride"]), int(p["padding"])
+    bias = p.get("bias")
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
-    nb = out.shape[0]
-    oh, ow = out.shape[2], out.shape[3]
+    nb, _, oh, ow = out.shape
     h, w_in = ctx.shape(step.inputs[0])[2:]
-    w2d = w.reshape(o, -1)
-    bias = p.get("bias")
-    bcol = (None if bias is None
-            else np.ascontiguousarray(bias, dtype=np.float32).reshape(o, 1))
     span = oh * ow
-    out3 = out.reshape(nb, o, span)
-    cols = ctx.scratch("cols", (nb, c * kh * kw, span))
-    cols6 = cols.reshape(nb, c, kh, kw, oh, ow)
-    padbuf = (ctx.scratch("pad", (nb, c, h + 2 * padding, w_in + 2 * padding),
-                          zero=True)
-              if padding > 0 else None)
+    out_rows = _rows(out)
+    k = c * kh * kw
+    k_cols = k + (1 if bias is not None else 0)   # bias: a ones column
+
+    if _is_nhwc(get(nb)):
+        wk = w.transpose(2, 3, 1, 0).reshape(k, o)
+        cols = ctx.scratch("cols", (nb * span, k_cols))
+        pad = (ctx.scratch("pad", (nb, h + 2 * padding, w_in + 2 * padding,
+                                   c), zero=True)
+               if padding > 0 else None)
+
+        def lower(n):
+            im2col(get(n), kh, kw, stride, padding,
+                   out=cols[:n * span, :k], pad=pad)
+            return cols[:n * span]
+    else:
+        wk = w.reshape(o, k).T
+        cols_t = ctx.scratch("cols", (k_cols, nb * span))
+        cols = cols_t.T
+        taps = cols_t[:k].reshape(c, kh, kw, nb, oh, ow)
+        pad = (ctx.scratch("pad", (nb, c, h + 2 * padding, w_in + 2 * padding),
+                           zero=True)
+               if padding > 0 else None)
+
+        def lower(n):
+            x = get(n)
+            if pad is not None:
+                pad[:n, :, padding:padding + h, padding:padding + w_in] = x
+                x = pad[:n]
+            sn, sc, sh, sw = x.strides
+            np.copyto(taps[:, :, :, :n], as_strided(
+                x, shape=(c, kh, kw, n, oh, ow),
+                strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+                writeable=False))
+            return cols[:n * span]
+
+    if bias is not None:
+        wk = np.concatenate([wk, np.asarray(bias, np.float32)[None]])
+        cols[:, k] = 1.0
+    wk = np.ascontiguousarray(wk, dtype=np.float32)
 
     def run(n):
-        x = get(n)
-        if padbuf is not None:
-            padbuf[:n, :, padding:padding + h, padding:padding + w_in] = x
-            src = padbuf[:n]
-        else:
-            src = np.ascontiguousarray(x)
-        sn, sc, sh, sw = src.strides
-        patches = as_strided(
-            src, shape=(n, c, kh, kw, oh, ow),
-            strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-            writeable=False)
-        np.copyto(cols6[:n], patches)
-        np.matmul(w2d, cols[:n], out=out3[:n])
-        if bcol is not None:
-            np.add(out3[:n], bcol, out=out3[:n])
+        rows = n * span
+        np.matmul(lower(n), wk, out=out_rows[:rows])
         if relu:
-            _maybe_relu(out3, n)
+            _maybe_relu(out_rows, rows)
 
     return run
 
 
 def _build_linear(step, ctx, relu=False):
     p = step.params
-    wt = np.ascontiguousarray(
-        np.asarray(_layer_weight(p), dtype=np.float32).T)  # (in, out)
+    w = np.asarray(_layer_weight(p), dtype=np.float32)
     bias = p.get("bias")
     b = None if bias is None else np.asarray(bias, dtype=np.float32)
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
+    flat = ctx.producer(step.inputs[0])
+    if (flat is not None and flat.op == "flatten"
+            and int(flat.params["start_dim"]) == 1):
+        # Read a flattened NHWC value in memory order, a free view, with
+        # the weight columns permuted to match, instead of the flatten's
+        # per-run NCHW copy.
+        src = ctx.getter(flat.inputs[0])
+        if _is_nhwc(src(out.shape[0])):
+            _, c, h, w_in = ctx.shape(flat.inputs[0])
+            w = w[:, np.arange(c * h * w_in).reshape(c, h, w_in)
+                  .transpose(1, 2, 0).reshape(-1)]
+            get = lambda n: _nhwc(src(n)).reshape(n, -1)  # noqa: E731
+    wt = np.ascontiguousarray(w.T)      # (in, out)
 
     def run(n):
         np.matmul(get(n), wt, out=out[:n])
@@ -173,8 +258,10 @@ def _build_relu(step, ctx):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
+    zero = out.dtype.type(0)            # float values or int8 codes
+
     def run(n):
-        np.maximum(get(n), 0.0, out=out[:n])
+        np.maximum(get(n), zero, out=out[:n])
 
     return run
 
@@ -207,29 +294,33 @@ def _build_clip(step, ctx):
 # Pooling
 # ----------------------------------------------------------------------
 
-def _build_pool(combine, scale_by_area):
-    """Pooling as k² elementwise combines over strided window slices.
+def pool_builder(combine, scale_by_area=False, channels_last=False):
+    """Pooling as k² elementwise combines over strided NHWC window slices.
 
-    An order of magnitude faster than reducing an as_strided 6-D window
-    view: each combine is a flat ufunc over contiguousish slices instead
-    of a generic multi-axis reduction with tiny inner strides.
+    Each combine is a flat ufunc whose inner run is ``C`` contiguous
+    elements. Float values are NCHW views over NHWC memory and are read
+    through their NHWC view; ``channels_last`` values (int8 codes) carry
+    NHWC plan shapes already. One builder serves ``max_pool2d``,
+    ``avg_pool2d`` and ``qmax_pool2d``.
     """
+    view = (lambda x: x) if channels_last else _nhwc
+
     def build(step, ctx):
         kernel = int(step.params["kernel"])
         stride = int(step.params["stride"])
         get = ctx.getter(step.inputs[0])
-        out = ctx.out(step.output)
-        oh, ow = out.shape[2], out.shape[3]
+        out = view(ctx.out(step.output))
+        oh, ow = out.shape[1], out.shape[2]
         inv_area = np.float32(1.0 / (kernel * kernel))
         offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
 
         def run(n):
-            x = get(n)
+            x = view(get(n))
             i0, j0 = offsets[0]
-            np.copyto(out[:n], x[:, :, i0:i0 + oh * stride:stride,
+            np.copyto(out[:n], x[:, i0:i0 + oh * stride:stride,
                                  j0:j0 + ow * stride:stride])
             for i, j in offsets[1:]:
-                combine(out[:n], x[:, :, i:i + oh * stride:stride,
+                combine(out[:n], x[:, i:i + oh * stride:stride,
                                    j:j + ow * stride:stride], out=out[:n])
             if scale_by_area:
                 np.multiply(out[:n], inv_area, out=out[:n])
@@ -239,14 +330,19 @@ def _build_pool(combine, scale_by_area):
 
 
 def _build_global_avg_pool(step, ctx):
+    """Spatial mean; ``qglobal_avg_pool`` reads int8 NHWC codes and folds
+    their ``scale`` into the mean's factor."""
+    codes = step.op == "qglobal_avg_pool"
+    view = (lambda x: x) if codes else _nhwc
     get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)
-    h, w = ctx.shape(step.inputs[0])[2:]
-    inv = np.float32(1.0 / (h * w))
+    out = ctx.out(step.output)                    # (nb, C) f32
+    in_shape = ctx.shape(step.inputs[0])
+    h, w = in_shape[1:3] if codes else in_shape[2:]
+    factor = np.float32(float(step.params.get("scale", 1.0)) / (h * w))
 
     def run(n):
-        np.sum(get(n), axis=(2, 3), out=out[:n])
-        np.multiply(out[:n], inv, out=out[:n])
+        np.sum(view(get(n)), axis=(1, 2), dtype=np.float32, out=out[:n])
+        np.multiply(out[:n], factor, out=out[:n])
 
     return run
 
@@ -258,18 +354,12 @@ def _build_global_avg_pool(step, ctx):
 def _build_flatten(step, ctx):
     start = int(step.params["start_dim"])
     in_shape = ctx.shape(step.inputs[0])
-    head = in_shape[1:start]
-    tail = int(np.prod(in_shape[start:], dtype=np.int64)) if start < len(
-        in_shape) else 1
-    get = ctx.getter(step.inputs[0])
-    ctx.alias(step.output,
-              lambda n: np.ascontiguousarray(get(n)).reshape(
-                  (n,) + head + (tail,)))
-    return None
+    tail = in_shape[1:start] + (int(np.prod(in_shape[start:])),)
+    return _build_reshape(step, ctx, tail)
 
 
-def _build_reshape(step, ctx):
-    tail = tuple(step.params["tail"])
+def _build_reshape(step, ctx, tail=None):
+    tail = tuple(step.params["tail"]) if tail is None else tail
     get = ctx.getter(step.inputs[0])
     ctx.alias(step.output,
               lambda n: np.ascontiguousarray(get(n)).reshape((n,) + tail))
@@ -395,8 +485,8 @@ BUILDERS = {
     "tanh": _build_unary(np.tanh),
     "sigmoid": _build_sigmoid,
     "clip": _build_clip,
-    "max_pool2d": _build_pool(np.maximum, scale_by_area=False),
-    "avg_pool2d": _build_pool(np.add, scale_by_area=True),
+    "max_pool2d": pool_builder(np.maximum),
+    "avg_pool2d": pool_builder(np.add, scale_by_area=True),
     "global_avg_pool": _build_global_avg_pool,
     "flatten": _build_flatten,
     "reshape": _build_reshape,

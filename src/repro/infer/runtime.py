@@ -18,7 +18,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..tensor import Tensor, no_grad
-from .kernels import build_step
+from .kernels import alloc_value, build_step
 from .optimize import OptimizationReport, optimize_plan
 from .plan import Plan, capture_plan
 
@@ -36,7 +36,9 @@ class BufferArena:
     Buffers default to float32; quantized plans allocate int8 activation
     buffers and float64 accumulator scratch by passing ``dtype``. The
     first allocation of a value id fixes its dtype (the producing step
-    allocates before any consumer looks it up).
+    allocates before any consumer looks it up). Value buffers follow
+    :func:`~repro.infer.kernels.alloc_value`: 4-D float values are NHWC
+    memory behind an NCHW view.
     """
 
     def __init__(self):
@@ -47,7 +49,7 @@ class BufferArena:
                dtype=np.float32) -> np.ndarray:
         buf = self._buffers.get(vid)
         if buf is None:
-            buf = np.zeros(shape, dtype=dtype)
+            buf = alloc_value(shape, dtype)
             self._buffers[vid] = buf
         return buf
 
@@ -75,6 +77,7 @@ class _BuildContext:
     def __init__(self, engine: "InferenceEngine"):
         self._engine = engine
         self._step = None
+        self._producers = {step.output: step for step in engine.plan.steps}
 
     def _bind(self, step):
         self._step = step
@@ -88,6 +91,10 @@ class _BuildContext:
 
     def getter(self, vid: int):
         return self._engine._getter(vid)
+
+    def producer(self, vid: int):
+        """The step computing ``vid`` (None for the input and constants)."""
+        return self._producers.get(vid)
 
     def out(self, vid: int) -> np.ndarray:
         dtype = self._step.params.get("out_dtype", "float32")
@@ -133,16 +140,21 @@ class InferenceEngine:
         self._program: list = []
         self.quantized = _ensure_quant_kernels(plan)
 
+        # The plan input is the caller's (NCHW) batch itself, read in
+        # place; a zero batch stands in for it while the kernels build.
+        # A one-slot list, not an attribute: a getter closing over the
+        # engine would make a reference cycle that outlives the engine.
+        self._x = [np.zeros(self._capacity_shape(plan.input_id), np.float32)]
         ctx = _BuildContext(self)
-        input_buf = self.arena.buffer(plan.input_id,
-                                      self._capacity_shape(plan.input_id))
         for step in plan.steps:
             ctx._bind(step)
-            run = build_step(step, ctx)
+            run = self._build(step, ctx)
             if run is not None:
                 self._program.append(run)
-        self._input_buf = input_buf
         self._output = self._getter(plan.output_id)
+
+    def _build(self, step, ctx):
+        return build_step(step, ctx)
 
     @property
     def sample_shape(self) -> tuple[int, ...]:
@@ -160,6 +172,9 @@ class InferenceEngine:
         if vid in self.plan.constants:
             const = np.asarray(self.plan.constants[vid], dtype=np.float32)
             return lambda n: const
+        if vid == self.plan.input_id:
+            slot = self._x
+            return lambda n: slot[0][:n]
         alias = self._aliases.get(vid)
         if alias is not None:
             return alias
@@ -170,7 +185,7 @@ class InferenceEngine:
 
     def _run_chunk(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        np.copyto(self._input_buf[:n], x)
+        self._x[0] = x
         for run in self._program:
             run(n)
         return self._output(n)
@@ -181,6 +196,20 @@ class InferenceEngine:
         Accepts arrays or :class:`~repro.tensor.Tensor` inputs. A sample
         missing the batch axis is promoted to a batch of one and returned
         without it. Batches larger than ``max_batch`` are chunked.
+        """
+        return self.run_observing(x, {})
+
+    __call__ = run
+
+    def run_observing(self, x, hooks: dict[int, callable]) -> np.ndarray:
+        """:meth:`run`, feeding selected intermediate values to hooks.
+
+        ``hooks`` maps value ids to callables receiving the value's array
+        after each chunk (a read-only slice of the arena buffer, valid
+        until the next run; an NCHW view over NHWC memory for 4-D
+        values). Works because every plan value owns its own buffer —
+        nothing is overwritten within a chunk. Used by calibration to
+        observe activation ranges without instrumenting kernels.
         """
         if isinstance(x, Tensor):
             x = x.data
@@ -193,42 +222,16 @@ class InferenceEngine:
             raise ValueError(
                 f"input shape {x.shape} does not match compiled sample "
                 f"shape {sample_shape} (leading batch axis excepted)")
-        n = x.shape[0]
-        if n <= self.max_batch:
-            out = np.array(self._run_chunk(x), copy=True)
-        else:
-            out_tail = tuple(self.plan.shapes[self.plan.output_id][1:])
-            out = np.empty((n,) + out_tail, dtype=np.float32)
-            for lo in range(0, n, self.max_batch):
-                hi = min(lo + self.max_batch, n)
-                out[lo:hi] = self._run_chunk(x[lo:hi])
-        return out[0] if single else out
-
-    __call__ = run
-
-    def run_observing(self, x, hooks: dict[int, callable]) -> np.ndarray:
-        """Run a batch, then feed selected intermediate values to hooks.
-
-        ``hooks`` maps value ids to callables receiving the value's array
-        (a read-only slice of the arena buffer, valid until the next run).
-        Works because every plan value owns its own buffer — nothing is
-        overwritten within a chunk. Used by calibration to observe
-        activation ranges without instrumenting kernels.
-        """
-        if isinstance(x, Tensor):
-            x = x.data
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape == self.sample_shape:
-            x = x[None]
         getters = {vid: self._getter(vid) for vid in hooks}
-        outs = []
-        for lo in range(0, x.shape[0], self.max_batch):
-            chunk = x[lo:lo + self.max_batch]
-            n = chunk.shape[0]
-            outs.append(np.array(self._run_chunk(chunk), copy=True))
+        n = x.shape[0]
+        out_tail = tuple(self.plan.shapes[self.plan.output_id][1:])
+        out = np.empty((n,) + out_tail, dtype=np.float32)
+        for lo in range(0, n, self.max_batch):
+            hi = min(lo + self.max_batch, n)
+            out[lo:hi] = self._run_chunk(x[lo:hi])
             for vid, hook in hooks.items():
-                hook(getters[vid](n))
-        return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+                hook(getters[vid](hi - lo))
+        return out[0] if single else out
 
     def describe(self) -> str:
         lines = [f"InferenceEngine: {len(self._program)} kernels, "

@@ -2,14 +2,16 @@
 
 Execution model
 ---------------
-Quantized activations are int8 **codes** stored channels-last (NHWC); the
-float engine's NCHW convention is converted at the quantize/dequantize
-boundaries that :func:`repro.infer.optimize.quantize_plan` inserts. NHWC
-makes the conv lowering a *tall* GEMM — im2col rows are output pixels,
-columns are ``(kh, kw, c)`` taps — which is the orientation BLAS handles
-well across every layer shape this runtime serves, and it makes each
-GEMM's output land directly in the next layer's input layout, so the
-steady state performs zero transposes.
+Quantized activations are int8 **codes** stored channels-last (NHWC), the
+memory layout of the float engine's 4-D values too (NCHW views over NHWC
+memory, see :mod:`repro.infer.kernels`). The quantize/dequantize
+boundaries that :func:`repro.infer.optimize.quantize_plan` inserts, and
+the float-emitting conv and residual add, therefore read and write
+contiguous NHWC memory and transpose nothing. The conv lowering is the
+shared :func:`~repro.tensor.conv.im2col`: a *tall* GEMM whose rows are
+output pixels and whose columns are ``(kh, kw, c)`` taps, the orientation
+BLAS handles well across every layer shape this runtime serves; each
+GEMM's output lands directly in the next layer's input layout.
 
 Integer arithmetic on float hardware
 ------------------------------------
@@ -43,9 +45,10 @@ them.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from ..infer.kernels import register_builders
+from ..infer.kernels import (_build_global_avg_pool, _build_relu, _nhwc,
+                             _rows, pool_builder, register_builders)
+from ..tensor.conv import im2col
 
 __all__ = ["Q_BUILDERS", "QMAX", "F32_EXACT_LIMIT", "accumulation_chunks",
            "gemm_matrices", "conv_cert_rows", "quantize_bias"]
@@ -149,53 +152,61 @@ def quantize_bias(bias, w_scale, in_scale) -> np.ndarray | None:
 # GEMM core shared by qconv2d / qlinear
 # ----------------------------------------------------------------------
 
-def _gemm_plan(ctx, wq_raw, bias_q, rows_cap):
-    """Build the (possibly chunked) GEMM and pick the accumulator dtype.
+def _gemm_plan(ctx, p, wq_raw, rows_cap, emit):
+    """Columns, exact GEMM and epilogue of one quantized layer.
 
-    Returns ``(chunks, gemm)`` where ``gemm(cols, rows)`` leaves the
-    exact integer accumulation for the first ``rows`` rows in the
-    returned accumulator (float32 for the certified single-chunk fast
-    path, float64 when chunked).
+    Returns ``(cols, finish)``. The caller lowers its input into the
+    leading columns of ``cols`` (a biased layer's last column holds
+    ones); ``finish(rows, out_rows)`` then leaves the exact integer
+    accumulation of the first ``rows`` rows in a float32 accumulator (the
+    certified single-chunk fast path) or a float64 one (chunked), scales
+    it, and writes int8 codes (``emit="q8"``: round, clamp, ReLU as a
+    clamp at 0) or dequantized float32 into ``out_rows``.
     """
+    in_scale = float(p["in_scale"])
+    w_scale = np.asarray(p["w_scale"], dtype=np.float64).reshape(-1)
+    relu = bool(p.get("relu", False))
+    bias_q = quantize_bias(p.get("bias"), w_scale, in_scale)
     wt, cert = gemm_matrices(wq_raw, bias_q)
     chunks = accumulation_chunks(cert)
-    o = wt.shape[1]
+    k_cols, o = wt.shape
+    cols = ctx.scratch("cols", (rows_cap, k_cols))
+    if bias_q is not None:
+        cols[:, -1] = 1.0
     acc = ctx.scratch("acc", (rows_cap, o))
-    if len(chunks) == 1:
-        def gemm(cols, rows):
-            np.matmul(cols[:rows], wt, out=acc[:rows])
-            return acc
-        return chunks, gemm
+    total = (acc if len(chunks) == 1
+             else ctx.scratch("acc64", (rows_cap, o), dtype=np.float64))
+    mult = w_scale * in_scale
+    if emit == "q8":
+        mult = mult / float(p["out_scale"])
+    mult = mult.astype(total.dtype)
 
-    acc_wide = ctx.scratch("acc64", (rows_cap, o), dtype=np.float64)
+    def finish(rows, out_rows):
+        a, y = total[:rows], out_rows[:rows]
+        if total is acc:
+            np.matmul(cols[:rows], wt, out=a)
+        else:
+            for i, (k0, k1) in enumerate(chunks):
+                np.matmul(cols[:rows, k0:k1], wt[k0:k1], out=acc[:rows])
+                if i == 0:
+                    np.copyto(a, acc[:rows])
+                else:
+                    np.add(a, acc[:rows], out=a)
+        if emit == "q8":
+            np.multiply(a, mult, out=a)
+            np.rint(a, out=a)
+            np.clip(a, 0 if relu else -QMAX, QMAX, out=a)
+            np.copyto(y, a, casting="unsafe")
+        else:
+            np.multiply(a, mult, out=y)
+            if relu:
+                np.maximum(y, 0.0, out=y)
 
-    def gemm(cols, rows):
-        first = True
-        for k0, k1 in chunks:
-            np.matmul(cols[:rows, k0:k1], wt[k0:k1], out=acc[:rows])
-            if first:
-                np.copyto(acc_wide[:rows], acc[:rows])
-                first = False
-            else:
-                np.add(acc_wide[:rows], acc[:rows], out=acc_wide[:rows])
-        return acc_wide
-
-    return chunks, gemm
-
-
-def _requant_epilogue(acc, rows, mult, relu, outq_rows):
-    """acc (rows, O) exact integers -> int8 codes on the output grid."""
-    np.multiply(acc[:rows], mult, out=acc[:rows])
-    np.rint(acc[:rows], out=acc[:rows])
-    if relu:
-        np.clip(acc[:rows], 0, QMAX, out=acc[:rows])
-    else:
-        np.clip(acc[:rows], -QMAX, QMAX, out=acc[:rows])
-    np.copyto(outq_rows[:rows], acc[:rows], casting="unsafe")
+    return cols, finish
 
 
 # ----------------------------------------------------------------------
-# qconv2d
+# qconv2d and qlinear
 # ----------------------------------------------------------------------
 
 def _build_qconv2d(step, ctx):
@@ -203,117 +214,43 @@ def _build_qconv2d(step, ctx):
     wq = np.asarray(p["weight_q"], dtype=np.int8)
     o, c, kh, kw = wq.shape
     stride, padding = int(p["stride"]), int(p["padding"])
-    in_scale = float(p["in_scale"])
-    w_scale = np.asarray(p["w_scale"], dtype=np.float64).reshape(-1)
-    relu = bool(p.get("relu", False))
     emit = p.get("emit", "q8")
-
-    bias_q = quantize_bias(p.get("bias"), w_scale, in_scale)
     get = ctx.getter(step.inputs[0])
-    in_shape = ctx.shape(step.inputs[0])          # (nb, H, W, C)
-    nb, h, w_in = in_shape[0], in_shape[1], in_shape[2]
+    nb, h, w_in = ctx.shape(step.inputs[0])[:3]   # (nb, H, W, C) codes
     out = ctx.out(step.output)
-    if emit == "q8":
-        oh, ow = out.shape[1], out.shape[2]       # (nb, OH, OW, O) int8
-    else:
-        oh, ow = out.shape[2], out.shape[3]       # (nb, O, OH, OW) f32
-    span = oh * ow
-    rows_cap = nb * span
-
-    k_cols = kh * kw * c + (1 if bias_q is not None else 0)
-    cols = ctx.scratch("cols", (rows_cap, k_cols))
-    if bias_q is not None:
-        cols[:, -1] = 1.0
-    rs = cols.strides[0]
-    itemsize = cols.itemsize
-
-    padbuf = None
+    # q8: (nb, OH, OW, O) int8 codes; f32: an NCHW view over NHWC memory.
+    # Either way the GEMM's (rows, O) output is the value's memory.
+    out_rows = out.reshape(-1, o) if emit == "q8" else _rows(out)
+    rows_cap = out_rows.shape[0]
+    span = rows_cap // nb
+    k = kh * kw * c
+    cols, finish = _gemm_plan(ctx, p, wq, rows_cap, emit)
+    pad = None
     if padding > 0:
-        padbuf = ctx.scratch(
+        pad = ctx.scratch(
             "pad", (nb, h + 2 * padding, w_in + 2 * padding, c),
             zero=True, dtype=np.int8)
 
-    chunks, gemm = _gemm_plan(ctx, wq, bias_q, rows_cap)
-
-    mult_dtype = np.float32 if len(chunks) == 1 else np.float64
-    if emit == "q8":
-        mult = (w_scale * in_scale / float(p["out_scale"])).astype(mult_dtype)
-        outq_rows = out.reshape(rows_cap, o)
-    else:
-        mult = (w_scale * in_scale).astype(mult_dtype)
-        # Dequantized output goes back to the float engine's NCHW layout
-        # through a strided write of the (nb, span, O) accumulator view.
-        out_t = out.reshape(nb, o, span).transpose(0, 2, 1)
-
     def run(n):
-        x = get(n)                                # (n, H, W, C) int8
-        if padbuf is not None:
-            padbuf[:n, padding:padding + h, padding:padding + w_in, :] = x
-            src = padbuf
-        else:
-            src = x
-        sn, sh, sw, sc = src.strides
-        patches = as_strided(
-            src, shape=(n, oh, ow, kh, kw, c),
-            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-            writeable=False)
         rows = n * span
-        cols6 = as_strided(
-            cols, shape=(n, oh, ow, kh, kw, c),
-            strides=(span * rs, ow * rs, rs,
-                     kw * c * itemsize, c * itemsize, itemsize))
-        np.copyto(cols6, patches)                 # int8 -> f32 cast
-        a = gemm(cols, rows)
-        if emit == "q8":
-            _requant_epilogue(a, rows, mult, relu, outq_rows)
-        else:
-            a3 = a.reshape(nb, span, o)
-            np.multiply(a3[:n], mult, out=out_t[:n])
-            if relu:
-                np.maximum(out_t[:n], 0.0, out=out_t[:n])
+        im2col(get(n).transpose(0, 3, 1, 2), kh, kw, stride, padding,
+               out=cols[:rows, :k], pad=pad)      # int8 -> f32 cast
+        finish(rows, out_rows)
 
     return run
 
 
-# ----------------------------------------------------------------------
-# qlinear
-# ----------------------------------------------------------------------
-
 def _build_qlinear(step, ctx):
     p = step.params
     wq = np.asarray(p["weight_q"], dtype=np.int8)       # (O, F)
-    o, f = wq.shape
-    in_scale = float(p["in_scale"])
-    w_scale = np.asarray(p["w_scale"], dtype=np.float64).reshape(-1)
-    relu = bool(p.get("relu", False))
-    emit = p.get("emit", "f32")
-
-    bias_q = quantize_bias(p.get("bias"), w_scale, in_scale)
+    f = wq.shape[1]
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
-    nb = ctx.shape(step.inputs[0])[0]
-
-    k_cols = f + (1 if bias_q is not None else 0)
-    cols = ctx.scratch("cols", (nb, k_cols))
-    if bias_q is not None:
-        cols[:, -1] = 1.0
-
-    chunks, gemm = _gemm_plan(ctx, wq, bias_q, nb)
-    mult_dtype = np.float32 if len(chunks) == 1 else np.float64
-    if emit == "q8":
-        mult = (w_scale * in_scale / float(p["out_scale"])).astype(mult_dtype)
-    else:
-        mult = (w_scale * in_scale).astype(mult_dtype)
+    cols, finish = _gemm_plan(ctx, p, wq, out.shape[0], p.get("emit", "f32"))
 
     def run(n):
         np.copyto(cols[:n, :f], get(n))           # int8 -> f32 cast
-        a = gemm(cols, n)
-        if emit == "q8":
-            _requant_epilogue(a, n, mult, relu, out.reshape(nb, o))
-        else:
-            np.multiply(a[:n], mult, out=out[:n])
-            if relu:
-                np.maximum(out[:n], 0.0, out=out[:n])
+        finish(n, out)
 
     return run
 
@@ -326,14 +263,11 @@ def _build_quantize(step, ctx):
     inv = np.float32(1.0 / float(step.params["scale"]))
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
-    four_d = out.ndim == 4
+    view = _nhwc if out.ndim == 4 else (lambda x: x)
     s = ctx.scratch("fq", out.shape)
 
     def run(n):
-        x = get(n)
-        if four_d:
-            x = x.transpose(0, 2, 3, 1)           # NCHW view -> NHWC
-        np.multiply(x, inv, out=s[:n])
+        np.multiply(view(get(n)), inv, out=s[:n])
         np.rint(s[:n], out=s[:n])
         np.clip(s[:n], -QMAX, QMAX, out=s[:n])
         np.copyto(out[:n], s[:n], casting="unsafe")
@@ -345,53 +279,16 @@ def _build_dequantize(step, ctx):
     scale = np.float32(step.params["scale"])
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
-    four_d = out.ndim == 4
+    out = _nhwc(out) if out.ndim == 4 else out
 
     def run(n):
-        x = get(n)
-        if four_d:
-            x = x.transpose(0, 3, 1, 2)           # NHWC view -> NCHW
-        np.multiply(x, scale, out=out[:n])
+        np.multiply(get(n), scale, out=out[:n])
 
     return run
 
 
 # ----------------------------------------------------------------------
-# Code-passthrough ops (monotone under symmetric quantization)
-# ----------------------------------------------------------------------
-
-def _build_qmax_pool2d(step, ctx):
-    kernel = int(step.params["kernel"])
-    stride = int(step.params["stride"])
-    get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)                    # (nb, OH, OW, C) int8
-    oh, ow = out.shape[1], out.shape[2]
-    offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
-
-    def run(n):
-        x = get(n)
-        i0, j0 = offsets[0]
-        np.copyto(out[:n], x[:, i0:i0 + oh * stride:stride,
-                             j0:j0 + ow * stride:stride, :])
-        for i, j in offsets[1:]:
-            np.maximum(out[:n], x[:, i:i + oh * stride:stride,
-                                  j:j + ow * stride:stride, :], out=out[:n])
-
-    return run
-
-
-def _build_qrelu(step, ctx):
-    get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)
-
-    def run(n):
-        np.maximum(get(n), np.int8(0), out=out[:n])
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Residual add and global average pool
+# Residual add
 # ----------------------------------------------------------------------
 
 def _build_qadd(step, ctx, relu=False):
@@ -421,32 +318,15 @@ def _build_qadd(step, ctx, relu=False):
 
         return run
 
-    tmp = ctx.scratch("fb", out.shape)            # f32 NCHW emit
+    out = _nhwc(out) if out.ndim == 4 else out    # f32 emit
+    tmp = ctx.scratch("fb", out.shape)
 
     def run(n):
-        a, b = ga(n), gb(n)
-        if out.ndim == 4:
-            a = a.transpose(0, 3, 1, 2)
-            b = b.transpose(0, 3, 1, 2)
-        np.multiply(a, np.float32(sa), out=out[:n])
-        np.multiply(b, np.float32(sb), out=tmp[:n])
+        np.multiply(ga(n), np.float32(sa), out=out[:n])
+        np.multiply(gb(n), np.float32(sb), out=tmp[:n])
         np.add(out[:n], tmp[:n], out=out[:n])
         if relu:
             np.maximum(out[:n], 0.0, out=out[:n])
-
-    return run
-
-
-def _build_qglobal_avg_pool(step, ctx):
-    scale = float(step.params["scale"])
-    get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)                    # (nb, C) f32
-    in_shape = ctx.shape(step.inputs[0])          # (nb, H, W, C)
-    factor = np.float32(scale / (in_shape[1] * in_shape[2]))
-
-    def run(n):
-        np.sum(get(n), axis=(1, 2), dtype=np.float32, out=out[:n])
-        np.multiply(out[:n], factor, out=out[:n])
 
     return run
 
@@ -456,11 +336,13 @@ Q_BUILDERS = {
     "dequantize": _build_dequantize,
     "qconv2d": _build_qconv2d,
     "qlinear": _build_qlinear,
-    "qmax_pool2d": _build_qmax_pool2d,
-    "qrelu": _build_qrelu,
+    # Max-pool and ReLU are monotone, so they act on codes at unchanged
+    # scale through the float engine's builders.
+    "qmax_pool2d": pool_builder(np.maximum, channels_last=True),
+    "qrelu": _build_relu,
     "qadd": _build_qadd,
     "qadd_relu": lambda step, ctx: _build_qadd(step, ctx, relu=True),
-    "qglobal_avg_pool": _build_qglobal_avg_pool,
+    "qglobal_avg_pool": _build_global_avg_pool,
 }
 
 register_builders(Q_BUILDERS)

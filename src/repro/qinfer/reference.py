@@ -4,8 +4,9 @@ The native int8 engine's one numerically risky move is running integer
 GEMMs on the float32 BLAS (:mod:`repro.qinfer.kernels` explains the
 exactness certificate that licenses it). This module provides the check
 for that claim: it executes the same quantized plan with the accumulation
-done in int64 — *unconditionally* exact — while every other step runs
-through the very same kernel builders the engine uses. Since the
+done in int64 — *unconditionally* exact — inside an
+:class:`~repro.infer.runtime.InferenceEngine` whose every other step runs
+the very same kernel builders over the same arena layout. Since the
 epilogues (requantize, dequantize, clamps) are replayed with identical
 ufunc sequences on identical operand dtypes, the reference and the native
 engine must agree **bitwise**; any difference falsifies the certificate.
@@ -18,64 +19,14 @@ Not a performance path — it interprets one batch at build-time cost.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from ..infer.kernels import BUILDERS
+from ..infer.kernels import build_step
 from ..infer.plan import Plan
+from ..infer.runtime import InferenceEngine
+from ..tensor.conv import im2col
 from .kernels import QMAX, accumulation_chunks, gemm_matrices, quantize_bias
 
 __all__ = ["run_reference"]
-
-
-class _RefContext:
-    """Stand-in for the engine's build context over plain per-run arrays."""
-
-    def __init__(self, plan: Plan, n: int):
-        self.plan = plan
-        self.n = n
-        self.max_batch = n
-        self._arrays: dict[int, np.ndarray] = {}
-        self._aliases: dict[int, callable] = {}
-        self._scratch: dict[tuple[int, str], np.ndarray] = {}
-        self._step = None
-
-    def _bind(self, step):
-        self._step = step
-
-    def shape(self, vid: int) -> tuple[int, ...]:
-        if vid in self.plan.constants:
-            return tuple(self.plan.shapes[vid])
-        return (self.n,) + tuple(self.plan.shapes[vid][1:])
-
-    def getter(self, vid: int):
-        if vid in self.plan.constants:
-            const = np.asarray(self.plan.constants[vid], dtype=np.float32)
-            return lambda n: const
-        alias = self._aliases.get(vid)
-        if alias is not None:
-            return alias
-        buf = self._arrays[vid]
-        return lambda n: buf[:n]
-
-    def out(self, vid: int) -> np.ndarray:
-        buf = self._arrays.get(vid)
-        if buf is None:
-            dtype = self._step.params.get("out_dtype", "float32")
-            buf = np.zeros(self.shape(vid), dtype=np.dtype(dtype))
-            self._arrays[vid] = buf
-        return buf
-
-    def alias(self, vid: int, fn) -> None:
-        self._aliases[vid] = fn
-
-    def scratch(self, name: str, shape: tuple[int, ...], zero: bool = False,
-                dtype=np.float32) -> np.ndarray:
-        key = (self._step.output, name)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.zeros(shape, dtype=dtype)
-            self._scratch[key] = buf
-        return buf
 
 
 def _exact_accumulate(cols_int: np.ndarray, wq_raw, bias_q):
@@ -117,43 +68,26 @@ def _finish(acc, p, w_scale, relu):
 def _ref_qconv2d(step, ctx):
     p = step.params
     wq = np.asarray(p["weight_q"], dtype=np.int8)
-    o, c, kh, kw = wq.shape
+    kh, kw = wq.shape[2:]
     stride, padding = int(p["stride"]), int(p["padding"])
     w_scale = np.asarray(p["w_scale"], dtype=np.float64).reshape(-1)
     bias_q = quantize_bias(p.get("bias"), w_scale, float(p["in_scale"]))
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
-    emit_q8 = p.get("emit", "q8") == "q8"
-    if emit_q8:
-        oh, ow = out.shape[1], out.shape[2]
+    if p.get("emit", "q8") == "q8":
+        out_h = out                               # (nb, OH, OW, O) codes
     else:
-        oh, ow = out.shape[2], out.shape[3]
+        out_h = out.transpose(0, 2, 3, 1)         # NHWC view of f32 NCHW
 
     def run(n):
-        x = get(n).astype(np.int64)               # (n, H, W, C)
-        h, w_in = x.shape[1], x.shape[2]
-        if padding > 0:
-            xp = np.zeros((n, h + 2 * padding, w_in + 2 * padding, c),
-                          dtype=np.int64)
-            xp[:, padding:padding + h, padding:padding + w_in, :] = x
-        else:
-            xp = x
-        sn, sh, sw, sc = xp.strides
-        patches = as_strided(
-            xp, shape=(n, oh, ow, kh, kw, c),
-            strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-            writeable=False)
-        cols = patches.reshape(n * oh * ow, kh * kw * c).copy()
+        x = get(n).astype(np.int64).transpose(0, 3, 1, 2)
+        cols = im2col(x, kh, kw, stride, padding)
         if bias_q is not None:
             cols = np.concatenate(
                 [cols, np.ones((cols.shape[0], 1), dtype=np.int64)], axis=1)
         acc = _exact_accumulate(cols, wq, bias_q)
         res = _finish(acc, p, w_scale, bool(p.get("relu", False)))
-        if emit_q8:
-            out[:n] = res.reshape(n, oh, ow, o)
-        else:
-            out[:n] = res.reshape(n, oh * ow, o).transpose(0, 2, 1).reshape(
-                n, o, oh, ow)
+        out_h[:n] = res.reshape((n,) + out_h.shape[1:])
 
     return run
 
@@ -180,19 +114,17 @@ def _ref_qlinear(step, ctx):
 _EXACT = {"qconv2d": _ref_qconv2d, "qlinear": _ref_qlinear}
 
 
+class _ReferenceEngine(InferenceEngine):
+    """The engine's own arena and kernels, with int64 GEMM accumulation."""
+
+    def _build(self, step, ctx):
+        exact = _EXACT.get(step.op)
+        return build_step(step, ctx) if exact is None else exact(step, ctx)
+
+
 def run_reference(plan: Plan, x) -> np.ndarray:
     """Interpret a (quantized or float) plan with exact GEMM accumulation."""
     x = np.asarray(x, dtype=np.float32)
-    sample = tuple(plan.shapes[plan.input_id][1:])
-    if x.shape == sample:
+    if x.shape == tuple(plan.shapes[plan.input_id][1:]):
         x = x[None]
-    n = x.shape[0]
-    ctx = _RefContext(plan, n)
-    ctx._arrays[plan.input_id] = x.astype(np.float32)
-    for step in plan.steps:
-        ctx._bind(step)
-        builder = _EXACT.get(step.op) or BUILDERS[step.op]
-        run = builder(step, ctx)
-        if run is not None:
-            run(n)
-    return np.array(ctx.getter(plan.output_id)(n), copy=True)
+    return _ReferenceEngine(plan, max_batch=x.shape[0]).run(x)

@@ -553,15 +553,11 @@ class InferenceServer:
                 # retry on whatever is active now.
                 line, version = self.registry.resolve(version.name)
                 continue
-            outcome = await self._await_ticket(ticket, deadline)
+            outcome = await self._await_ticket(ticket, version.runner,
+                                               deadline)
             if outcome is _EXPIRED:
                 raise DeadlineExpired("request deadline passed while "
                                       "waiting for its batch")
-            if outcome is _TIMED_OUT:
-                self.metrics.incr("cancelled")
-                raise TimeoutError(
-                    f"inference exceeded "
-                    f"{self.config.request_timeout_s:.1f}s budget")
             value, failure = outcome._value, outcome._error
             if failure is None:
                 return value, "batch", version.ref, outcome.queue_wait_ms
@@ -588,7 +584,12 @@ class InferenceServer:
         self.registry.note_fallback(line, version)
         return out, "eager", version.ref, None
 
-    async def _await_ticket(self, ticket, deadline=None):
+    async def _await_ticket(self, ticket, runner, deadline=None):
+        """Wait for a ticket; ``_EXPIRED`` when its deadline bound the wait.
+
+        Raises :class:`TimeoutError` after ``request_timeout_s``, naming
+        the stage the ticket was stuck in (see :func:`_ticket_stage`).
+        """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
 
@@ -608,11 +609,29 @@ class InferenceServer:
         try:
             return await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
+            stage = _ticket_stage(ticket, runner)
             ticket.cancel()
-            return _EXPIRED if deadline_bound else _TIMED_OUT
+            if deadline_bound:
+                return _EXPIRED
+            self.metrics.incr("cancelled")
+            raise TimeoutError(
+                f"inference exceeded {self.config.request_timeout_s:.1f}s "
+                f"budget; ticket {stage}") from None
 
 
-_TIMED_OUT = object()
+def _ticket_stage(ticket, runner) -> str:
+    """Where a timed-out ticket was stuck: never batched, inside
+    ``engine.run``, or resolved with its loop callback never run."""
+    if ticket.done():
+        return "resolved, but the loop callback never ran"
+    worker = "alive" if runner.worker_alive else "dead"
+    if ticket.started is None:
+        return (f"never batched (runner queue holds {runner.queued}, "
+                f"worker {worker})")
+    since_ms = (runner.clock.monotonic() - ticket.started) * 1e3
+    return f"in engine.run since +{since_ms:.1f} ms (worker {worker})"
+
+
 _EXPIRED = object()
 
 

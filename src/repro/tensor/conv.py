@@ -39,31 +39,51 @@ def _channels_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+           out: np.ndarray | None = None,
+           pad: np.ndarray | None = None) -> np.ndarray:
     """Lower image patches into one GEMM-ready row matrix.
+
+    Shared by the eager tape, the int8 engine and the compiled float
+    engine (for every conv but one that reads the NCHW plan input).
 
     Parameters
     ----------
     x:
-        Input array ``(N, C, H, W)`` in any memory layout.
+        Input array ``(N, C, H, W)`` in any memory layout; channels-last
+        memory behind an NCHW view is read without a copy.
+    out:
+        Optional ``(N*OH*OW, kh*kw*C)`` destination of any dtype and row
+        stride (the int8 engine passes float32 columns of a wider matrix
+        and casts its int8 codes here). Allocated when omitted.
+    pad:
+        Optional NHWC scratch ``(>=N, H+2p, W+2p, C)`` whose border is
+        zero; its interior is overwritten. Allocated when omitted.
 
     Returns
     -------
-    ``(N*OH*OW, kh*kw*C)`` array: row ``(n, y, x)`` holds one receptive
-    field, column ``(i, j, c)`` kernel tap ``(i, j)`` of channel ``c`` —
-    the tap order of the int8 engine's lowering. The input is read as
-    channels-last (zero-padded into an NHWC buffer when ``padding > 0``),
-    so the rows are one strided copy whose inner run is ``kw*C``
-    contiguous elements.
+    ``out``: row ``(n, y, x)`` holds one receptive field, column
+    ``(i, j, c)`` kernel tap ``(i, j)`` of channel ``c``. The input is read
+    as channels-last, so the rows are one strided copy whose inner run is
+    ``kw*C`` contiguous elements.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     if padding > 0:
-        xh = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xh[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+        if pad is None:
+            pad = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
+                           dtype=x.dtype)
+        xh = pad[:n]
+        xh[:, padding:padding + h, padding:padding + w] = x.transpose(
+            0, 2, 3, 1)
     else:
         xh = _channels_last(x)
+    if out is None:
+        out = np.empty((n * oh * ow, kh * kw * c), dtype=x.dtype)
+    elif out.shape != (n * oh * ow, kh * kw * c):
+        raise ValueError(f"im2col out has shape {out.shape}, expected "
+                         f"{(n * oh * ow, kh * kw * c)}")
     sn, sh, sw, sc = xh.strides
     patches = as_strided(
         xh,
@@ -71,7 +91,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return np.ascontiguousarray(patches).reshape(n * oh * ow, kh * kw * c)
+    np.copyto(out.reshape(n, oh, ow, kh, kw, c, copy=False), patches,
+              casting="unsafe")
+    return out
 
 
 def col2im(rows: np.ndarray, x_shape: tuple[int, int, int, int],

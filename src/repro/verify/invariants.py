@@ -111,6 +111,13 @@ def _eval_batch(model_name: str, kwargs: dict, seed: int) -> np.ndarray:
     return rng.normal(size=shape).astype(np.float32)
 
 
+def _batch_sizes(batch: np.ndarray) -> tuple[int, ...]:
+    """The full batch, one sample and a partial batch: an engine compiled
+    at the full size must also serve sliced views of its arena."""
+    n = batch.shape[0]
+    return tuple(sorted({n, 1, n // 2 + 1}))
+
+
 def _forward(model: Module, batch: np.ndarray) -> np.ndarray:
     model.eval()
     with no_grad():
@@ -328,23 +335,27 @@ def check_compiled_inference_equivalence(seed: int = 0,
                     keep = {name: np.setdiff1d(np.arange(sizes[name]), idx)
                             for name, idx in victims.items()}
                     prune_groups(model, groups, keep)
-                eager_out = _forward(model, batch)
+                model.eval()
                 engine = compile_model(model, batch, validate=False)
-                compiled_out = engine.run(batch)
-                np.testing.assert_allclose(compiled_out, eager_out,
-                                           rtol=_RTOL, atol=_ATOL)
-                worst = max(worst, float(
-                    np.abs(compiled_out - eager_out).max()))
+                for n in _batch_sizes(batch):
+                    eager_out = _forward(model, batch[:n])
+                    compiled_out = engine.run(batch[:n])
+                    np.testing.assert_allclose(
+                        compiled_out, eager_out, rtol=_RTOL, atol=_ATOL,
+                        err_msg=f"batch of {n}")
+                    worst = max(worst, float(
+                        np.abs(compiled_out - eager_out).max()))
                 checked += 1
             except AssertionError as exc:
                 result.passed = False
-                head = str(exc).strip().splitlines()[0] if str(exc) else ""
+                head = "; ".join(str(exc).strip().splitlines()[:2])
                 result.failures.append(f"{model_name}/{variant}: {head}")
             except Exception as exc:
                 result.passed = False
                 result.failures.append(
                     f"{model_name}/{variant}: {type(exc).__name__}: {exc}")
-    result.detail = f"{checked} model/variant cases, worst |Δ|={worst:.2e}"
+    result.detail = (f"{checked} model/variant cases at batches 1, partial "
+                     f"and full, worst |Δ|={worst:.2e}")
     result.seconds = time.perf_counter() - start
     return result
 
@@ -396,14 +407,17 @@ def check_quantized_inference_equivalence(seed: int = 0,
                 eager_out = _forward(model, batch)
                 engine = compile_model(model, batch, quantize="int8",
                                        calibrate=loader, validate=False)
-                native = engine.run(batch)
-                reference = run_reference(engine.plan, batch)
-                if native.dtype != reference.dtype or not np.array_equal(
-                        native, reference):
-                    result.passed = False
-                    result.failures.append(
-                        f"{model_name}/{variant}: native int8 engine is not "
-                        "bitwise-equal to the exact reference interpreter")
+                for n in _batch_sizes(batch):
+                    native = engine.run(batch[:n])
+                    reference = run_reference(engine.plan, batch[:n])
+                    if native.dtype != reference.dtype or not np.array_equal(
+                            native, reference):
+                        result.passed = False
+                        result.failures.append(
+                            f"{model_name}/{variant}: native int8 engine is "
+                            f"not bitwise-equal to the exact reference "
+                            f"interpreter at batch {n}")
+                # ``native`` is the full batch: _batch_sizes ends with it.
                 top1 = float(np.mean(np.argmax(native, -1)
                                      == np.argmax(eager_out, -1)))
                 worst_top1 = min(worst_top1, top1)
@@ -417,7 +431,8 @@ def check_quantized_inference_equivalence(seed: int = 0,
                 result.passed = False
                 result.failures.append(
                     f"{model_name}/{variant}: {type(exc).__name__}: {exc}")
-    result.detail = (f"{checked} model/variant cases bitwise vs reference, "
+    result.detail = (f"{checked} model/variant cases bitwise vs reference "
+                     f"at batches 1, partial and full, "
                      f"worst top-1 {worst_top1:.2f}")
     result.seconds = time.perf_counter() - start
     return result

@@ -7,6 +7,7 @@ sleeps in any assertion.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,38 @@ class TestBatchRunner:
             assert 1 <= runner.stats["largest_batch"] <= runner.max_batch
         for got, want in zip(results, expected):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    def test_closed_loop_clients_never_wait_past_the_window(self):
+        # Two clients in a closed loop, as `serve-socket` drives the
+        # server: each batch's straggler wait ends on its timeout with no
+        # put() to wake it. A queue whose timed get() can sleep until the
+        # next put() stalls both clients at once. Time-bounded: a stalled
+        # ticket is reported after 0.5 s instead of hanging the suite.
+        class _MatmulEngine(_StubEngine):
+            def run(self, x):
+                a = np.ones((64, 64), dtype=np.float32)
+                a @ a
+                return super().run(x)
+
+        stalled = []
+        stop = time.monotonic() + 4.0
+        sample = np.zeros(3, dtype=np.float32)
+        with BatchRunner(_MatmulEngine(max_batch=32), max_wait=5e-5) as runner:
+            def client():
+                while time.monotonic() < stop and not stalled:
+                    ticket = runner.submit(sample)
+                    try:
+                        ticket.result(timeout=0.5)
+                    except TimeoutError:
+                        stalled.append(ticket)
+
+            threads = [threading.Thread(target=client) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        assert not stalled, "a ticket waited > 0.5 s on a 50 µs window"
 
     def test_bad_sample_fails_its_ticket(self):
         engine = _engine()

@@ -74,6 +74,23 @@ class TestInferenceEngine:
         assert "BN folded" in text
         assert engine.arena.nbytes > 0
 
+    def test_engine_is_freed_without_the_cycle_collector(self):
+        # A reference cycle would keep every arena alive until the cycle
+        # collector runs: calibration and validation build throwaway
+        # engines, so peak memory would grow with each compile.
+        import gc
+        import weakref
+
+        engine = compile_model(_model(), _example())
+        engine.run(_example())
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_unoptimized_engine_matches(self):
         model = _model()
         x = _example()
@@ -97,3 +114,57 @@ class TestCompileValidation:
     def test_validate_false_skips_the_check(self):
         engine = compile_model(_model(), _example(), validate=False)
         assert engine.run(_example()).shape == (4, 3)
+
+
+def _poisoned_empty(real_empty):
+    """``np.empty`` whose memory reads as NaN (floats) or 99 (integers),
+    so a scratch buffer that relies on arriving zeroed shows it."""
+    def empty(shape, dtype=float, *args, **kwargs):
+        arr = real_empty(shape, dtype, *args, **kwargs)
+        arr.fill(np.nan if np.dtype(dtype).kind == "f" else 99)
+        return arr
+    return empty
+
+
+class TestArenaReuse:
+    """Every batch size, in shuffled order, twice: slicing a reused arena
+    must never leak rows of an earlier, larger batch into a result."""
+
+    MAX_BATCH = 8
+
+    @pytest.mark.parametrize("name", ["vgg11", "resnet20", "mlp"])
+    def test_every_batch_size_repeats_bitwise(self, name, monkeypatch):
+        from repro.qinfer import run_reference
+        from repro.verify.invariants import INFER_CASES
+
+        model = build_model(name, **INFER_CASES[name])
+        perturb_batchnorm_stats(model, seed=0)
+        model.eval()
+        rng = np.random.default_rng(11)
+        shape = (self.MAX_BATCH, 3, 8, 8)
+        xs = rng.normal(size=shape).astype(np.float32)
+        calibration = [rng.normal(size=shape).astype(np.float32)
+                       for _ in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", _poisoned_empty(np.empty))
+            fp32 = compile_model(model, xs, validate=False)
+            int8 = compile_model(model, xs, quantize="int8",
+                                 calibrate=calibration, validate=False)
+
+        sizes = list(range(1, self.MAX_BATCH + 1))
+        first = {}
+        for _ in range(2):
+            rng.shuffle(sizes)
+            for n in sizes:
+                for kind, engine in (("fp32", fp32), ("int8", int8)):
+                    out = engine.run(xs[:n])
+                    assert out.flags.c_contiguous
+                    ref = first.setdefault((kind, n), out)
+                    np.testing.assert_array_equal(out, ref,
+                                                  err_msg=f"{kind} n={n}")
+        for n in sizes:
+            np.testing.assert_allclose(first["fp32", n],
+                                       _eager(model, xs[:n]),
+                                       rtol=1e-4, atol=1e-5)
+            np.testing.assert_array_equal(
+                first["int8", n], run_reference(int8.plan, xs[:n]))

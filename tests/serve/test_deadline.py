@@ -13,7 +13,7 @@ import pytest
 
 from repro.models import build_model
 from repro.serve import AdmissionController, ModelRegistry, SheddingConfig
-from repro.serve.client import Expired, Overloaded, ServeClient
+from repro.serve.client import Expired, Overloaded, ServeClient, ServerError
 from repro.serve.server import ServeConfig, ServerThread
 from repro.verify.invariants import perturb_batchnorm_stats
 
@@ -147,3 +147,44 @@ class TestDeadlineE2E:
                     client.request({"op": "infer", "model": "m",
                                     "input": [[0.0]], "deadline_ms": bad})
                 assert excinfo.value.error == "bad-request"
+
+
+class TestTimeoutStage:
+    def test_timeout_names_the_stage_of_each_ticket(self):
+        registry = ModelRegistry(
+            max_batch=8, shedding=SheddingConfig(max_pending=64,
+                                                 p99_budget_ms=None))
+        registry.deploy("m", "v1", model=_tiny_model(), input_shape=(3, 8, 8))
+        _, version = registry.resolve("m")
+        gate = _GatedEngine(version.engine)
+        version.runner.engine = gate
+        sample = np.zeros((3, 8, 8), dtype=np.float32)
+        errors = {}
+
+        def wedged():
+            with ServeClient("127.0.0.1", srv.port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.infer("m", sample)
+                errors["wedged"] = excinfo.value
+
+        try:
+            with registry, ServerThread(
+                    registry, ServeConfig(request_timeout_s=0.3)) as srv:
+                t = threading.Thread(target=wedged)
+                t.start()
+                assert gate.entered.wait(timeout=10)
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    with pytest.raises(ServerError) as excinfo:
+                        client.infer("m", sample)
+                t.join(timeout=10)
+                gate.release.set()
+        finally:
+            gate.release.set()
+
+        queued = excinfo.value
+        assert queued.error == "timeout"
+        assert "never batched (runner queue holds 1, worker alive)" in str(
+            queued)
+        assert errors["wedged"].error == "timeout"
+        assert "ticket in engine.run since +" in str(errors["wedged"])
+        assert "worker alive" in str(errors["wedged"])
