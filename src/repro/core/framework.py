@@ -22,7 +22,6 @@ recovery point instead of dying.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +36,9 @@ from ..nn import Module
 from ..resilience.journal import RunDirectory, decode_payload
 from ..resilience.retry import RetryingDataset
 from ..resilience.sentinels import NumericalHealthError, SentinelConfig
-from .importance import ImportanceConfig, ImportanceEvaluator, ImportanceReport
+from ..resilience.transaction import ModelSnapshot
+from .importance import (ImportanceConfig, ImportanceEvaluator,
+                         ImportanceReport, sample_class_images)
 from .pruner import (CombinedStrategy, PruningStrategy, apply_pruning,
                      strategy_from_name)
 from .trainer import Trainer, TrainingConfig, evaluate_model
@@ -277,6 +278,7 @@ class ClassAwarePruningFramework:
         self.finetune_training = (
             dataclasses.replace(self.training, lr=self.config.finetune_lr)
             if self.config.finetune_lr is not None else self.training)
+        self._class_bank = None
 
     # ------------------------------------------------------------------
     def pretrain(self, epochs: int | None = None, log: bool = False):
@@ -286,12 +288,15 @@ class ClassAwarePruningFramework:
         return trainer.train(epochs=epochs, log=log)
 
     def evaluate_importance(self) -> ImportanceReport:
-        """Score all prunable groups on the current model."""
-        groups = self.model.prunable_groups()
+        """Score all prunable groups on the current model (one class bank per run)."""
+        cfg = self.config.importance
+        self._class_bank = self._class_bank or sample_class_images(
+            self.train_dataset, self.num_classes, cfg.images_per_class, cfg.seed)
         evaluator = ImportanceEvaluator(self.model, self.train_dataset,
-                                        self.num_classes,
-                                        self.config.importance)
-        return evaluator.evaluate([g.conv for g in groups])
+                                        self.num_classes, cfg)
+        return evaluator.evaluate(
+            [g.conv for g in self.model.prunable_groups()],
+            sample=self._class_bank)
 
     # ------------------------------------------------------------------
     # Journaling helpers
@@ -340,6 +345,7 @@ class ClassAwarePruningFramework:
             ``run_start`` journal record (the CLI stores its dataset recipe
             there so ``repro run --resume`` is self-contained).
         """
+        self._class_bank = None
         if resume_from is not None:
             return self._resume(Path(resume_from), log=log,
                                 post_iteration=post_iteration)
@@ -384,7 +390,7 @@ class ClassAwarePruningFramework:
             groups = self.model.prunable_groups()
             report = (report_before if iteration == 0
                       else self.evaluate_importance())
-            snapshot = copy.deepcopy(self.model)
+            snapshot = ModelSnapshot(self.model)
             record = apply_pruning(self.model, groups, report, self.strategy)
             if record.num_removed == 0:
                 stop_reason = "converged"
@@ -409,7 +415,7 @@ class ClassAwarePruningFramework:
                 _, acc_now = evaluate_model(self.model, self.test_dataset,
                                             self.training.batch_size)
                 if baseline_acc - acc_now > cfg.accuracy_drop_tolerance:
-                    self.model = snapshot
+                    snapshot.restore(self.model)
                 else:
                     model_acc = acc_now
                 stop_reason = "sentinel-abort"
@@ -462,7 +468,7 @@ class ClassAwarePruningFramework:
             if baseline_acc - acc_finetuned > cfg.accuracy_drop_tolerance:
                 # Accuracy could not be recovered: restore the snapshot
                 # taken before this iteration and terminate (Fig. 5).
-                self.model = snapshot
+                snapshot.restore(self.model)
                 stop_reason = "accuracy"
                 termination = (
                     f"accuracy drop {baseline_acc - acc_finetuned:.4f} "

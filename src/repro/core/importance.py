@@ -291,15 +291,16 @@ class ImportanceEvaluator:
         self.num_classes = num_classes
         self.config = config or ImportanceConfig()
 
-    def evaluate(self, group_paths: list[str]) -> ImportanceReport:
+    def evaluate(self, group_paths: list[str], sample=None) -> ImportanceReport:
         """Score the filters of the given producer layers.
 
-        All classes' images are sampled first; then each fused pass of
+        All classes' images are sampled first (``sample`` passes in an
+        earlier :func:`sample_class_images` draw); then each fused pass of
         :func:`score_classes` scores several classes at once, for every
         layer, through a backward that computes no weight gradient.
         """
         cfg = self.config
-        bank, entries = sample_class_images(
+        bank, entries = sample or sample_class_images(
             self.dataset, self.num_classes, cfg.images_per_class, cfg.seed)
         engine = scoring_engine(self.model, group_paths, cfg, bank.shape[1:])
         per_class: dict[str, np.ndarray] = {}

@@ -201,12 +201,18 @@ class Conv2d(Module):
                 f"padding={self.padding}, bias={self.bias is not None})")
 
 
+def _channel_sums(a: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sums of channels-last ``a``: one GEMV over its rows."""
+    return np.ones(a.size // c, dtype=a.dtype) @ a.reshape(-1, c)
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over the channel axis of NCHW tensors.
 
-    The forward is one ``batch_norm`` tape node with a closed-form
-    backward, in train and eval mode alike. Outputs keep the input's
-    memory layout, so channels-last activations stay channels-last.
+    One ``batch_norm`` tape node with a closed-form backward, in train and
+    eval mode alike, over channels-last memory (one copy for an
+    NCHW-contiguous input); the output is an NCHW view over NHWC memory.
+    An eval-mode backward with frozen γ/β computes no parameter sums.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -224,55 +230,60 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
-        axes = (0, 2, 3)
-        data = x.data
+        n, c, h, w = x.shape
+        # (N, H·W·C) rows against vectors tiled H·W times: image-long inner loops.
+        rows = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n, -1)
+        count = n * h * w
+
+        def tiled(v):
+            return np.repeat(v[None], h * w, axis=0).ravel()
         if self.training:
-            mean = data.mean(axis=axes, keepdims=True)
-            normed = data - mean
-            var = (normed * normed).mean(axis=axes, keepdims=True)
+            mean = _channel_sums(rows, c) / count
+            normed = rows - tiled(mean)
+            var = _channel_sums(normed * normed, c) / count
             # Update running statistics outside the graph.
             m = self.momentum
-            batch_mean = mean.reshape(-1)
-            batch_var = var.reshape(-1)
-            n = x.shape[0] * x.shape[2] * x.shape[3]
-            unbiased = batch_var * n / max(n - 1, 1)
+            unbiased = var * count / max(count - 1, 1)
             object.__setattr__(self, "running_mean",
-                               (1 - m) * self.running_mean + m * batch_mean)
+                               (1 - m) * self.running_mean + m * mean)
             object.__setattr__(self, "running_var",
                                (1 - m) * self.running_var + m * unbiased)
             inv_std = (var + np.float32(self.eps)) ** -0.5
-            normed *= inv_std
         else:
             mean = np.asarray(self.running_mean, dtype=np.float32)
             inv_std = np.asarray(1.0 / np.sqrt(self.running_var + self.eps),
-                                 dtype=np.float32).reshape(1, -1, 1, 1)
-            normed = data - mean.reshape(1, -1, 1, 1)
-            normed *= inv_std
-        gamma = self.weight.data.reshape(1, -1, 1, 1)
-        out = normed * gamma
-        out += self.bias.data.reshape(1, -1, 1, 1)
+                                 dtype=np.float32)
+            normed = rows - tiled(mean)
+        normed *= tiled(inv_std)
+        gamma = self.weight.data
+        out = normed * tiled(gamma)
+        out += tiled(self.bias.data)
+        out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
         parents = (x, self.weight, self.bias)
         if not _tape_active(*parents):
             return Tensor._make(out, (), "batch_norm", None)
         weight, bias, training = self.weight, self.bias, self.training
 
         def backward(grad):
-            gw = (grad * normed).sum(axis=axes, keepdims=True)
-            gb = grad.sum(axis=axes, keepdims=True)
+            g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(n, -1)
+            gw = (_channel_sums(g * normed, c)
+                  if training or weight.requires_grad else None)
+            gb = _channel_sums(g, c) if training or bias.requires_grad else None
             gx = None
             if x.requires_grad:
                 if training:
                     # d/dx of (x - mean(x)) / std(x) over the batch:
                     # (γ/σ)·(g − mean(g) − x̂·mean(g·x̂)).
-                    count = grad.size // grad.shape[1]
-                    gx = grad - gb / count
-                    gx -= normed * (gw / count)
-                    gx *= gamma * inv_std
+                    gx = g - tiled(gb / count)
+                    gx -= normed * tiled(gw / count)
+                    gx *= tiled(gamma * inv_std)
                 else:
-                    gx = grad * gamma * inv_std
+                    gx = g * tiled(gamma)
+                    gx *= tiled(inv_std)
+                gx = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
             return (gx,
-                    gw.reshape(-1) if weight.requires_grad else None,
-                    gb.reshape(-1) if bias.requires_grad else None)
+                    gw if weight.requires_grad else None,
+                    gb if bias.requires_grad else None)
 
         return Tensor._make(out, parents, "batch_norm", backward)
 

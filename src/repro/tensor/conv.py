@@ -8,8 +8,9 @@ builds that sparse matrix explicitly for the orthogonality regulariser.
 
 Shapes follow the NCHW convention used by the rest of the code base:
 inputs are ``(N, C, H, W)``, convolution weights are ``(O, C, KH, KW)``.
-Memory is channels-last: ``conv2d`` and ``max_pool2d`` return NCHW views
-over NHWC memory, so the lowering reads contiguous channels.
+``conv2d`` and ``max_pool2d`` return NCHW views over channels-last memory,
+so the next lowering reads contiguous channels; a 1x1 input under "same"
+padding is lowered to its centre tap alone.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     the filters in ``(O, KH*KW*C)`` tap order. The output is an NCHW view
     over channels-last memory, which the elementwise layers, batch norm and
     pooling keep, so the next convolution reads contiguous channels.
+    A 1x1 input under "same" padding meets only the centre tap: it is
+    ``x(N, C) @ W[:, :, p, p]ᵀ``, with zero gradient for the padding taps.
     """
     n, c, h, w = x.shape
     o, c_w, kh, kw = weight.shape
@@ -142,9 +145,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    centre = h == w == 1 and kh == kw == 2 * padding + 1
+    lh, lw, pad, p0 = (1, 1, 0, padding) if centre else (kh, kw, padding, 0)
+    taps = weight.data[:, :, p0:p0 + lh, p0:p0 + lw]    # lowered kernel
 
-    cols = im2col(x.data, kh, kw, stride, padding)       # (N*OH*OW, KH*KW*C)
-    w2d = weight.data.transpose(0, 2, 3, 1).reshape(o, -1)   # (O, KH*KW*C)
+    cols = im2col(x.data, lh, lw, stride, pad)           # (N*OH*OW, lh*lw*C)
+    w2d = taps.transpose(0, 2, 3, 1).reshape(o, -1)      # (O, lh*lw*C)
     rows = np.matmul(cols, w2d.T)                        # (N*OH*OW, O)
     if bias is not None:
         np.add(rows, bias.data, out=rows)
@@ -159,11 +165,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         gx = gw = gb = None
         if x.requires_grad:
             gx = col2im(np.matmul(grad_rows, w2d), (n, c, h, w),
-                        kh, kw, stride, padding)
+                        lh, lw, stride, pad)
         if weight.requires_grad:
-            gw = np.ascontiguousarray(
-                np.matmul(grad_rows.T, cols).reshape(o, kh, kw, c)
-                .transpose(0, 3, 1, 2))
+            gw = np.zeros(weight.shape, dtype=grad_rows.dtype)
+            gw[:, :, p0:p0 + lh, p0:p0 + lw] = np.matmul(
+                grad_rows.T, cols).reshape(o, lh, lw, c).transpose(0, 3, 1, 2)
         if bias is not None and bias.requires_grad:
             gb = grad_rows.sum(axis=0)
         if bias is None:
@@ -177,38 +183,35 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows.
 
     Windows are swept over channels-last memory as ``kernel²`` strided tap
-    views, and the result is an NCHW view over NHWC memory, so a following
-    convolution reads contiguous channels. Where a window holds several
-    equal maxima, the first in ``(i, j)`` tap order takes the gradient.
+    views into an NCHW view over NHWC memory. The backward recomputes each
+    tap's ``tap == out`` mask: of equal maxima the first in ``(i, j)`` order
+    takes the gradient, and a window holding NaN passes none.
     """
     stride = stride or kernel
     n, c, h, w = x.shape
     oh = conv_output_size(h, kernel, stride, 0)
     ow = conv_output_size(w, kernel, stride, 0)
     xh = _channels_last(x.data)
-    taps = [xh[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    taps = [np.s_[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
             for i in range(kernel) for j in range(kernel)]
-    out = taps[0].copy()
+    out = xh[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, xh[tap], out=out)
     if not _tape_active(x):
-        # Forward-only: skip the argmax bookkeeping the backward needs.
-        for tap in taps[1:]:
-            np.maximum(out, tap, out=out)
         return Tensor._make(out.transpose(0, 3, 1, 2), (), "max_pool2d", None)
-    # Flat (i, j) index of each window's first maximum.
-    argmax = np.zeros(out.shape, dtype=np.intp)
-    for t, tap in enumerate(taps[1:], start=1):
-        better = tap > out
-        np.copyto(argmax, t, where=better)
-        np.maximum(out, tap, out=out)
 
     def backward(grad):
-        g = grad.transpose(0, 2, 3, 1)
-        gx = np.zeros((n, h, w, c), dtype=grad.dtype)
-        zero = np.zeros((), dtype=grad.dtype)
-        for t in range(kernel * kernel):
-            i, j = divmod(t, kernel)
-            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                np.where(argmax == t, g, zero)
+        g = grad.transpose(0, 2, 3, 1) + 0.0    # -0.0 -> +0.0, as a sum gives
+        # Exactly tiled windows write each input once; others add to zeros.
+        tiled = stride == kernel and (h, w) == (kernel * oh, kernel * ow)
+        gx = (np.empty if tiled else np.zeros)((n, h, w, c), dtype=grad.dtype)
+        taken = np.zeros(out.shape, dtype=bool)
+        for tap in taps:
+            hit = xh[tap] == out
+            hit &= ~taken
+            taken |= hit
+            part = np.where(hit, g, 0.0)
+            gx[tap] = part if tiled else gx[tap] + part
         return (gx.transpose(0, 3, 1, 2),)
 
     return Tensor._make(out.transpose(0, 3, 1, 2), (x,), "max_pool2d", backward)

@@ -420,7 +420,10 @@ def _build_pad2d(rng):
 # repro.tensor.conv specs
 # ----------------------------------------------------------------------
 
-def _conv_geometry(rng, max_kernel: int = 3):
+def _conv_geometry(rng, max_kernel: int = 3, centre: bool = False):
+    if centre:      # 1x1 input under "same" padding: conv2d's centre tap
+        kernel = int(rng.choice([1, 3]))
+        return kernel, int(rng.integers(1, 3)), kernel // 2, 1
     kernel = int(rng.integers(1, max_kernel + 1))
     stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 3))
@@ -432,7 +435,13 @@ def _conv_geometry(rng, max_kernel: int = 3):
 
 @register_spec("conv.conv2d", ["conv.conv2d"])
 def _build_conv2d(rng):
-    kernel, stride, padding, size = _conv_geometry(rng)
+    # Every round, the --quick one too, also checks a centre-tap case.
+    return [_conv2d_case(rng, _conv_geometry(rng, centre=centre))
+            for centre in (False, True)]
+
+
+def _conv2d_case(rng, geometry):
+    kernel, stride, padding, size = geometry
     n, c, o = (int(rng.integers(1, 3)) for _ in range(3))
     x = _t(rng, (n, c, size, size))
     w = _t(rng, (o, c, kernel, kernel), -1.0, 1.0)
@@ -509,10 +518,17 @@ def _build_nn_conv2d(rng):
 
 @register_spec("nn.BatchNorm2d", ["nn.BatchNorm2d"])
 def _build_nn_batchnorm(rng):
+    # Every round also checks a 1x1 spatial case and an eval-mode one with
+    # frozen γ/β (the Taylor-scoring backward, which skips their sums).
+    return [_batchnorm_case(rng, rng.random() < 0.5),
+            _batchnorm_case(rng, rng.random() < 0.5, spatial=(1, 1)),
+            _batchnorm_case(rng, False, frozen=True)]
+
+
+def _batchnorm_case(rng, training, spatial=None, frozen=False):
     from ..nn import BatchNorm2d
     c = int(rng.integers(1, 4))
     layer = BatchNorm2d(c)
-    training = bool(rng.random() < 0.5)
     if training:
         layer.train()
     else:
@@ -521,8 +537,10 @@ def _build_nn_batchnorm(rng):
         layer.running_mean += rng.normal(size=c).astype(np.float32)
         layer.running_var *= np.exp(rng.normal(scale=0.3, size=c)).astype(
             np.float32)
-    shape = (int(rng.integers(2, 4)), c, int(rng.integers(2, 4)),
-             int(rng.integers(2, 4)))
+    layer.weight.data = rng.normal(size=c).astype(np.float32)
+    layer.weight.requires_grad = layer.bias.requires_grad = not frozen
+    shape = (int(rng.integers(2, 4)), c) + (spatial or tuple(
+        int(s) for s in rng.integers(2, 4, size=2)))
     x = _t(rng, shape)
     layout = _layout(rng, x)
     # Train-mode outputs sum to β per channel whatever x is, so a plain
@@ -530,7 +548,8 @@ def _build_nn_batchnorm(rng):
     weights = Tensor(rng.uniform(-1.0, 1.0, size=shape).astype(np.float32))
     params = list(layer.parameters())
     return FuzzCase(lambda xi, *ps: ops.mul(layer(xi), weights), [x] + params,
-                    note=f"{'train' if training else 'eval'} {layout}")
+                    note=f"{'train' if training else 'eval'}"
+                         f"{' frozen' * frozen} {shape[2]}x{shape[3]} {layout}")
 
 
 @register_spec("nn.ReLU", ["nn.ReLU"])

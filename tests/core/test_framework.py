@@ -136,6 +136,105 @@ class TestFrameworkRun:
                                        num_classes=3, input_shape=(3, 8, 8))
 
 
+class TestRollbackRestoresState:
+    """Both rollbacks restore the pre-iteration model in place: weights,
+    BN running statistics and channel counts, on the same module objects
+    the caller passed in (``result.model is framework.model``)."""
+
+    @staticmethod
+    def capture(model):
+        widths = {name: (getattr(m, "in_channels", None),
+                         getattr(m, "out_channels", None),
+                         getattr(m, "num_features", None),
+                         getattr(m, "in_features", None))
+                  for name, m in model.named_modules()}
+        return model.state_dict(), widths, model.training
+
+    def assert_restored(self, model, before):
+        state, widths, training = self.capture(model)
+        assert state.keys() == before[0].keys()
+        for key, value in before[0].items():
+            assert state[key].tobytes() == value.tobytes(), key
+        assert widths == before[1]
+        assert training == before[2]
+
+    def test_accuracy_rollback(self, tiny_vgg, tiny_dataset,
+                               tiny_test_dataset):
+        # Iteration 0 is rolled back, so the restored state is the model
+        # as the run received it.
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, max_fraction=0.5,
+                            tolerance=-1.0, max_iterations=3)
+        before = self.capture(tiny_vgg)
+        result = fw.run()
+        assert result.stop_reason == "accuracy"
+        assert result.iterations[0].num_removed > 0
+        assert result.model is fw.model is tiny_vgg
+        self.assert_restored(tiny_vgg, before)
+
+    def test_sentinel_abort(self, monkeypatch, tiny_vgg, tiny_dataset,
+                            tiny_test_dataset):
+        # Fine-tuning scribbles over the pruned weights and BN statistics
+        # before the sentinel gives up; zero tolerance forces the restore.
+        from repro.core import framework as framework_module
+        from repro.resilience import NumericalHealthError
+        before = self.capture(tiny_vgg)
+        pruned = []
+
+        def abort(self, epochs=None, log=False):
+            pruned.append(self.model.state_dict())
+            for p in self.model.parameters():
+                p.data = p.data + 1.0
+            for m in self.model.modules():
+                if hasattr(m, "running_mean"):
+                    m.running_mean = m.running_mean + 1.0
+            raise NumericalHealthError("injected abort", events=[])
+
+        monkeypatch.setattr(framework_module.Trainer, "train", abort)
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, tolerance=-1.0)
+        result = fw.run()
+        assert result.stop_reason == "sentinel-abort"
+        assert any(pruned[0][k].shape != v.shape for k, v in before[0].items())
+        assert result.model is fw.model is tiny_vgg
+        self.assert_restored(tiny_vgg, before)
+
+
+class TestClassBankOncePerRun:
+    def test_one_draw_and_unchanged_reports(self, monkeypatch, tiny_vgg,
+                                            tiny_dataset, tiny_test_dataset):
+        # Two evaluations per run (before and after), one draw; each
+        # report equals one from an evaluator that draws its own bank.
+        from repro.core import ImportanceEvaluator
+        from repro.core import framework as framework_module
+        draws = []
+        real = framework_module.sample_class_images
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(framework_module, "sample_class_images", counted)
+        fw = make_framework(tiny_vgg, tiny_dataset, tiny_test_dataset,
+                            score_threshold=3.1, tolerance=1.0,
+                            max_iterations=1)
+        before = ImportanceEvaluator(
+            tiny_vgg, tiny_dataset, 3, fw.config.importance).evaluate(
+            [g.conv for g in tiny_vgg.prunable_groups()])
+        result = fw.run()
+        assert len(draws) == 1
+        after = ImportanceEvaluator(
+            result.model, tiny_dataset, 3, fw.config.importance).evaluate(
+            [g.conv for g in result.model.prunable_groups()])
+        for got, want in ((result.report_before, before),
+                          (result.report_after, after)):
+            assert got.per_class.keys() == want.per_class.keys()
+            for path, scores in want.per_class.items():
+                assert got.per_class[path].tobytes() == scores.tobytes()
+        fw.run()
+        assert len(draws) == 2
+
+
 class TestStrategySelection:
     @pytest.mark.parametrize("name", ["percentage", "threshold",
                                       "percentage+threshold"])

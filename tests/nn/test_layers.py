@@ -151,6 +151,45 @@ class TestBatchNorm2d:
         check_gradients(lambda x, w, b: bn(x) * weights,
                         [x, bn.weight, bn.bias])
 
+    @pytest.mark.parametrize("hw", [(3, 2), (1, 1)])
+    def test_eval_backward_with_frozen_affine(self, hw):
+        # Taylor scoring: eval mode, γ/β frozen. The input gradient is
+        # (g·γ)/σ per channel and no parameter gradient is returned.
+        rng = np.random.default_rng(18)
+        bn = BatchNorm2d(3)
+        bn.weight.data = rng.normal(size=3).astype(np.float32)
+        bn.running_var[:] = np.exp(rng.normal(size=3))
+        bn.eval()
+        bn.weight.requires_grad = bn.bias.requires_grad = False
+        x = Tensor(rand((4, 3) + hw, seed=19), requires_grad=True)
+        out = bn(x)
+        grad = rand(out.shape, seed=20)
+        gx, gw, gb = out._backward(grad)
+        assert gw is None and gb is None
+        inv_std = (1.0 / np.sqrt(bn.running_var + bn.eps)).astype(np.float32)
+        expected = grad * bn.weight.data.reshape(1, -1, 1, 1)
+        expected *= inv_std.reshape(1, -1, 1, 1)
+        np.testing.assert_array_equal(gx, expected)
+
+    def test_train_statistics_match_float64(self):
+        # GEMV channel sums over an NCHW-contiguous input (one copy to
+        # channels-last) give the batch statistics of a float64 reference;
+        # the output is an NCHW view over NHWC memory.
+        bn = BatchNorm2d(5)
+        x = rand((16, 5, 6, 6), seed=21) * 3 + 1
+        out = bn(Tensor(x)).data
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        x64 = x.astype(np.float64)
+        mean, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+        ref = (x64 - mean.reshape(1, -1, 1, 1)) / np.sqrt(
+            var.reshape(1, -1, 1, 1) + bn.eps)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+        count = x.size // 5
+        np.testing.assert_allclose(bn.running_mean, 0.1 * mean, rtol=1e-5)
+        np.testing.assert_allclose(bn.running_var,
+                                   0.9 + 0.1 * var * count / (count - 1),
+                                   rtol=1e-5)
+
     def test_affine_parameters_receive_gradients(self):
         bn = BatchNorm2d(2)
         bn(Tensor(rand((3, 2, 3, 3), seed=14))).sum().backward()

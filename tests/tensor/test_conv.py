@@ -305,3 +305,135 @@ class TestPooling:
         out = global_avg_pool2d(x)
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)), rtol=1e-5)
+
+
+def loop_max_pool(x, kernel, stride, grad):
+    """Loop reference for max pooling: ``(out, dx)``.
+
+    The first maximum of each window in ``(i, j)`` tap order takes the
+    window's gradient. Taps are visited in that order across all windows,
+    so overlapping windows add into an input in the kernel's own order and
+    the float32 sums compare bitwise.
+    """
+    n, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    first = np.empty((n, c, oh, ow), dtype=np.intp)
+    for idx in np.ndindex(n, c, oh, ow):
+        ni, ci, y, xx = idx
+        window = x[ni, ci, y * stride:y * stride + kernel,
+                   xx * stride:xx * stride + kernel].reshape(-1)
+        out[idx] = window.max()
+        first[idx] = int(np.flatnonzero(window == window.max())[0])
+    dx = np.zeros_like(x)
+    for t in range(kernel * kernel):
+        i, j = divmod(t, kernel)
+        for idx in np.ndindex(n, c, oh, ow):
+            if first[idx] == t:
+                ni, ci, y, xx = idx
+                dx[ni, ci, y * stride + i, xx * stride + j] += grad[idx]
+    return out, dx
+
+
+@pytest.fixture
+def nan_empty(monkeypatch):
+    """``np.empty`` that fills floats with NaN, so unwritten scratch shows."""
+    real = np.empty
+
+    def empty(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+class TestMaxPoolAgainstLoops:
+    """Values and gradients bitwise equal to a loop reference, with many
+    ties (few distinct values, ReLU-like zeros), on both layouts."""
+
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((2, 3, 8, 8), 2, 2),      # tiled: every input in one window
+        ((2, 3, 7, 6), 3, 2),      # overlapping windows
+        ((2, 3, 8, 8), 2, 3),      # gapped windows
+        ((2, 3, 5, 7), 2, 2),      # odd sizes: last row/column uncovered
+        ((1, 2, 7, 7), 3, 3),      # tiled with an uncovered tail
+    ])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_bitwise_equal_to_loops(self, nan_empty, shape, kernel, stride,
+                                    layout):
+        rng = np.random.default_rng(sum(shape) + 10 * kernel + stride)
+        x = np.maximum(rng.integers(-2, 3, size=shape), 0).astype(np.float32)
+        if layout == "nhwc":
+            x = channels_last(x)
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, kernel, stride)
+        grad = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(grad)
+        ref_out, ref_dx = loop_max_pool(x, kernel, stride, grad)
+        assert out.data.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+        assert np.ascontiguousarray(t.grad).tobytes() == ref_dx.tobytes()
+
+    def test_window_holding_nan_passes_no_gradient(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x[0, 0, 0, 1] = np.nan
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, 2)
+        assert np.isnan(out.data[0, 0, 0, 0])
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        np.testing.assert_array_equal(t.grad[0, 0, :2, :2], 0.0)
+        np.testing.assert_array_equal(t.grad[0, 0, 3, 3], 1.0)
+
+
+def full_lowering_conv(x, w, b, stride, padding, grad):
+    """Conv forward and gradients through the full ``kh*kw`` im2col
+    lowering, padding taps included: ``(out, dx, dw, db)``."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(wd, kw, stride, padding)
+    cols = im2col(x, kh, kw, stride, padding)
+    w2d = w.transpose(0, 2, 3, 1).reshape(o, -1)
+    out = (cols @ w2d.T + b).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    g = grad.transpose(0, 2, 3, 1).reshape(-1, o)
+    dx = col2im(g @ w2d, x.shape, kh, kw, stride, padding)
+    dw = (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+    return out, dx, dw, g.sum(axis=0)
+
+
+class TestCentreTapConv:
+    """A 1x1 input under "same" padding is convolved with the centre tap
+    alone; it must match the full lowering and pass a gradcheck."""
+
+    @pytest.mark.parametrize("k,padding,stride", [(3, 1, 1), (3, 1, 2),
+                                                  (1, 0, 1), (5, 2, 1)])
+    def test_matches_full_lowering(self, k, padding, stride):
+        rng = np.random.default_rng(20 + k + stride)
+        x = Tensor(rng.normal(size=(6, 5, 1, 1)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5, k, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        assert out.shape == (6, 4, 1, 1)
+        grad = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(grad)
+        ref_out, ref_dx, ref_dw, ref_db = full_lowering_conv(
+            x.data, w.data, b.data, stride, padding, grad)
+        for got, ref in ((out.data, ref_out), (x.grad, ref_dx),
+                         (w.grad, ref_dw), (b.grad, ref_db)):
+            np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-6)
+        dead = np.ones((k, k), dtype=bool)
+        dead[padding, padding] = False
+        assert (w.grad[:, :, dead] == 0.0).all()
+
+    @pytest.mark.parametrize("k,padding,stride", [(3, 1, 1), (3, 1, 2),
+                                                  (1, 0, 1)])
+    def test_gradcheck(self, k, padding, stride):
+        rng = np.random.default_rng(30 + k + stride)
+        x = Tensor(rng.normal(size=(3, 4, 1, 1)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4, k, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        check_gradients(
+            lambda x, w, b: conv2d(x, w, b, stride=stride, padding=padding),
+            [x, w, b])
