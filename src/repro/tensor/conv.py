@@ -201,8 +201,8 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         return Tensor._make(out.transpose(0, 3, 1, 2), (), "max_pool2d", None)
 
     def backward(grad):
-        g = grad.transpose(0, 2, 3, 1) + 0.0    # -0.0 -> +0.0, as a sum gives
-        # Exactly tiled windows write each input once; others add to zeros.
+        g = grad.transpose(0, 2, 3, 1)
+        # Tiled windows write each input once (0.0 + -0.0 is +0.0, as a sum).
         tiled = stride == kernel and (h, w) == (kernel * oh, kernel * ow)
         gx = (np.empty if tiled else np.zeros)((n, h, w, c), dtype=grad.dtype)
         taken = np.zeros(out.shape, dtype=bool)
@@ -210,8 +210,8 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             hit = xh[tap] == out
             hit &= ~taken
             taken |= hit
-            part = np.where(hit, g, 0.0)
-            gx[tap] = part if tiled else gx[tap] + part
+            np.add(0.0 if tiled else gx[tap], np.where(hit, g, 0.0),
+                   out=gx[tap])
         return (gx.transpose(0, 3, 1, 2),)
 
     return Tensor._make(out.transpose(0, 3, 1, 2), (x,), "max_pool2d", backward)

@@ -376,6 +376,20 @@ class TestMaxPoolAgainstLoops:
         assert out.data.tobytes() == np.ascontiguousarray(ref_out).tobytes()
         assert np.ascontiguousarray(t.grad).tobytes() == ref_dx.tobytes()
 
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2)])
+    def test_negative_zero_gradient_reads_as_a_sum(self, nan_empty, kernel,
+                                                   stride):
+        # The loop reference adds into zeros, so a -0.0 gradient lands as +0.0.
+        rng = np.random.default_rng(kernel + stride)
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, kernel, stride)
+        grad = np.where(rng.random(out.shape) < 0.5, -0.0,
+                        rng.normal(size=out.shape)).astype(np.float32)
+        out.backward(grad)
+        _, ref_dx = loop_max_pool(x, kernel, stride, grad)
+        assert np.ascontiguousarray(t.grad).tobytes() == ref_dx.tobytes()
+
     def test_window_holding_nan_passes_no_gradient(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         x[0, 0, 0, 1] = np.nan
