@@ -92,20 +92,13 @@ class TrainingHistory:
         return max(values) if values else None
 
 
-def evaluate_model(model: Module, dataset: Dataset, batch_size: int = 256,
-                   *, engine: str = "eager") -> tuple[float, float]:
+def evaluate_model(model: Module, dataset: Dataset,
+                   batch_size: int = 256) -> tuple[float, float]:
     """Return ``(mean CE loss, top-1 accuracy)`` on a dataset (eval mode).
 
-    ``engine="eager"`` runs the define-by-run forward under
+    Runs the define-by-run forward under
     :func:`~repro.tensor.inference_mode` (no backward closures are built).
-    ``engine="infer"`` compiles the model with
-    :func:`repro.infer.compile_model` on the first batch and evaluates the
-    remaining batches through the compiled plan — same numbers, lower
-    latency on fixed shapes.
     """
-    if engine not in ("eager", "infer"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'eager' "
-                         "or 'infer'")
     if len(dataset) == 0:
         raise EmptyDatasetError(
             "evaluate_model received an empty dataset — accuracy over zero "
@@ -113,21 +106,13 @@ def evaluate_model(model: Module, dataset: Dataset, batch_size: int = 256,
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     was_training = model.training
     model.eval()
-    compiled = None
     total_loss = 0.0
     total_correct = 0.0
     total = 0
     try:
         with inference_mode():
             for images, labels in loader:
-                if engine == "infer":
-                    if compiled is None:
-                        from ..infer import compile_model
-                        compiled = compile_model(model, images,
-                                                 max_batch=batch_size)
-                    logits = Tensor(compiled.run(images))
-                else:
-                    logits = model(Tensor(images))
+                logits = model(Tensor(images))
                 loss = cross_entropy(logits, labels, reduction="sum")
                 total_loss += float(loss.data)
                 total_correct += accuracy(logits, labels) * len(labels)

@@ -2,16 +2,22 @@
 
 Single-sample inference wastes most of a numpy matmul's throughput. The
 :class:`BatchRunner` owns a worker thread that drains a queue of pending
-requests, groups up to ``max_batch`` samples (waiting at most ``max_wait``
-seconds for stragglers once the first request arrives), runs them through
-the compiled engine as one batch, and scatters the per-sample results back
+requests, groups up to ``max_batch`` samples, runs them through the
+compiled engine as one batch, and scatters the per-sample results back
 to their tickets.
 
+A batch opens with its first request and closes when its arrivals stop:
+it holds ``max_batch`` samples, or no request has arrived for one *idle
+gap* (``max_wait / 10``), or ``max_wait`` seconds have passed since the
+first request, whichever comes first. A burst of requests microseconds
+apart still forms one batch, while a lone request no longer sits out the
+whole window waiting for stragglers that never come.
+
 All waiting goes through an injectable :class:`repro.clock.Clock`
-(``clock=``), so the batching window and its deadline are testable on a
-:class:`repro.clock.FakeClock` with no wall-clock sleeps; the serving
-layer (:mod:`repro.serve`) additionally retunes ``max_wait`` on the fly
-through the ``on_batch`` hook to widen the window under load.
+(``clock=``), so the window, the idle gap and request deadlines are
+testable on a :class:`repro.clock.FakeClock` with no wall-clock sleeps;
+the serving layer (:mod:`repro.serve`) additionally retunes ``max_wait``
+(and with it the idle gap) between batches through the ``on_batch`` hook.
 
 A submission may carry an absolute *deadline* (seconds on the runner's
 clock axis). A ticket whose deadline has passed while it sat in the
@@ -187,7 +193,8 @@ class BatchRunner:
         self.on_observer_error = on_observer_error
         self.stats = {"samples": 0, "batches": 0, "largest_batch": 0,
                       "restarts": 0, "cancelled": 0, "expired": 0,
-                      "observer_faults": 0}
+                      "observer_faults": 0, "closed_full": 0,
+                      "closed_idle": 0, "closed_window": 0}
         # queue.Queue, not SimpleQueue: on CPython 3.11 a SimpleQueue
         # get(timeout=...) racing a put() can block past its timeout until
         # the next put(), which held whole batches for the 30 s request
@@ -242,7 +249,12 @@ class BatchRunner:
         return ticket
 
     def _collect(self) -> list:
-        """Block for the first request, then coalesce until full or deadline.
+        """Block for the first request, then coalesce until the batch closes.
+
+        The batch closes on the first of: ``max_batch`` samples; no new
+        request for one idle gap (``max_wait / 10``); ``max_wait`` since
+        its first request. The reason is counted in ``stats`` as
+        ``closed_full`` / ``closed_idle`` / ``closed_window``.
 
         Cancelled tickets are dropped on the floor here (counted in
         ``stats["cancelled"]``), and tickets whose own deadline has
@@ -255,18 +267,26 @@ class BatchRunner:
             return []
         pending = [first]
         deadline = self.clock.monotonic() + self.max_wait
+        idle_gap = self.max_wait / 10
+        closed = "closed_full"
         while len(pending) < self.max_batch:
             remaining = deadline - self.clock.monotonic()
             if remaining <= 0:
+                closed = "closed_window"
                 break
+            wait = min(idle_gap, remaining)
             try:
-                item = self.clock.get(self._queue, remaining)
+                item = self.clock.get(self._queue, wait)
             except queue.Empty:
+                closed = "closed_idle" if wait < remaining else "closed_window"
                 break
             if item is _STOP:
                 self._queue.put(_STOP)   # re-arm for the outer loop
+                closed = None
                 break
             pending.append(item)
+        if closed is not None:
+            self.stats[closed] += 1
         now = self.clock.monotonic()
         live = []
         for sample, ticket in pending:

@@ -10,7 +10,8 @@ a probe batch → atomic swap → drain the old engine).
 
 Pieces (each importable on its own):
 
-``scheduler``   adaptive batching window (widens under load, shrinks idle)
+``scheduler``   adaptive batching window: steers ``max_wait`` (and with
+                it the batcher's idle gap) from the batch fill fraction
 ``shedding``    admission control: queue depth + p99 SLO + deadline gates
 ``metrics``     latency reservoirs, counters, the ``stats`` snapshot
 ``registry``    name@version model registry, hot-swap, degrade-to-eager
@@ -20,7 +21,7 @@ Pieces (each importable on its own):
 ``replica``     replica worker processes: per-process registry + engine
                 behind a unix socket, heartbeats, bounded respawn
 ``router``      health-aware dispatch across replicas: least-outstanding
-                routing, liveness probes, rid-keyed failover, hedging,
+                routing, liveness probes, rid-keyed failover,
                 circuit breakers, rolling deploys, degrade
 ``client``      minimal blocking client (tests, drills, load generator)
 ``resilient``   self-healing client: reconnect, backoff, circuit breaker

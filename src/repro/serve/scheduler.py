@@ -1,10 +1,11 @@
 """Adaptive micro-batching window: wide under load, narrow when idle.
 
-:class:`repro.infer.BatchRunner` waits ``max_wait`` seconds after the
-first request of a batch for stragglers. A fixed window is always wrong
-at one end: at low traffic it adds pure latency (nobody else is coming),
-at high traffic a too-short window ships half-empty batches and wastes
-the engine's throughput.
+:class:`repro.infer.BatchRunner` holds a batch open for at most
+``max_wait`` seconds after its first request, and closes it earlier once
+no request has arrived for ``max_wait / 10``. A fixed window is always
+wrong at one end: at low traffic a wide one adds latency, at high
+traffic a too-short one (and its too-short idle gap) ships half-empty
+batches and wastes the engine's throughput.
 
 :class:`AdaptiveWindow` closes the loop. After every executed batch it
 observes the *fill fraction* (batch size / ``max_batch``) through an
@@ -13,7 +14,7 @@ exponential moving average and steers the window multiplicatively:
 * fill ≥ ``widen_above``  → traffic saturates batches; widen the window
   (more coalescing, higher throughput) up to ``max_window``;
 * fill ≤ ``shrink_below`` → batches are mostly singletons; shrink toward
-  ``min_window`` so idle-time requests pay (almost) no batching tax.
+  ``min_window``.
 
 The class is pure decision logic — no threads, no clock. The serving
 layer wires ``observe_batch`` into the runner's ``on_batch`` hook and

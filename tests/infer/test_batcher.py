@@ -295,9 +295,11 @@ class TestCoalescingWindowDeterministic:
         _enqueue(runner, 2)
         batch = runner._collect()
         assert len(batch) == 2
-        # Both queued items pop for free; the one empty get charges the
-        # whole remaining window to virtual time, expiring the deadline.
-        assert clock.monotonic() == pytest.approx(0.01)
+        # Both queued items pop for free; the one empty get charges one
+        # idle gap (max_wait / 10) to virtual time and closes the batch
+        # long before its window would have run out.
+        assert clock.monotonic() == pytest.approx(0.001)
+        assert runner.stats["closed_idle"] == 1
 
     def test_zero_window_ships_singletons(self):
         clock = FakeClock()
@@ -314,11 +316,11 @@ class TestCoalescingWindowDeterministic:
         runner = _quiesced_runner(clock, max_batch=4, max_wait=0.001)
         _enqueue(runner, 1)
         runner._collect()
-        assert clock.monotonic() == pytest.approx(0.001)
-        runner.max_wait = 0.016
+        assert clock.monotonic() == pytest.approx(0.0001)
+        runner.max_wait = 0.016         # the idle gap follows: 1.6 ms
         _enqueue(runner, 1)
         runner._collect()
-        assert clock.monotonic() == pytest.approx(0.017)
+        assert clock.monotonic() == pytest.approx(0.0017)
 
     def test_cancelled_tickets_are_dropped_before_the_engine_runs(self):
         clock = FakeClock()
@@ -351,8 +353,9 @@ class TestCoalescingWindowDeterministic:
                 sample = np.full((2,), value, dtype=np.float32)
                 np.testing.assert_array_equal(
                     runner.submit(sample).result(timeout=10.0), sample * 2)
-        # Each singleton batch charged its whole window to virtual time.
-        assert clock.monotonic() == pytest.approx(3 * 0.004)
+        # Each singleton batch charged one idle gap to virtual time.
+        assert clock.monotonic() == pytest.approx(3 * 0.0004)
+        assert runner.stats["closed_idle"] == 3
 
     def test_tickets_carry_exact_queue_wait(self):
         # The first ticket parks the worker inside the engine; the second
@@ -371,6 +374,92 @@ class TestCoalescingWindowDeterministic:
         assert second.queue_wait_ms == 250.0
         unstarted = InferenceTicket(submitted=10.0)
         assert unstarted.queue_wait_ms is None
+
+
+class _ArrivalClock(FakeClock):
+    """FakeClock with requests scheduled to arrive at virtual times.
+
+    ``arrivals`` is an ascending list of ``(time, deadline)``. A ``get``
+    on an empty queue advances to the next arrival if it lands within the
+    timeout and returns it; otherwise it charges the timeout and raises.
+    """
+
+    def __init__(self, arrivals):
+        super().__init__()
+        self.arrivals = list(arrivals)
+
+    def get(self, q, timeout):
+        if q.empty() and self.arrivals and (
+                self.arrivals[0][0] <= self.monotonic() + timeout):
+            at, deadline = self.arrivals.pop(0)
+            self.advance(at - self.monotonic())
+            return (np.full((2,), at, dtype=np.float32),
+                    InferenceTicket(deadline, at))
+        return super().get(q, timeout)
+
+
+def _arrivals_runner(times, max_batch=32, max_wait=0.0005, deadline=None):
+    """A quiesced runner whose first request is queued at t = 0 and whose
+    later requests arrive at ``times`` on an :class:`_ArrivalClock`."""
+    clock = _ArrivalClock([(t, deadline) for t in times])
+    runner = _quiesced_runner(clock, max_batch=max_batch, max_wait=max_wait)
+    runner._queue.put((np.zeros(2, np.float32), InferenceTicket(deadline)))
+    return clock, runner
+
+
+class TestIdleGapClose:
+    """A batch closes when its arrivals stop: full, idle for one gap
+    (``max_wait / 10``), or ``max_wait`` after its first request."""
+
+    def test_second_request_closes_one_gap_after_it_lands(self):
+        clock, runner = _arrivals_runner([10e-6])
+        assert len(runner._collect()) == 2
+        # 10 µs to the second arrival, then one 50 µs gap: not 500 µs.
+        assert clock.monotonic() == pytest.approx(60e-6)
+        assert runner.stats["closed_idle"] == 1
+
+    def test_burst_of_32_forms_one_batch(self):
+        # The drain path's shape: 32 requests 2 µs apart.
+        clock, runner = _arrivals_runner([2e-6 * i for i in range(1, 32)])
+        assert len(runner._collect()) == 32
+        assert clock.monotonic() == pytest.approx(62e-6)
+        assert runner.stats["closed_full"] == 1
+
+    def test_arrival_after_the_gap_goes_to_the_next_batch(self):
+        clock, runner = _arrivals_runner([100e-6])
+        assert len(runner._collect()) == 1
+        assert clock.monotonic() == pytest.approx(50e-6)
+        # The late request lands at 100 µs and opens its own batch.
+        clock.arrivals.clear()
+        clock.advance(50e-6)
+        _enqueue(runner, 1)
+        assert len(runner._collect()) == 1
+        assert clock.monotonic() == pytest.approx(150e-6)
+        assert runner.stats["closed_idle"] == 2
+
+    def test_wide_window_fills_with_arrivals_1ms_apart(self):
+        # At the controller's 20 ms ceiling the gap is 2 ms, so arrivals
+        # 1 ms apart keep the batch open until it is full.
+        clock, runner = _arrivals_runner([1e-3 * i for i in range(1, 12)],
+                                         max_batch=8, max_wait=0.020)
+        assert len(runner._collect()) == 8
+        assert clock.monotonic() == pytest.approx(7e-3)
+        assert runner.stats["closed_full"] == 1
+
+    def test_steady_trickle_closes_on_the_window(self):
+        # Arrivals every 40 µs never leave a 50 µs gap: the batch runs to
+        # its 500 µs window, holding the requests of 0, 40, ..., 480 µs.
+        clock, runner = _arrivals_runner([40e-6 * i for i in range(1, 20)])
+        assert len(runner._collect()) == 13
+        assert clock.monotonic() == pytest.approx(500e-6)
+        assert runner.stats["closed_window"] == 1
+
+    def test_deadline_passing_during_the_idle_wait_is_evicted(self):
+        clock, runner = _arrivals_runner([], deadline=30e-6)
+        assert runner._collect() == []
+        assert clock.monotonic() == pytest.approx(50e-6)
+        assert runner.stats["expired"] == 1
+        assert runner.stats["closed_idle"] == 1
 
 
 def _enqueue_deadlines(runner, deadlines):
@@ -406,14 +495,14 @@ class TestDeadlineEviction:
 
     def test_eviction_happens_after_the_coalescing_wait(self):
         # A deadline that is live at submit time but dies inside the
-        # batching window is still evicted: the check runs at batch
-        # formation, against the clock *after* the window was charged.
+        # batching wait is still evicted: the check runs at batch
+        # formation, against the clock *after* the wait was charged.
         clock = FakeClock(start=0.0)
         runner = _quiesced_runner(clock, max_batch=4, max_wait=0.05)
-        tickets = _enqueue_deadlines(runner, [0.01])
-        batch = runner._collect()       # one empty get charges 0.05s
+        tickets = _enqueue_deadlines(runner, [0.004])
+        batch = runner._collect()       # one empty get charges the 5 ms gap
         assert batch == []
-        assert clock.monotonic() == pytest.approx(0.05)
+        assert clock.monotonic() == pytest.approx(0.005)
         assert runner.stats["expired"] == 1
         with pytest.raises(DeadlineExpired):
             tickets[0].result(timeout=0)

@@ -63,30 +63,3 @@ class TestCompiledVsEager:
     def test_verify_invariant_is_in_the_battery(self):
         names = [r.name for r in invariants.run_invariants(seed=0, quick=True)]
         assert "compiled_inference_equivalence" in names
-
-
-class TestEvaluateModelEngine:
-    def test_infer_engine_matches_eager(self):
-        from repro.core.trainer import evaluate_model
-        from repro.data import SyntheticConfig, SyntheticImageClassification
-
-        model = _build("vgg11", pruned=False)
-        cfg = SyntheticConfig(num_classes=3, image_size=8,
-                              samples_per_class=10, seed=3)
-        dataset = SyntheticImageClassification(cfg, train=False)
-        loss_eager, acc_eager = evaluate_model(model, dataset, batch_size=16)
-        loss_infer, acc_infer = evaluate_model(model, dataset, batch_size=16,
-                                               engine="infer")
-        assert acc_eager == acc_infer
-        assert abs(loss_eager - loss_infer) < 1e-4
-
-    def test_unknown_engine_rejected(self):
-        from repro.core.trainer import evaluate_model
-        from repro.data import SyntheticConfig, SyntheticImageClassification
-
-        dataset = SyntheticImageClassification(
-            SyntheticConfig(num_classes=3, image_size=8, samples_per_class=2,
-                            seed=0), train=False)
-        with pytest.raises(ValueError, match="engine"):
-            evaluate_model(_build("mlp", pruned=False), dataset,
-                           engine="turbo")
