@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import DataLoader, Dataset
+from ..data import Dataset
 from ..models.pruning_spec import FilterGroup
 from ..nn import BatchNorm2d, Conv2d, Linear, Module, cross_entropy
 from ..tensor import Tensor, no_grad
@@ -69,9 +69,7 @@ class ScoringContext:
         rng = np.random.default_rng(self.seed)
         n = len(self.dataset)
         idx = rng.choice(n, size=min(self.num_images, n), replace=False)
-        images = np.stack([self.dataset[int(i)][0] for i in idx])
-        labels = np.array([self.dataset[int(i)][1] for i in idx], dtype=np.intp)
-        return images, labels
+        return self.dataset.gather(idx)
 
 
 class FilterScorer:

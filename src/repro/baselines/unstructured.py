@@ -97,8 +97,7 @@ def gradient_masks(model: Module, dataset: Dataset, sparsity: float,
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=min(num_images, len(dataset)),
                      replace=False)
-    images = np.stack([dataset[int(i)][0] for i in idx])
-    labels = np.array([dataset[int(i)][1] for i in idx], dtype=np.intp)
+    images, labels = dataset.gather(idx)
     was_training = model.training
     model.eval()
     try:

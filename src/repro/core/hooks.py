@@ -77,9 +77,6 @@ class ActivationRecorder(contextlib.AbstractContextManager):
             grads[path] = act.grad
         return grads
 
-    def clear(self) -> None:
-        self.activations.clear()
-
 
 @contextlib.contextmanager
 def activation_mask(model: Module, path: str,

@@ -29,19 +29,16 @@ from ..nn import Module
 from .taylor import ExactZeroingEngine, FusedTaylorScorer
 
 __all__ = ["ImportanceConfig", "ImportanceReport", "ImportanceEvaluator",
-           "aggregate_scores", "sample_class_images", "scoring_engine",
-           "score_classes"]
+           "aggregate_scores", "sample_class_images", "score_classes"]
 
-#: Cap on images per fused scoring pass. Chunk size never changes a score,
-#: only wall-clock and memory. Measured on a 2-vCPU host, perfbench
-#: ``prune`` workload (vgg11, 100 classes, M=2), median peak RSS: 76.8 MiB
-#: for unfused per-class passes, 76.9 at a cap of 64, 79.2 at 128 and 84.3
-#: at 256 (the benchmark allows +10%). Throughput did not gain above 64:
-#: 3.39 runs/s at 64 (10 runs); 2.91 at 128 and 2.76 at 256 (3 runs each,
-#: a later series). Train-bench scoring lane (resnet20, 100 classes,
-#: M=10), serial best-of-5: 0.46 s at 64, 0.42 s at 128 and 256, 1.0 s
-#: unfused.
-_FUSE_IMAGE_CAP = 64
+#: Bytes of monitored activations per fused scoring pass: a pass holds
+#: ``_PASS_BYTES // (engine.image_bytes * M)`` classes (at least one).
+#: Pass size never changes a score, only wall-clock and memory: 2 MiB
+#: scores the ``prune`` workload's 200 images in one pass (10.6 ms against
+#: 17.9 at 64 images, +3.1 MiB RSS), while resnet20 at 32x32 ran faster
+#: and leaner at one class per pass than at four (table and host in
+#: docs/performance.md, "The prune op at its real shapes").
+_PASS_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,11 @@ def aggregate_scores(taylor_scores: np.ndarray, tau: float | list[float],
     The Eq. 6 average is taken as ``count / M`` per segment. That is
     exactly the mean of the float64 indicator: the indicator sum is an
     integer far below 2**53, so the pairwise float64 sum and the integer
-    count are the same value, divided by the same float64 ``M``.
+    count are the same value, divided by the same float64 ``M``; the
+    Eq. 7 max over counts before that monotone division picks the same
+    quotient. Counts are summed over ``(image, position, filter)`` rows (a
+    free view of channels-last scores): equal segments by one
+    reshape-sum, ragged ones by ``np.add.reduceat``.
     """
     if taylor_scores.ndim < 2:
         raise ValueError("expected at least (M, C) scores")
@@ -175,18 +176,24 @@ def aggregate_scores(taylor_scores: np.ndarray, tau: float | list[float],
     if sizes.sum() != len(taylor_scores):
         raise ValueError(f"segment counts {sizes.tolist()} do not tile "
                          f"{len(taylor_scores)} score rows")
-    per_row = (-1,) + (1,) * (taylor_scores.ndim - 1)
     thresholds = np.asarray(tau, dtype=taylor_scores.dtype)
     if thresholds.ndim:                                     # per segment
-        thresholds = np.repeat(thresholds, sizes).reshape(per_row)
-    starts = np.cumsum(sizes) - sizes
-    hits = np.add.reduceat(taylor_scores > thresholds, starts, axis=0,
-                           dtype=np.intp)
-    s_ave = hits / sizes.astype(np.float64).reshape(per_row)  # Eq. 6
-    if s_ave.ndim > 2:
-        flat = s_ave.reshape(s_ave.shape[0], s_ave.shape[1], -1)
-        s_ave = (flat.max(axis=2) if aggregation == "max"       # Eq. 7
-                 else flat.mean(axis=2))
+        thresholds = np.repeat(thresholds, sizes).reshape(
+            (-1,) + (1,) * (taylor_scores.ndim - 1))
+    hit = np.moveaxis(taylor_scores > thresholds, 1, -1)    # Eq. 5
+    b, f = len(hit), hit.shape[-1]
+    hit = hit.reshape(b, -1, f)                             # (B, P, F)
+    if (sizes == sizes[0]).all():
+        hits = hit.reshape(len(sizes), sizes[0], -1, f).sum(axis=1,
+                                                            dtype=np.intp)
+    else:
+        hits = np.add.reduceat(hit, np.cumsum(sizes) - sizes, axis=0,
+                               dtype=np.intp)
+    m = sizes.astype(np.float64)[:, None]
+    if aggregation == "max":                               # Eq. 7, then 6
+        s_ave = hits.max(axis=1) / m
+    else:
+        s_ave = (hits / m[:, None]).mean(axis=1)
     return s_ave[0] if counts is None else s_ave
 
 
@@ -221,14 +228,6 @@ def sample_class_images(dataset: Dataset, num_classes: int,
     return np.concatenate(arrays, axis=0), entries
 
 
-def scoring_engine(model: Module, group_paths: list[str],
-                   config: ImportanceConfig, input_shape: tuple[int, ...]):
-    """The per-batch score engine ``config`` asks for."""
-    if config.use_exact:
-        return ExactZeroingEngine(model, group_paths)
-    return FusedTaylorScorer(model, group_paths, input_shape)
-
-
 def score_classes(engine, bank: np.ndarray,
                   entries: list[tuple[int, int, int]],
                   config: ImportanceConfig):
@@ -238,8 +237,9 @@ def score_classes(engine, bank: np.ndarray,
     ``(class_index, start, stop)`` row slices that tile ``bank`` back to
     back, as :func:`sample_class_images` returns them (or a run of
     consecutive ones), so every pass scores a zero-copy view of the bank.
-    Consecutive classes share one ``engine.scores`` pass of at most
-    :data:`_FUSE_IMAGE_CAP` images (at least one class per pass); one
+    Consecutive classes share one ``engine.scores`` pass whose monitored
+    activations, ``engine.image_bytes`` per image, fit in
+    :data:`_PASS_BYTES` (at least one class per pass); one
     :func:`aggregate_scores` call per layer then thresholds and reduces
     all of the pass's class segments (Eq. 5–7, with a per-class τ in
     quantile mode). Row ``k`` of each block belongs to
@@ -248,7 +248,8 @@ def score_classes(engine, bank: np.ndarray,
     wall-clock, never a score.
     """
     paths = engine.layer_paths
-    per_pass = max(1, _FUSE_IMAGE_CAP // config.images_per_class)
+    per_pass = max(1, _PASS_BYTES // (engine.image_bytes
+                                      * config.images_per_class))
     for i in range(0, len(entries), per_pass):
         chunk = entries[i:i + per_pass]
         base = chunk[0][1]
@@ -302,7 +303,9 @@ class ImportanceEvaluator:
         cfg = self.config
         bank, entries = sample or sample_class_images(
             self.dataset, self.num_classes, cfg.images_per_class, cfg.seed)
-        engine = scoring_engine(self.model, group_paths, cfg, bank.shape[1:])
+        engine = (ExactZeroingEngine(self.model, group_paths) if cfg.use_exact
+                  else FusedTaylorScorer(self.model, group_paths,
+                                         bank.shape[1:]))
         per_class: dict[str, np.ndarray] = {}
         for classes, blocks in score_classes(engine, bank, entries, cfg):
             for path, rows in blocks.items():

@@ -249,33 +249,32 @@ class FusedRegularizer:
         Returns ``(l1_value, orth_value)`` — the same float32-accumulated
         penalty values the autograd path reports.
         """
-        l1_total = np.float32(0.0)
-        orth_total = np.float32(0.0)
-        saw_weight = False
-        for _, module in model.named_modules():
-            if not isinstance(module, (Conv2d, Linear)):
-                continue
-            saw_weight = True
+        layers = [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
+        if not layers:
+            raise ValueError("model contains no conv or linear layers")
+        l1_total = orth_total = np.float32(0.0)
+        for module in layers:
             weight = module.weight
             data = weight.data
-            grad = np.zeros_like(data)
-            if self.lambda1 > 0:
-                l1_total = l1_total + np.sum(np.abs(data))
-                grad += self.lambda1 * np.sign(data)
+            flat = data.reshape(data.shape[0], -1)
             if self.lambda2 > 0:
-                flat = data.reshape(data.shape[0], -1)
                 diff = flat @ flat.T
-                diff[np.diag_indices_from(diff)] -= np.float32(1.0)
+                diff.reshape(-1)[::len(diff) + 1] -= np.float32(1.0)
                 value = np.sqrt(np.sum(diff * diff) + np.float32(1e-12))
                 orth_total = orth_total + value
-                gflat = (np.float32(2.0) / value) * (diff @ flat)
-                grad += self.lambda2 * gflat.reshape(data.shape)
+                # λ2·2/f folded into the O×O matrix before the second GEMM.
+                diff *= np.float32(self.lambda2 * 2.0) / value
+                grad = diff @ flat
+            else:
+                grad = np.zeros_like(flat)
+            if self.lambda1 > 0:
+                l1_total = l1_total + np.sum(np.abs(data))
+                sign = np.sign(flat)
+                sign *= np.float32(self.lambda1)
+                grad += sign
+            grad = grad.reshape(data.shape)
             if weight.grad is None:
                 weight.grad = grad
-            else:
-                # One in-place add of the fully-assembled penalty gradient:
-                # elementwise identical to ``weight.grad + grad``.
+            else:       # one in-place add of the assembled penalty gradient
                 np.add(weight.grad, grad, out=weight.grad)
-        if not saw_weight:
-            raise ValueError("model contains no conv or linear layers")
         return float(l1_total), float(orth_total)

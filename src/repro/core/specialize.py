@@ -33,19 +33,22 @@ __all__ = ["SpecializationConfig", "SpecializationResult", "specialize",
 def class_subset(dataset: Dataset, classes: list[int]) -> Subset:
     """View of a dataset restricted to ``classes``, labels remapped to 0..k-1."""
     classes = list(classes)
-    index_of = {c: i for i, c in enumerate(classes)}
-    mask = np.isin(dataset.labels, classes)
-    indices = np.flatnonzero(mask)
+    indices = np.flatnonzero(np.isin(dataset.labels, classes))
+    remap = np.zeros(max(classes, default=-1) + 1, dtype=np.intp)
+    remap[classes] = np.arange(len(classes))
 
     class _Remapped(Subset):
         def __getitem__(self, index):
             image, label = super().__getitem__(index)
-            return image, index_of[label]
+            return image, int(remap[label])
+
+        def gather(self, indices):
+            images, labels = super().gather(indices)
+            return images, remap[labels]
 
         @property
         def labels(self):
-            return np.array([index_of[l] for l in super().labels],
-                            dtype=np.intp)
+            return remap[super().labels]
 
     return _Remapped(dataset, indices)
 

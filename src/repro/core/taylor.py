@@ -80,43 +80,53 @@ class TaylorScoreEngine:
         was_training = self.model.training
         self.model.eval()
         try:
-            self.model.zero_grad()
-            with ActivationRecorder(self.model, self.layer_paths) as recorder:
-                logits = self.model(Tensor(np.asarray(images, dtype=np.float32)))
-                loss = self.loss_fn(logits, np.asarray(targets, dtype=np.intp))
-                loss.backward()
-                result = {}
-                for path in self.layer_paths:
-                    act = recorder.activations[path]
-                    if act.grad is None:
-                        raise RuntimeError(
-                            f"activation of {path!r} received no gradient; "
-                            "is the layer on the path to the loss?")
-                    result[path] = np.abs(act.data * act.grad)
-            self.model.zero_grad()
-            return result
+            return _taylor_pass(self.model, self.layer_paths,
+                                Tensor(np.asarray(images, dtype=np.float32)),
+                                targets, self.loss_fn)
         finally:
             self.model.train(was_training)
 
 
+def _taylor_pass(model: Module, layer_paths: list[str], x: Tensor,
+                 targets: np.ndarray, loss_fn: LossFn) -> dict[str, np.ndarray]:
+    """``|a · ∂L/∂a|`` of every monitored activation: one forward/backward."""
+    model.zero_grad()
+    with ActivationRecorder(model, layer_paths) as recorder:
+        loss_fn(model(x), np.asarray(targets, dtype=np.intp)).backward()
+        result = {}
+        for path in layer_paths:
+            act = recorder.activations[path]
+            if act.grad is None:
+                raise RuntimeError(
+                    f"activation of {path!r} received no gradient; "
+                    "is the layer on the path to the loss?")
+            result[path] = np.abs(act.data * act.grad)
+    model.zero_grad()
+    return result
+
+
 @contextlib.contextmanager
 def _rooted(model: Module, root_path: str | None):
-    """Eval mode with every parameter frozen but those of ``root_path``.
+    """Eval mode with every parameter frozen; the output of ``root_path``
+    becomes a leaf that requires grad, so the graph starts there.
 
     Restores ``model.training`` and every ``requires_grad`` on exit.
     """
     was_training = model.training
     params = [p for _, p in model.named_parameters()]
     saved = [p.requires_grad for p in params]
+    handle = None
     model.eval()
     try:
         for p in params:
             p.requires_grad = False
         if root_path is not None:
-            for p in model.get_module(root_path).parameters():
-                p.requires_grad = True
+            handle = model.get_module(root_path).register_forward_hook(
+                lambda module, args, out: setattr(out, "requires_grad", True))
         yield
     finally:
+        if handle is not None:
+            handle.remove()
         for p, s in zip(params, saved):
             p.requires_grad = s
         model.train(was_training)
@@ -130,8 +140,8 @@ class FusedTaylorScorer:
     single pass scores the whole batch, parameters are frozen so backward
     never computes a weight gradient, and when the probe at construction
     allows it (``root_path``) the graph starts at the first monitored
-    layer's parameters so even the input gradients of the stem layers are
-    skipped.
+    layer's output, so the stem layers and that layer itself run no
+    backward at all.
 
     Parameters
     ----------
@@ -145,51 +155,39 @@ class FusedTaylorScorer:
                  input_shape: tuple[int, ...]):
         self.model = model
         self.layer_paths = list(layer_paths)
-        self.root_path = self._probe_root(tuple(input_shape))
+        self.root_path, self.image_bytes = self._probe_root(tuple(input_shape))
 
-    def _probe_root(self, input_shape: tuple[int, ...]) -> str | None:
+    def _probe_root(self, input_shape: tuple[int, ...]
+                    ) -> tuple[str | None, int]:
         """Check whether rooting at the first monitored layer reaches all.
 
         Every monitored activation must be downstream of that layer for
         the rooted fast path to be exact; exotic topologies fall back to
         rooting at the input (which is always correct, and still skips
         all weight gradients). The probe forward runs in eval mode, so
-        BatchNorm running statistics are left untouched.
+        BatchNorm running statistics are left untouched. Also returns one
+        image's monitored activation bytes (the input's if the probe fails).
         """
         candidate = self.layer_paths[0]
         try:
             with _rooted(self.model, candidate), \
                     ActivationRecorder(self.model, self.layer_paths) as rec:
                 self.model(Tensor(np.zeros((1,) + input_shape, np.float32)))
-                ok = all(rec.activations[p].requires_grad
-                         for p in self.layer_paths)
+                acts = [rec.activations[p] for p in self.layer_paths]
+                ok = all(a.requires_grad for a in acts)
+                image_bytes = sum(a.data.nbytes for a in acts)
         except Exception:  # noqa: BLE001 - any probe failure means fallback
-            ok = False
-        return candidate if ok else None
+            ok, image_bytes = False, 4 * int(np.prod(input_shape))
+        return (candidate if ok else None), image_bytes
 
     def scores(self, images: np.ndarray,
                targets: np.ndarray) -> dict[str, np.ndarray]:
         """Same contract as :meth:`TaylorScoreEngine.scores`."""
-        model = self.model
-        with _rooted(model, self.root_path):
+        with _rooted(self.model, self.root_path):
             x = Tensor(np.asarray(images, dtype=np.float32),
                        requires_grad=self.root_path is None)
-            model.zero_grad()
-            with ActivationRecorder(model, self.layer_paths) as recorder:
-                logits = model(x)
-                loss = _per_sample_ce(logits,
-                                      np.asarray(targets, dtype=np.intp))
-                loss.backward()
-                result = {}
-                for path in self.layer_paths:
-                    act = recorder.activations[path]
-                    if act.grad is None:
-                        raise RuntimeError(
-                            f"activation of {path!r} received no gradient; "
-                            "is the layer on the path to the loss?")
-                    result[path] = np.abs(act.data * act.grad)
-            model.zero_grad()
-            return result
+            return _taylor_pass(self.model, self.layer_paths, x, targets,
+                                _per_sample_ce)
 
 
 class ExactZeroingEngine:
@@ -198,6 +196,9 @@ class ExactZeroingEngine:
     Only practical for tiny layers — the raison d'être of the Taylor
     approximation. Evaluates one image at a time.
     """
+
+    #: Passes of any size hold one image's activations at a time.
+    image_bytes = 1
 
     def __init__(self, model: Module, layer_paths: list[str],
                  loss_fn: LossFn | None = None):

@@ -2,7 +2,7 @@
 
 from .cifar import CIFAR_MEAN, CIFAR_STD, load_cifar10, load_cifar100
 from .dataset import (DataLoader, Dataset, EmptyDatasetError, Subset,
-                      TensorDataset, per_class_images, per_class_indices)
+                      TensorDataset, per_class_images)
 from .synthetic import (SyntheticConfig, SyntheticImageClassification,
                         make_cifar_like)
 from .transforms import (Compose, GaussianNoise, Normalize, RandomCrop,
@@ -10,7 +10,6 @@ from .transforms import (Compose, GaussianNoise, Normalize, RandomCrop,
 
 __all__ = [
     "Dataset", "TensorDataset", "Subset", "DataLoader", "per_class_images",
-    "per_class_indices",
     "EmptyDatasetError",
     "SyntheticConfig", "SyntheticImageClassification", "make_cifar_like",
     "Compose", "RandomHorizontalFlip", "RandomCrop", "Normalize",

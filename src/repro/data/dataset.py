@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 __all__ = ["Dataset", "TensorDataset", "Subset", "DataLoader",
-           "per_class_images", "per_class_indices", "EmptyDatasetError"]
+           "per_class_images", "EmptyDatasetError"]
 
 
 class EmptyDatasetError(ValueError):
@@ -38,6 +38,16 @@ class Dataset:
         """Integer label of every item; enables fast per-class sampling."""
         raise NotImplementedError
 
+    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images ``(B, C, H, W)`` and ``intp`` labels ``(B,)`` of a batch.
+
+        Reads item by item; array-backed datasets override it with one
+        fancy index.
+        """
+        items = [self[int(i)] for i in indices]
+        return (np.stack([image for image, _ in items]),
+                np.array([label for _, label in items], dtype=np.intp))
+
 
 class TensorDataset(Dataset):
     """Dataset over pre-materialised arrays ``images (N,C,H,W)``/``labels (N,)``."""
@@ -54,6 +64,9 @@ class TensorDataset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         return self.images[index], int(self._labels[index])
+
+    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.images[indices], self._labels[indices]
 
     @property
     def labels(self) -> np.ndarray:
@@ -72,6 +85,9 @@ class Subset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         return self.dataset[int(self.indices[index])]
+
+    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.dataset.gather(self.indices[indices])
 
     @property
     def labels(self) -> np.ndarray:
@@ -121,31 +137,10 @@ class DataLoader:
             idx = order[start:start + self.batch_size]
             if self.drop_last and len(idx) < self.batch_size:
                 break
-            images = np.stack([self.dataset[int(i)][0] for i in idx])
-            labels = np.array([self.dataset[int(i)][1] for i in idx], dtype=np.intp)
+            images, labels = self.dataset.gather(idx)
             if self.transform is not None:
                 images = self.transform(images, self._rng)
             yield images, labels
-
-
-def per_class_indices(dataset: Dataset, class_index: int, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Indices of ``count`` randomly selected images of one class.
-
-    The index-level version of :func:`per_class_images`; callers that
-    stage images into shared memory use it to avoid an intermediate stack.
-    """
-    if len(dataset) == 0:
-        raise EmptyDatasetError(
-            "per_class_images received an empty dataset — cannot sample "
-            f"images of class {class_index}")
-    candidates = np.flatnonzero(dataset.labels == class_index)
-    if len(candidates) == 0:
-        raise EmptyDatasetError(
-            f"dataset holds no samples of class {class_index}; every class "
-            "needs at least one training image for per-class sampling")
-    return rng.choice(candidates, size=min(count, len(candidates)),
-                      replace=False)
 
 
 def per_class_images(dataset: Dataset, class_index: int, count: int,
@@ -156,5 +151,15 @@ def per_class_images(dataset: Dataset, class_index: int, count: int,
     (Sec. III-B / IV: "10 images for each class were randomly selected in
     the training datasets").
     """
-    chosen = per_class_indices(dataset, class_index, count, rng)
-    return np.stack([dataset[int(i)][0] for i in chosen])
+    if len(dataset) == 0:
+        raise EmptyDatasetError(
+            "per_class_images received an empty dataset — cannot sample "
+            f"images of class {class_index}")
+    candidates = np.flatnonzero(dataset.labels == class_index)
+    if len(candidates) == 0:
+        raise EmptyDatasetError(
+            f"dataset holds no samples of class {class_index}; every class "
+            "needs at least one training image for per-class sampling")
+    chosen = rng.choice(candidates, size=min(count, len(candidates)),
+                        replace=False)
+    return dataset.gather(chosen)[0]

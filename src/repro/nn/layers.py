@@ -212,7 +212,9 @@ class BatchNorm2d(Module):
     One ``batch_norm`` tape node with a closed-form backward, in train and
     eval mode alike, over channels-last memory (one copy for an
     NCHW-contiguous input); the output is an NCHW view over NHWC memory.
-    An eval-mode backward with frozen γ/β computes no parameter sums.
+    Eval mode is one per-channel affine, ``x·(γσ⁻¹) + (β − μγσ⁻¹)``, whose
+    input gradient is ``g·(γσ⁻¹)``; an eval-mode backward with frozen γ/β
+    computes no parameter sums.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -235,11 +237,16 @@ class BatchNorm2d(Module):
         rows = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n, -1)
         count = n * h * w
 
-        def tiled(v):
-            return np.repeat(v[None], h * w, axis=0).ravel()
+        def tiled(*vectors):
+            """The vectors tiled H·W times, by one ``np.repeat`` (none at 1x1)."""
+            if h * w == 1:
+                return vectors
+            return np.repeat(np.array(vectors)[:, None], h * w,
+                             axis=1).reshape(len(vectors), -1)
+        gamma = self.weight.data
         if self.training:
             mean = _channel_sums(rows, c) / count
-            normed = rows - tiled(mean)
+            normed = rows - tiled(mean)[0]
             var = _channel_sums(normed * normed, c) / count
             # Update running statistics outside the graph.
             m = self.momentum
@@ -249,20 +256,28 @@ class BatchNorm2d(Module):
             object.__setattr__(self, "running_var",
                                (1 - m) * self.running_var + m * unbiased)
             inv_std = (var + np.float32(self.eps)) ** -0.5
+            inv_t, gamma_t, beta_t = tiled(inv_std, gamma, self.bias.data)
+            normed *= inv_t
+            out = normed * gamma_t
+            out += beta_t
         else:
             mean = np.asarray(self.running_mean, dtype=np.float32)
             inv_std = np.asarray(1.0 / np.sqrt(self.running_var + self.eps),
                                  dtype=np.float32)
-            normed = rows - tiled(mean)
-        normed *= tiled(inv_std)
-        gamma = self.weight.data
-        out = normed * tiled(gamma)
-        out += tiled(self.bias.data)
+            scale = gamma * inv_std
+            scale_t, shift_t = tiled(scale, self.bias.data - mean * scale)
+            out = rows * scale_t
+            out += shift_t
+            normed = None
         out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
         parents = (x, self.weight, self.bias)
         if not _tape_active(*parents):
             return Tensor._make(out, (), "batch_norm", None)
         weight, bias, training = self.weight, self.bias, self.training
+        if normed is None and weight.requires_grad:     # x̂ for γ's gradient
+            mean_t, inv_t = tiled(mean, inv_std)
+            normed = rows - mean_t
+            normed *= inv_t
 
         def backward(grad):
             g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(n, -1)
@@ -274,12 +289,13 @@ class BatchNorm2d(Module):
                 if training:
                     # d/dx of (x - mean(x)) / std(x) over the batch:
                     # (γ/σ)·(g − mean(g) − x̂·mean(g·x̂)).
-                    gx = g - tiled(gb / count)
-                    gx -= normed * tiled(gw / count)
-                    gx *= tiled(gamma * inv_std)
+                    gb_t, gw_t, gscale_t = tiled(gb / count, gw / count,
+                                                 gamma * inv_std)
+                    gx = g - gb_t
+                    gx -= normed * gw_t
+                    gx *= gscale_t
                 else:
-                    gx = g * tiled(gamma)
-                    gx *= tiled(inv_std)
+                    gx = g * scale_t
                 gx = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
             return (gx,
                     gw if weight.requires_grad else None,

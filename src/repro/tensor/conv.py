@@ -85,13 +85,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     elif out.shape != (n * oh * ow, kh * kw * c):
         raise ValueError(f"im2col out has shape {out.shape}, expected "
                          f"{(n * oh * ow, kh * kw * c)}")
-    sn, sh, sw, sc = xh.strides
-    patches = as_strided(
-        xh,
-        shape=(n, oh, ow, kh, kw, c),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
-    )
+    sn, sh, sw, sc = xh.strides                 # xh is C-contiguous
+    patches = np.ndarray((n, oh, ow, kh, kw, c), xh.dtype, xh, 0,
+                         (sn, sh * stride, sw * stride, sh, sw, sc))
     np.copyto(out.reshape(n, oh, ow, kh, kw, c, copy=False), patches,
               casting="unsafe")
     return out
@@ -131,9 +127,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     bias:
         Optional per-output-channel bias ``(O,)``.
 
-    The forward, input-gradient and weight-gradient products are one
-    ``np.matmul`` each over the whole batch's :func:`im2col` rows, against
-    the filters in ``(O, KH*KW*C)`` tap order. The output is an NCHW view
+    The forward and weight-gradient products are one ``np.matmul`` each
+    over the whole batch's :func:`im2col` rows, against the filters in
+    ``(O, KH*KW*C)`` tap order. At stride 1 the input gradient is one
+    more, the transposed convolution ``im2col(grad, pad=k-1-p) @ W_flipped``
+    (``grad @ W`` for a 1x1 lowering that keeps the image size); strided
+    convs scatter ``grad @ W`` back with :func:`col2im`. A frozen weight's
+    backward keeps no rows. The output is an NCHW view
     over channels-last memory, which the elementwise layers, batch norm and
     pooling keep, so the next convolution reads contiguous channels.
     A 1x1 input under "same" padding meets only the centre tap: it is
@@ -159,14 +159,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not _tape_active(*parents):
         return Tensor._make(out, (), "conv2d", None)
+    if not weight.requires_grad:
+        cols = None        # only the weight gradient reads the rows
+    # Stride 1 (or a 1x1 image under a 1x1 lowering), padding below the
+    # kernel: dx is the gradient correlated with the flipped filters.
+    transposed = lh == lw > pad and (stride == 1 or h == w == lh == 1)
 
     def backward(grad):
         grad_rows = grad.transpose(0, 2, 3, 1).reshape(-1, o)
         gx = gw = gb = None
-        if x.requires_grad:
+        if x.requires_grad and transposed:
+            flipped = taps[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            gx = np.matmul(grad_rows if lh == 1 else
+                           im2col(grad, lh, lw, 1, lh - 1 - pad),
+                           flipped.reshape(-1, c))
+            gx = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        elif x.requires_grad:
             gx = col2im(np.matmul(grad_rows, w2d), (n, c, h, w),
                         lh, lw, stride, pad)
-        if weight.requires_grad:
+        if cols is not None:
             gw = np.zeros(weight.shape, dtype=grad_rows.dtype)
             gw[:, :, p0:p0 + lh, p0:p0 + lw] = np.matmul(
                 grad_rows.T, cols).reshape(o, lh, lw, c).transpose(0, 3, 1, 2)

@@ -420,12 +420,13 @@ def _build_pad2d(rng):
 # repro.tensor.conv specs
 # ----------------------------------------------------------------------
 
-def _conv_geometry(rng, max_kernel: int = 3, centre: bool = False):
+def _conv_geometry(rng, max_kernel: int = 3, centre: bool = False,
+                   stride: int | None = None):
     if centre:      # 1x1 input under "same" padding: conv2d's centre tap
         kernel = int(rng.choice([1, 3]))
         return kernel, int(rng.integers(1, 3)), kernel // 2, 1
     kernel = int(rng.integers(1, max_kernel + 1))
-    stride = int(rng.integers(1, 3))
+    stride = stride or int(rng.integers(1, 3))
     padding = int(rng.integers(0, 3))
     # Smallest input that still yields at least one output position.
     min_size = max(kernel - 2 * padding, 1)
@@ -435,9 +436,12 @@ def _conv_geometry(rng, max_kernel: int = 3, centre: bool = False):
 
 @register_spec("conv.conv2d", ["conv.conv2d"])
 def _build_conv2d(rng):
-    # Every round, the --quick one too, also checks a centre-tap case.
-    return [_conv2d_case(rng, _conv_geometry(rng, centre=centre))
-            for centre in (False, True)]
+    # Every round, the --quick one too, checks a stride-1 case (the
+    # transposed-GEMM input gradient), a stride-2 case (the col2im
+    # scatter) and a centre-tap case.
+    return [_conv2d_case(rng, _conv_geometry(rng, stride=stride))
+            for stride in (1, 2)] + [
+        _conv2d_case(rng, _conv_geometry(rng, centre=True))]
 
 
 def _conv2d_case(rng, geometry):

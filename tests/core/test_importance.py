@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import (ImportanceConfig, ImportanceEvaluator,
-                        ImportanceReport, TaylorScoreEngine,
-                        aggregate_scores)
+from repro.core import (FusedTaylorScorer, ImportanceConfig,
+                        ImportanceEvaluator, ImportanceReport,
+                        TaylorScoreEngine, aggregate_scores)
 from repro.core import importance as importance_module
 from repro.data import Subset, make_cifar_like, per_class_images
 from repro.models import MLP, build_model, vgg11
@@ -70,6 +70,39 @@ class TestAggregateScores:
                     rows[k], aggregate_scores(taylor[start:start + m], tau,
                                               aggregation))
                 start += m
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("counts", [[2, 2, 2, 2], [3, 1, 2, 4],
+                                        None])
+    @pytest.mark.parametrize("per_class_tau", [False, True])
+    @pytest.mark.parametrize("aggregation", ["max", "mean"])
+    def test_matches_reduceat_reference(self, aggregation, per_class_tau,
+                                        counts, layout):
+        # Equal segments (reshape-sum), ragged ones (reduceat) and the
+        # single-class call, a scalar or per-class τ (the quantile mode),
+        # against the float64 indicator mean per segment, bitwise.
+        rng = np.random.default_rng(len(counts or []) + per_class_tau)
+        b = sum(counts) if counts else 5
+        taylor = np.where(rng.random((b, 6, 3, 3)) < 0.4, 0.0,
+                          rng.random((b, 6, 3, 3)) ** 4).astype(np.float32)
+        if layout == "channels_last":
+            taylor = np.ascontiguousarray(
+                taylor.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        segments = counts or [b]
+        taus = ([float(t) for t in rng.random(len(segments)) * 0.1]
+                if per_class_tau and counts else [1e-50] * len(segments))
+        got = aggregate_scores(taylor, taus if per_class_tau and counts
+                               else 1e-50, aggregation, counts)
+        bounds = np.cumsum([0] + segments)
+        expected = []
+        for k, tau in enumerate(taus):
+            seg = taylor[bounds[k]:bounds[k + 1]]
+            s_ave = (seg > np.float32(tau)).astype(np.float64).mean(axis=0)
+            flat = s_ave.reshape(len(s_ave), -1)
+            expected.append(flat.max(axis=1) if aggregation == "max"
+                            else flat.mean(axis=1))
+        expected = np.array(expected)
+        assert got.tobytes() == (expected if counts else expected[0]).tobytes()
 
     def test_rejects_empty_segment(self):
         with pytest.raises(ValueError, match="zero images"):
@@ -219,6 +252,13 @@ def _unfused_reference(model, dataset, num_classes, cfg, paths):
     return per_class
 
 
+def pass_images(monkeypatch, model, paths, images):
+    """Size scoring passes to hold ``images`` images of ``model``."""
+    image_bytes = FusedTaylorScorer(model, paths, (3, 8, 8)).image_bytes
+    monkeypatch.setattr(importance_module, "_PASS_BYTES",
+                        images * image_bytes)
+
+
 class TestFusedEvaluator:
     """The fused, weight-grad-free evaluator against the unfused loop.
 
@@ -230,14 +270,14 @@ class TestFusedEvaluator:
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_bitwise_equal_to_unfused_per_class_loop(self, name, tau_mode,
                                                      monkeypatch):
-        # 5 classes of M=2 at a cap of 4 images: three passes, the last
-        # one partial.
-        monkeypatch.setattr(importance_module, "_FUSE_IMAGE_CAP", 4)
+        # 5 classes of M=2 at a budget of 4 images: three passes, the
+        # last one partial.
         model = build_model(name, num_classes=5, image_size=8, width=0.25,
                             seed=0)
         train, _ = make_cifar_like(num_classes=5, image_size=8,
                                    samples_per_class=6, seed=0)
         paths = [g.conv for g in model.prunable_groups()]
+        pass_images(monkeypatch, model, paths, 4)
         cfg = ImportanceConfig(images_per_class=2, tau_mode=tau_mode,
                                tau_quantile=0.5, seed=3)
         expected = _unfused_reference(model, train, 5, cfg, paths)
@@ -254,7 +294,6 @@ class TestFusedEvaluator:
             self, tau_mode, aggregation, monkeypatch):
         # Classes 1 and 3 hold fewer than M=3 images (1 and 2), so the
         # fused passes hold segments of 3, 1, 3 rows, then 2, 3 rows.
-        monkeypatch.setattr(importance_module, "_FUSE_IMAGE_CAP", 9)
         model = vgg11(num_classes=5, image_size=8, width=0.125, seed=1)
         full, _ = make_cifar_like(num_classes=5, image_size=8,
                                   samples_per_class=4, seed=1)
@@ -267,6 +306,7 @@ class TestFusedEvaluator:
                 indices.append(i)
         train = Subset(full, np.array(indices))
         paths = [g.conv for g in model.prunable_groups()]
+        pass_images(monkeypatch, model, paths, 9)
         cfg = ImportanceConfig(images_per_class=3, tau_mode=tau_mode,
                                tau_quantile=0.5, aggregation=aggregation,
                                seed=4)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, Subset, TensorDataset, per_class_images
+from repro.core import class_subset
+from repro.data import (DataLoader, Dataset, RandomHorizontalFlip, Subset,
+                        TensorDataset, per_class_images)
 
 
 def make_ds(n=20, classes=4, seed=0):
@@ -89,6 +91,53 @@ class TestDataLoader:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             DataLoader(make_ds(), batch_size=0)
+
+
+class ItemWise(Dataset):
+    """The same items through the default, item-by-item ``gather``."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def __len__(self):
+        return len(self.dataset)
+
+    def __getitem__(self, index):
+        return self.dataset[index]
+
+    @property
+    def labels(self):
+        return self.dataset.labels
+
+
+class TestGather:
+    """One fancy index per batch gives bitwise the item-by-item batches."""
+
+    @pytest.mark.parametrize("view", ["tensor", "subset", "class_subset"])
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_loader_batches_bitwise_equal(self, view, drop_last):
+        ds = make_ds(n=23)
+        wrap = {"tensor": lambda d: d,
+                "subset": lambda d: Subset(d, np.array([9, 2, 2, 17, 5,
+                                                        22, 0, 11, 3])),
+                "class_subset": lambda d: class_subset(d, [3, 1])}[view]
+        loaders = [DataLoader(wrap(d), batch_size=4, shuffle=True, seed=5,
+                              drop_last=drop_last,
+                              transform=RandomHorizontalFlip())
+                   for d in (ds, ItemWise(ds))]
+        for _ in range(2):                      # two epochs
+            batches = [list(loader) for loader in loaders]
+            assert len(batches[0]) == len(batches[1]) > 0
+            for (xa, ya), (xb, yb) in zip(*batches):
+                assert xa.tobytes() == xb.tobytes()
+                assert ya.dtype == yb.dtype == np.intp
+                np.testing.assert_array_equal(ya, yb)
+
+    def test_per_class_images_bitwise_equal(self):
+        ds = make_ds(n=30, classes=3)
+        images = [per_class_images(d, 2, 4, np.random.default_rng(1))
+                  for d in (ds, ItemWise(ds))]
+        assert images[0].tobytes() == images[1].tobytes()
 
 
 class TestPerClassImages:

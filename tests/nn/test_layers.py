@@ -154,7 +154,8 @@ class TestBatchNorm2d:
     @pytest.mark.parametrize("hw", [(3, 2), (1, 1)])
     def test_eval_backward_with_frozen_affine(self, hw):
         # Taylor scoring: eval mode, γ/β frozen. The input gradient is
-        # (g·γ)/σ per channel and no parameter gradient is returned.
+        # g·(γσ⁻¹), the forward's own per-channel scale, and no parameter
+        # gradient is returned.
         rng = np.random.default_rng(18)
         bn = BatchNorm2d(3)
         bn.weight.data = rng.normal(size=3).astype(np.float32)
@@ -167,9 +168,29 @@ class TestBatchNorm2d:
         gx, gw, gb = out._backward(grad)
         assert gw is None and gb is None
         inv_std = (1.0 / np.sqrt(bn.running_var + bn.eps)).astype(np.float32)
-        expected = grad * bn.weight.data.reshape(1, -1, 1, 1)
-        expected *= inv_std.reshape(1, -1, 1, 1)
-        np.testing.assert_array_equal(gx, expected)
+        scale = bn.weight.data * inv_std
+        np.testing.assert_array_equal(gx, grad * scale.reshape(1, -1, 1, 1))
+
+    @pytest.mark.parametrize("hw", [(5, 3), (1, 1)])
+    def test_eval_forward_matches_float64(self, hw):
+        # Eval mode is one float32 affine x·(γσ⁻¹) + (β − μγσ⁻¹): within
+        # float32 rounding of the float64 (x − μ)/σ·γ + β.
+        rng = np.random.default_rng(22)
+        bn = BatchNorm2d(4)
+        bn.weight.data = rng.normal(size=4).astype(np.float32)
+        bn.bias.data = rng.normal(size=4).astype(np.float32)
+        bn.running_mean[:] = rng.normal(size=4)
+        bn.running_var[:] = np.exp(rng.normal(size=4))
+        bn.eval()
+        x = rand((6, 4) + hw, seed=23) * 3 + 1
+        out = bn(Tensor(x)).data
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        per_channel = [v.astype(np.float64).reshape(1, -1, 1, 1)
+                       for v in (bn.running_mean, bn.running_var,
+                                 bn.weight.data, bn.bias.data)]
+        mean, var, gamma, beta = per_channel
+        ref = (x.astype(np.float64) - mean) / np.sqrt(var + bn.eps) * gamma
+        np.testing.assert_allclose(out, ref + beta, rtol=1e-5, atol=1e-5)
 
     def test_train_statistics_match_float64(self):
         # GEMV channel sums over an NCHW-contiguous input (one copy to

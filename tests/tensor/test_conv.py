@@ -5,7 +5,7 @@ import pytest
 
 from repro.tensor import (Tensor, avg_pool2d, check_gradients, conv2d,
                           conv_output_size, max_pool2d, no_grad)
-from repro.tensor.conv import col2im, im2col
+from repro.tensor.conv import im2col
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0):
@@ -61,19 +61,36 @@ def channels_last(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+def im2col_adjoint(rows, x_shape, k, stride, padding):
+    """Adjoint of :func:`im2col`, through ``conv2d``'s input gradient.
+
+    Filters that each pick one ``(tap, channel)`` column (``O = k*k*C``,
+    identity ``(O, k*k*C)`` matrix) make the conv output the im2col rows
+    themselves, so the input gradient of ``rows`` is their adjoint image.
+    """
+    n, c, h, w = x_shape
+    o = k * k * c
+    eye = np.eye(o, dtype=np.float32).reshape(o, k, k, c).transpose(0, 3, 1, 2)
+    x = Tensor(np.zeros(x_shape, dtype=np.float32), requires_grad=True)
+    out = conv2d(x, Tensor(eye), stride=stride, padding=padding)
+    oh, ow = out.shape[2:]
+    out.backward(rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+    return x.grad
+
+
 class TestIm2Col:
     def test_round_trip_is_multiplicity_weighted(self):
-        # col2im(im2col(x)) adds each pixel once per window covering it;
+        # adjoint(im2col(x)) adds each pixel once per window covering it;
         # with kernel=stride (non-overlapping) it is the identity.
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
         cols = im2col(x, 2, 2, stride=2, padding=0)
-        back = col2im(cols, x.shape, 2, 2, stride=2, padding=0)
+        back = im2col_adjoint(cols, x.shape, 2, stride=2, padding=0)
         np.testing.assert_array_equal(back, x)
         # Overlapping 3x3/stride-1 windows: the centre pixel of a 3x3
         # image is covered once per tap.
         x = np.ones((1, 2, 3, 3), dtype=np.float32)
-        back = col2im(im2col(x, 3, 3, 1, 1), x.shape, 3, 3, 1, 1)
+        back = im2col_adjoint(im2col(x, 3, 3, 1, 1), x.shape, 3, 1, 1)
         assert back[0, 0, 1, 1] == 9 and back[0, 1, 0, 0] == 4
 
     ADJOINT_CASES = [
@@ -85,26 +102,26 @@ class TestIm2Col:
         if conv_output_size(min(shape[2:]), k, stride, padding) >= 1]
 
     def test_adjointness(self):
-        # <im2col(x), y> == <x, col2im(y)> — the defining adjoint property
-        # that makes the conv backward pass correct — across strides 1/2,
-        # paddings 0/1/2, non-square and 1x1 spatial inputs. The rows also
-        # match a loop reference, so a row/tap/channel mix-up in the
+        # <im2col(x), y> == <x, adjoint(y)> — the defining adjoint property
+        # that makes the conv input gradient correct — across strides 1/2,
+        # paddings 0/1/2 (more than k - 1 too), non-square and 1x1 spatial
+        # inputs. Small integers keep every float32 sum exact. The rows
+        # also match a loop reference, so a row/tap/channel mix-up in the
         # (N*OH*OW, kh*kw*C) layout shows.
         rng = np.random.default_rng(1)
         for shape, k, stride, padding in self.ADJOINT_CASES:
             n, c, h, w = shape
-            x = rng.normal(size=shape)
+            x = rng.integers(-3, 4, size=shape).astype(np.float32)
             cols = im2col(x, k, k, stride=stride, padding=padding)
             oh = conv_output_size(h, k, stride, padding)
             ow = conv_output_size(w, k, stride, padding)
             assert cols.shape == (n * oh * ow, k * k * c)
             np.testing.assert_array_equal(
                 cols, naive_im2col(x, k, k, stride, padding))
-            y = rng.normal(size=cols.shape)
-            back = col2im(y, x.shape, k, k, stride=stride, padding=padding)
+            y = rng.integers(-3, 4, size=cols.shape).astype(np.float32)
+            back = im2col_adjoint(y, x.shape, k, stride, padding)
             assert back.shape == x.shape
-            assert (cols * y).sum() == pytest.approx((x * back).sum(),
-                                                     rel=1e-10)
+            assert (cols * y).sum() == (x * back).sum()
 
     def test_column_count(self):
         x = np.zeros((1, 2, 6, 6), dtype=np.float32)
@@ -226,6 +243,52 @@ class TestConv2dDirectReference:
         np.testing.assert_allclose(x.grad, dx, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(wt.grad, dw, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(b.grad, db, rtol=1e-5, atol=1e-5)
+
+
+class TestInputGradient:
+    """The transposed-GEMM input gradient against the float64 loop
+    reference: kernels 1/3/5 at every padding 0..k-1, strides 1 and 2,
+    odd sizes, NCHW-contiguous and channels-last inputs."""
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5)
+                                           for p in range(k)])
+    def test_matches_loop_reference(self, k, padding, stride, layout):
+        rng = np.random.default_rng(100 * k + 10 * padding + stride)
+        x = rng.normal(size=(2, 3, 7, 5)).astype(np.float32)
+        if layout == "nhwc":
+            x = channels_last(x)
+        xt = Tensor(x, requires_grad=True)
+        w = rng.normal(size=(4, 3, k, k)).astype(np.float32)
+        out = conv2d(xt, Tensor(w), stride=stride, padding=padding)
+        grad = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(grad)
+        dx, _, _ = direct_conv2d_grads(x.astype(np.float64),
+                                       w.astype(np.float64),
+                                       grad.astype(np.float64), stride,
+                                       padding)
+        assert xt.grad.shape == dx.shape
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-5, atol=1e-5)
+
+    def test_frozen_weight_keeps_no_rows(self):
+        # Scoring freezes every weight: the backward closure must not hold
+        # the im2col rows, and the input gradient is unchanged.
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        grads = []
+        for frozen in (False, True):
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=not frozen)
+            out = conv2d(xt, wt, stride=1, padding=1)
+            held = [cell.cell_contents for cell in out._backward.__closure__]
+            assert any(isinstance(v, np.ndarray) and v.shape == (72, 27)
+                       for v in held) is not frozen
+            out.backward(np.ones(out.shape, dtype=np.float32))
+            grads.append(xt.grad)
+            assert (wt.grad is None) is frozen
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestPooling:
@@ -402,8 +465,9 @@ class TestMaxPoolAgainstLoops:
 
 
 def full_lowering_conv(x, w, b, stride, padding, grad):
-    """Conv forward and gradients through the full ``kh*kw`` im2col
-    lowering, padding taps included: ``(out, dx, dw, db)``."""
+    """Conv forward and weight gradient through the full ``kh*kw`` im2col
+    lowering, padding taps included, and the loop reference's input
+    gradient: ``(out, dx, dw, db)``."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     oh = conv_output_size(h, kh, stride, padding)
@@ -412,7 +476,7 @@ def full_lowering_conv(x, w, b, stride, padding, grad):
     w2d = w.transpose(0, 2, 3, 1).reshape(o, -1)
     out = (cols @ w2d.T + b).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
     g = grad.transpose(0, 2, 3, 1).reshape(-1, o)
-    dx = col2im(g @ w2d, x.shape, kh, kw, stride, padding)
+    dx = direct_conv2d_grads(x, w, grad, stride, padding)[0]
     dw = (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     return out, dx, dw, g.sum(axis=0)
 
