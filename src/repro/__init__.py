@@ -36,7 +36,7 @@ Subpackages
 __version__ = "1.0.0"
 
 from . import (analysis, baselines, core, data, flops, infer, io, models, nn,
-               optim, quant, tensor)
+               optim, tensor)
 
 __all__ = ["tensor", "nn", "optim", "data", "models", "flops", "core",
-           "infer", "baselines", "analysis", "io", "quant", "__version__"]
+           "infer", "baselines", "analysis", "io", "__version__"]

@@ -165,6 +165,29 @@ _QCONV_OPS = {"conv2d": False, "conv2d_relu": True}
 _QLINEAR_OPS = {"linear": False, "linear_relu": True}
 
 
+def _quantize_weight(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric per-output-channel int8 weight codes and scales.
+
+    Axis 0 indexes output channels; ``values ≈ q * scale`` with ``q`` on
+    ``[-127, 127]`` and ``scale`` shaped to broadcast against ``values``.
+    A non-finite weight raises (it would give its whole channel a
+    non-finite scale), and an all-zero channel gets scale 1.0: its codes
+    are exactly 0 under any finite scale.
+    """
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise ValueError(
+            f"cannot quantize non-finite values ({bad} NaN/inf element(s); "
+            "a non-finite weight would produce a non-finite scale)")
+    qmax = 127
+    amax = np.abs(values.reshape(values.shape[0], -1)).max(axis=1)
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    scale = np.where(amax > 0, amax / qmax, 1.0).reshape(shape)
+    q = np.clip(np.round(values / scale), -qmax, qmax).astype(np.int8)
+    return q, scale.astype(np.float32)
+
+
 def _nhwc(shape: tuple[int, ...]) -> tuple[int, ...]:
     if len(shape) == 4:
         n, c, h, w = shape
@@ -298,8 +321,6 @@ def quantize_plan(plan: Plan, scales: dict[int, float],
             report.boundary_steps += 1
         return vid
 
-    from ..quant.quantize import quantize_array
-
     for step in plan.steps:
         op, out = step.op, step.output
         if out in quant:
@@ -307,9 +328,8 @@ def quantize_plan(plan: Plan, scales: dict[int, float],
             in_vid = step.inputs[0]
             emit_q8 = _wants(out)
             qin = ensure_q8(in_vid)
-            wq, w_scale = quantize_array(step.params["weight"], 8,
-                                         per_channel=True)
-            params = {"weight_q": wq.astype(np.int8),
+            wq, w_scale = _quantize_weight(step.params["weight"])
+            params = {"weight_q": wq,
                       "w_scale": w_scale.reshape(-1),
                       "bias": step.params.get("bias"),
                       "in_scale": float(scales[in_vid]),
@@ -386,10 +406,8 @@ def quantize_plan(plan: Plan, scales: dict[int, float],
                 # once into the GEMM matrix at engine build), but the
                 # artifact stores one byte per weight like every other
                 # layer. Error is the per-channel int8 weight grid only.
-                wq, w_scale = quantize_array(params.pop("weight"), 8,
-                                             per_channel=True)
-                params["weight_q"] = wq.astype(np.int8)
-                params["w_scale"] = w_scale
+                params["weight_q"], params["w_scale"] = _quantize_weight(
+                    params.pop("weight"))
             new_steps.append(Step(op, inputs, out, params, step.source))
             f32_avail.add(out)
 

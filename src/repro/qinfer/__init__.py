@@ -1,7 +1,6 @@
 """Native int8 quantized inference (`repro.qinfer`).
 
-Where :mod:`repro.quant` fake-quantizes (int8 grid, float32 storage and
-execution), this package executes on real int8 codes inside the compiled
+This package executes on real int8 codes inside the compiled
 :mod:`repro.infer` runtime: per-channel symmetric weights, per-tensor
 calibrated activations, NHWC int8 GEMM kernels with a float32-BLAS
 exactness certificate, and an artifact format whose bytes reflect int8

@@ -29,8 +29,7 @@ from .chaos import (ChaosError, FlakyDataset, SimulatedCrash,
                     sabotage_method)
 from .journal import (JournalCorruptError, RunDirectory, RunJournal,
                       decode_payload, encode_payload)
-from .retry import (DataUnavailableError, RetryBudgetExhausted, RetryPolicy,
-                    RetryingDataset)
+from .retry import DataUnavailableError, RetryPolicy, RetryingDataset
 from .sentinels import (HealthMonitor, NumericalHealthError, SentinelConfig,
                         SentinelEvent)
 from .transaction import ModelSnapshot, transactional
@@ -42,7 +41,7 @@ __all__ = [
     "SentinelConfig", "SentinelEvent", "HealthMonitor",
     "NumericalHealthError",
     "RetryingDataset", "DataUnavailableError",
-    "RetryPolicy", "RetryBudgetExhausted",
+    "RetryPolicy",
     "ChaosError", "SimulatedCrash", "FlakyDataset",
     "plant_numerical_fault", "sabotage_method", "corrupt_checkpoint",
 ]

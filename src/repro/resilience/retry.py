@@ -8,8 +8,7 @@ bound that trade-off:
 
 * :class:`RetryPolicy` — a deterministic exponential-backoff schedule
   (bounded attempts, multiplicative growth, seeded jitter) used by the
-  replica fleet (:class:`~repro.serve.ReplicaSet`) to pace respawns and by
-  :meth:`RetryPolicy.call` to wrap arbitrary flaky callables;
+  replica fleet (:class:`~repro.serve.ReplicaSet`) to pace respawns;
 * :class:`RetryingDataset` — a dataset view that retries transient
   ``__getitem__`` failures and then raises
   :class:`DataUnavailableError` naming the item and the attempt count
@@ -22,7 +21,6 @@ supervisor's recovery timeline can be replayed from its journal.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,24 +28,11 @@ import numpy as np
 
 from ..data import Dataset
 
-__all__ = ["DataUnavailableError", "RetryBudgetExhausted", "RetryPolicy",
-           "RetryingDataset"]
+__all__ = ["DataUnavailableError", "RetryPolicy", "RetryingDataset"]
 
 
 class DataUnavailableError(RuntimeError):
     """An item stayed unreadable after exhausting the retry budget."""
-
-
-class RetryBudgetExhausted(RuntimeError):
-    """A retried operation kept failing after its final attempt.
-
-    ``__cause__`` carries the last underlying exception; ``attempts``
-    records how many times the operation ran.
-    """
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -110,34 +95,6 @@ class RetryPolicy:
     def delays(self) -> list[float]:
         """The full backoff schedule (one entry per possible retry)."""
         return [self.delay(k) for k in range(self.max_attempts - 1)]
-
-    # ------------------------------------------------------------------
-    def call(self, fn: Callable, *args,
-             retry_on: tuple[type[BaseException], ...] = (Exception,),
-             on_retry: Callable[[int, BaseException], None] | None = None,
-             sleep: Callable[[float], None] = time.sleep, **kwargs):
-        """Run ``fn(*args, **kwargs)`` under this policy.
-
-        Only exceptions matching ``retry_on`` are retried; anything else
-        propagates immediately (a programming error must not be masked by
-        backoff). ``on_retry(attempt, exc)`` fires before each sleep.
-        After the final attempt fails, :class:`RetryBudgetExhausted` is
-        raised from the last exception.
-        """
-        last: BaseException | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                return fn(*args, **kwargs)
-            except retry_on as exc:
-                last = exc
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                if attempt + 1 < self.max_attempts:
-                    sleep(self.delay(attempt))
-        raise RetryBudgetExhausted(
-            f"{getattr(fn, '__name__', fn)!r} still failing after "
-            f"{self.max_attempts} attempts: {last}",
-            attempts=self.max_attempts) from last
 
 
 class RetryingDataset(Dataset):

@@ -24,7 +24,6 @@ Pieces (each importable on its own):
                 routing, liveness probes, rid-keyed failover,
                 circuit breakers, rolling deploys, degrade
 ``client``      minimal blocking client (tests, drills, load generator)
-``resilient``   self-healing client: reconnect, backoff, circuit breaker
 ``loadgen``     closed-loop load generator behind ``repro serve-bench``
 ``bench``       the BENCH_serve.json lane
 ``drills``      ``serve.shed`` / ``serve.swap`` / ``serve.drain`` /
@@ -51,14 +50,13 @@ from .metrics import LatencyReservoir, ServerMetrics, sum_counters
 from .registry import (DeployReport, ModelRegistry, ModelVersion,
                        NoSuchModelError, SwapValidationError)
 from .replica import ReplicaConfig, ReplicaSet, ReplicaSpec
-from .resilient import CircuitBreaker, CircuitOpenError, ResilientClient
 from .router import ReplicaRouter, ReplicasUnavailable
-from .scheduler import AdaptiveWindow, WindowConfig
+from .scheduler import AdaptiveWindow
 from .server import InferenceServer, ServeConfig, ServerThread
 from .shedding import AdmissionController, SheddingConfig
 
 __all__ = [
-    "AdaptiveWindow", "WindowConfig",
+    "AdaptiveWindow",
     "AdmissionController", "SheddingConfig",
     "LatencyReservoir", "ServerMetrics", "sum_counters",
     "DeployReport", "ModelRegistry", "ModelVersion", "NoSuchModelError",
@@ -66,6 +64,5 @@ __all__ = [
     "ServeManifest", "RestoreReport", "restore_registry",
     "ReplicaConfig", "ReplicaSet", "ReplicaSpec",
     "ReplicaRouter", "ReplicasUnavailable",
-    "CircuitBreaker", "CircuitOpenError", "ResilientClient",
     "InferenceServer", "ServeConfig", "ServerThread",
 ]

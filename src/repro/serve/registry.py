@@ -42,7 +42,7 @@ import numpy as np
 from ..clock import SYSTEM_CLOCK, Clock
 from ..infer import BatchRunner, CompileValidationError, compile_model
 from ..tensor import Tensor, inference_mode
-from .scheduler import AdaptiveWindow, WindowConfig
+from .scheduler import AdaptiveWindow
 from .shedding import AdmissionController, SheddingConfig
 
 __all__ = ["ModelVersion", "DeployReport", "ModelRegistry",
@@ -130,7 +130,6 @@ class ModelRegistry:
     """All serving lines of one server; deploys, routes, swaps, degrades."""
 
     def __init__(self, *, max_batch: int = 32,
-                 window: WindowConfig | None = None,
                  shedding: SheddingConfig | None = None,
                  clock: Clock = SYSTEM_CLOCK,
                  max_worker_restarts: int = 3,
@@ -139,7 +138,6 @@ class ModelRegistry:
                  manifest_dir=None,
                  metrics=None):
         self.max_batch = int(max_batch)
-        self.window_config = window or WindowConfig()
         self.shedding_config = shedding or SheddingConfig()
         self.clock = clock
         self.max_worker_restarts = int(max_worker_restarts)
@@ -230,7 +228,7 @@ class ModelRegistry:
                         f"top-1 agreement {top1:.3f} < "
                         f"{min_top1_agreement:.3f} on the probe batch")
 
-        window = AdaptiveWindow(self.window_config, max_batch=self.max_batch)
+        window = AdaptiveWindow(max_batch=self.max_batch)
         incoming = ModelVersion(name, version, model, engine, runner=None,
                                 window=window, probe_max_abs_diff=probe_diff)
         incoming.runner = BatchRunner(

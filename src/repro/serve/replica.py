@@ -63,6 +63,10 @@ from . import reaper, wire
 
 __all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet", "WorkerEvent"]
 
+HEARTBEAT_S = 0.05              # replica stamp + watchdog scan period
+STALE_AFTER_S = 2.0             # heartbeat age ⇒ SIGKILL
+RESPAWN_MAX_DELAY_S = 1.0       # cap on one respawn backoff
+
 
 @dataclass
 class WorkerEvent:
@@ -110,30 +114,19 @@ class ReplicaConfig:
     replicas: int = 2
     max_batch: int = 8                  # per-replica engine batch
     socket_dir: str | None = None       # default: fresh ledgered tmpdir
-    heartbeat_s: float = 0.05           # replica stamp + watchdog scan
-    stale_after_s: float = 2.0          # heartbeat age ⇒ SIGKILL
-    start_deadline_s: float = 30.0      # socket connect budget per spawn
-    deploy_timeout_s: float = 120.0     # compile+validate budget
     probe_interval_s: float = 0.25      # router liveness ping period
     probe_timeout_s: float = 2.0        # unanswered ping ⇒ SIGKILL
     max_respawns: int = 3               # set-wide respawn budget
-    respawn_base_delay_s: float = 0.05  # RetryPolicy backoff knobs
-    respawn_max_delay_s: float = 1.0
-    respawn_seed: int = 0
-    max_dispatch_retries: int = 2       # re-dispatches per request
-    breaker_failures: int = 3           # per-replica circuit breaker
-    breaker_cooldown_s: float = 0.5
+    respawn_base_delay_s: float = 0.05  # first respawn backoff
     request_timeout_s: float = 30.0     # router-side wait per request
-    drain_poll_s: float = 0.01          # rolling-deploy drain poll
-    rolling_drain_timeout_s: float = 10.0
     allow_chaos: bool = False           # enable the "chaos" op (drills)
     engine_delay_ms: float = 0.0        # slow the engine down (drills)
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(max_attempts=self.max_respawns + 1,
                            base_delay=self.respawn_base_delay_s,
-                           factor=2.0, max_delay=self.respawn_max_delay_s,
-                           jitter=0.1, seed=self.respawn_seed)
+                           factor=2.0, max_delay=RESPAWN_MAX_DELAY_S,
+                           jitter=0.1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +353,7 @@ def _replica_main(replica_id: int, socket_path: str, heartbeats,
     def beat() -> None:
         while not service._stop.is_set():
             heartbeats[replica_id] = time.monotonic()
-            service._stop.wait(config.heartbeat_s)
+            service._stop.wait(HEARTBEAT_S)
 
     threading.Thread(target=beat, daemon=True,
                      name=f"repro-replica-{replica_id}-heartbeat").start()
@@ -481,16 +474,16 @@ class ReplicaSet:
     # -- supervision ----------------------------------------------------
 
     def _watch(self) -> None:
-        while not self._watchdog_halt.wait(self.config.heartbeat_s):
+        while not self._watchdog_halt.wait(HEARTBEAT_S):
             now = time.monotonic()
             for handle in self.handles:
                 if not handle.alive:
                     continue
                 age = now - self._heartbeats[handle.replica_id]
-                if age > self.config.stale_after_s:
+                if age > STALE_AFTER_S:
                     self.kill(handle.replica_id,
                               reason=f"heartbeat stale for {age:.2f}s "
-                                     f"(limit {self.config.stale_after_s}s)",
+                                     f"(limit {STALE_AFTER_S}s)",
                               kind="stale")
 
     def kill(self, replica_id: int, reason: str, kind: str = "hang") -> None:

@@ -14,7 +14,7 @@ replica processes:
   same EOF-detection path as crashes (the PR 5 watchdog story);
 * **idempotent re-dispatch** — every request is keyed by a router
   ``rid``; when a replica dies, its outstanding rids are immediately
-  re-sent to surviving replicas (bounded by ``max_dispatch_retries``).
+  re-sent to surviving replicas (at most ``MAX_DISPATCH_RETRIES``).
   The first reply wins and duplicates are discarded, so an accepted
   request is answered exactly once no matter how many replicas failed
   under it;
@@ -48,14 +48,88 @@ from ..infer.batcher import DeadlineExpired
 from . import wire
 from .metrics import LatencyReservoir, sum_counters
 from .replica import ReplicaSet, ReplicaSpec
-from .resilient import CircuitBreaker
 
 __all__ = ["ReplicasUnavailable", "ReplicaRouter"]
+
+START_DEADLINE_S = 30.0         # socket connect budget per spawn
+DEPLOY_TIMEOUT_S = 120.0        # compile + validate budget
+MAX_DISPATCH_RETRIES = 2        # re-dispatches per request
+BREAKER_FAILURES = 3            # per-replica circuit breaker
+BREAKER_COOLDOWN_S = 0.5
+DRAIN_POLL_S = 0.01             # rolling-deploy drain poll
+ROLLING_DRAIN_TIMEOUT_S = 10.0
 
 
 class ReplicasUnavailable(RuntimeError):
     """No replica could serve this request; the caller should serve it
     on the in-process path instead. Never surfaces to a client."""
+
+
+class CircuitBreaker:
+    """Consecutive-failure breaker with half-open probes.
+
+    States: ``closed`` (all calls pass) → ``open`` after
+    ``failure_threshold`` consecutive failures (calls fail fast) →
+    ``half-open`` once ``cooldown_s`` has elapsed (exactly one probe
+    passes; its success closes the circuit, its failure re-opens it and
+    restarts the cooldown).
+    """
+
+    def __init__(self, failure_threshold: int = BREAKER_FAILURES,
+                 cooldown_s: float = BREAKER_COOLDOWN_S, *,
+                 clock: Clock = SYSTEM_CLOCK):
+        self.failure_threshold = failure_threshold
+        self.cooldown_s = cooldown_s
+        self.clock = clock
+        self.state = "closed"
+        self.consecutive_failures = 0
+        self._opened_at: float | None = None
+        self._probing = False
+
+    def allow(self) -> bool:
+        """May a call proceed right now? (Half-open admits one probe.)"""
+        if self.state == "closed":
+            return True
+        if self.state == "open":
+            elapsed = self.clock.monotonic() - self._opened_at
+            if elapsed >= self.cooldown_s:
+                self.state = "half-open"
+                self._probing = True
+                return True
+            return False
+        # half-open: the single probe is already out.
+        if not self._probing:
+            self._probing = True
+            return True
+        return False
+
+    def on_success(self) -> None:
+        self.state = "closed"
+        self.consecutive_failures = 0
+        self._opened_at = None
+        self._probing = False
+
+    def on_failure(self) -> None:
+        self.consecutive_failures += 1
+        if (self.state == "half-open"
+                or self.consecutive_failures >= self.failure_threshold):
+            self.state = "open"
+            self._opened_at = self.clock.monotonic()
+            self._probing = False
+
+    def snapshot(self) -> dict:
+        """JSON-ready view of the breaker's current state."""
+        cooldown_remaining = 0.0
+        if self.state == "open" and self._opened_at is not None:
+            cooldown_remaining = max(
+                self.cooldown_s - (self.clock.monotonic() - self._opened_at),
+                0.0)
+        return {"state": self.state,
+                "consecutive_failures": self.consecutive_failures,
+                "failure_threshold": self.failure_threshold,
+                "cooldown_s": self.cooldown_s,
+                "cooldown_remaining_s": round(cooldown_remaining, 3),
+                "probing": self._probing}
 
 
 class _Peer:
@@ -106,11 +180,8 @@ class ReplicaRouter:
         self._seq = 0
         self._inflight: dict[str, asyncio.Future] = {}
         self._meta: dict[str, _ReqMeta] = {}
-        self._peers = [
-            _Peer(handle, CircuitBreaker(self.config.breaker_failures,
-                                         self.config.breaker_cooldown_s,
-                                         clock=clock))
-            for handle in replica_set.handles]
+        self._peers = [_Peer(handle, CircuitBreaker(clock=clock))
+                       for handle in replica_set.handles]
         self._probe_task: asyncio.Task | None = None
         self._rolling_lock: asyncio.Lock | None = None
 
@@ -168,7 +239,7 @@ class ReplicaRouter:
         """Dial one replica's socket and push the current specs through
         its deploy gate; on any failure the peer is left fully detached."""
         handle = peer.handle
-        deadline = self.clock.monotonic() + self.config.start_deadline_s
+        deadline = self.clock.monotonic() + START_DEADLINE_S
         while True:
             try:
                 reader, writer = await asyncio.open_unix_connection(
@@ -182,7 +253,7 @@ class ReplicaRouter:
                 if self.clock.monotonic() >= deadline:
                     raise RuntimeError(
                         f"replica {handle.replica_id} did not come up "
-                        f"within {self.config.start_deadline_s:.1f}s")
+                        f"within {START_DEADLINE_S:.1f}s")
                 await asyncio.sleep(0.02)
         peer.reader, peer.writer = reader, writer
         peer.alive = True
@@ -191,7 +262,7 @@ class ReplicaRouter:
             for spec in self.specs:
                 reply = await self._control(
                     peer, spec.deploy_payload(),
-                    timeout=self.config.deploy_timeout_s)
+                    timeout=DEPLOY_TIMEOUT_S)
                 if not reply.get("ok"):
                     raise RuntimeError(
                         f"replica {handle.replica_id} rejected deploy of "
@@ -294,10 +365,9 @@ class ReplicaRouter:
             fut.set_exception(
                 ReplicasUnavailable("replica died mid-request"))
             return
-        if meta.attempts >= self.config.max_dispatch_retries:
+        if meta.attempts >= MAX_DISPATCH_RETRIES:
             fut.set_exception(ReplicasUnavailable(
-                f"re-dispatch budget spent "
-                f"({self.config.max_dispatch_retries})"))
+                f"re-dispatch budget spent ({MAX_DISPATCH_RETRIES})"))
             return
         peer = self._pick()
         if peer is None:
@@ -495,9 +565,9 @@ class ReplicaRouter:
         self.specs.append(spec)
 
     async def _drain_peer(self, peer: _Peer) -> None:
-        deadline = self.clock.monotonic() + self.config.rolling_drain_timeout_s
+        deadline = self.clock.monotonic() + ROLLING_DRAIN_TIMEOUT_S
         while peer.rids and self.clock.monotonic() < deadline:
-            await asyncio.sleep(self.config.drain_poll_s)
+            await asyncio.sleep(DRAIN_POLL_S)
 
     async def rolling_deploy(self, name: str, version: str, *,
                              checkpoint=None, artifact=None) -> dict:
@@ -532,7 +602,7 @@ class ReplicaRouter:
                     await self._drain_peer(peer)
                     reply = await self._control(
                         peer, spec.deploy_payload(),
-                        timeout=self.config.deploy_timeout_s)
+                        timeout=DEPLOY_TIMEOUT_S)
                 finally:
                     peer.routable = peer.alive
                 if not reply.get("ok"):

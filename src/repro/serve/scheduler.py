@@ -11,10 +11,10 @@ batches and wastes the engine's throughput.
 observes the *fill fraction* (batch size / ``max_batch``) through an
 exponential moving average and steers the window multiplicatively:
 
-* fill ≥ ``widen_above``  → traffic saturates batches; widen the window
-  (more coalescing, higher throughput) up to ``max_window``;
-* fill ≤ ``shrink_below`` → batches are mostly singletons; shrink toward
-  ``min_window``.
+* fill ≥ ``WIDEN_ABOVE``  → traffic saturates batches; widen the window
+  (more coalescing, higher throughput) up to ``MAX_WINDOW``;
+* fill ≤ ``SHRINK_BELOW`` → batches are mostly singletons; shrink toward
+  ``MIN_WINDOW``, where every window starts.
 
 The class is pure decision logic — no threads, no clock. The serving
 layer wires ``observe_batch`` into the runner's ``on_batch`` hook and
@@ -24,46 +24,22 @@ hand-picked sizes and assert the exact window trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = ["AdaptiveWindow"]
 
-__all__ = ["WindowConfig", "AdaptiveWindow"]
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Bounds and gains of the adaptive batching window (seconds)."""
-
-    min_window: float = 0.0005
-    max_window: float = 0.020
-    initial_window: float | None = None     # default: min_window
-    widen_above: float = 0.5                # EWMA fill that widens
-    shrink_below: float = 0.25              # EWMA fill that shrinks
-    gain: float = 2.0                       # multiplicative step
-    ewma_alpha: float = 0.4                 # fill-fraction smoothing
-
-    def __post_init__(self):
-        if not 0 < self.min_window <= self.max_window:
-            raise ValueError("need 0 < min_window <= max_window")
-        if not 0 <= self.shrink_below < self.widen_above <= 1:
-            raise ValueError("need 0 <= shrink_below < widen_above <= 1")
-        if self.gain <= 1:
-            raise ValueError("gain must be > 1")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+MIN_WINDOW = 0.0005             # seconds; the measured bounds
+MAX_WINDOW = 0.020
+WIDEN_ABOVE = 0.5               # EWMA fill that widens
+SHRINK_BELOW = 0.25             # EWMA fill that shrinks
+GAIN = 2.0                      # multiplicative step
+EWMA_ALPHA = 0.4                # fill-fraction smoothing
 
 
 class AdaptiveWindow:
     """EWMA fill-fraction controller for the batching window."""
 
-    def __init__(self, config: WindowConfig | None = None, *,
-                 max_batch: int = 1):
-        self.config = config or WindowConfig()
+    def __init__(self, *, max_batch: int = 1):
         self.max_batch = max(int(max_batch), 1)
-        self._window = float(self.config.initial_window
-                             if self.config.initial_window is not None
-                             else self.config.min_window)
-        self._window = min(max(self._window, self.config.min_window),
-                           self.config.max_window)
+        self._window = MIN_WINDOW
         self._fill: float | None = None      # EWMA of batch fill fraction
         self.adjustments = {"widened": 0, "shrunk": 0}
 
@@ -78,16 +54,14 @@ class AdaptiveWindow:
 
     def observe_batch(self, size: int) -> float:
         """Record one executed batch; returns the (possibly new) window."""
-        cfg = self.config
         frac = min(max(size / self.max_batch, 0.0), 1.0)
         self._fill = (frac if self._fill is None
-                      else cfg.ewma_alpha * frac
-                      + (1 - cfg.ewma_alpha) * self._fill)
-        if self._fill >= cfg.widen_above and self._window < cfg.max_window:
-            self._window = min(self._window * cfg.gain, cfg.max_window)
+                      else EWMA_ALPHA * frac + (1 - EWMA_ALPHA) * self._fill)
+        if self._fill >= WIDEN_ABOVE and self._window < MAX_WINDOW:
+            self._window = min(self._window * GAIN, MAX_WINDOW)
             self.adjustments["widened"] += 1
-        elif self._fill <= cfg.shrink_below and self._window > cfg.min_window:
-            self._window = max(self._window / cfg.gain, cfg.min_window)
+        elif self._fill <= SHRINK_BELOW and self._window > MIN_WINDOW:
+            self._window = max(self._window / GAIN, MIN_WINDOW)
             self.adjustments["shrunk"] += 1
         return self._window
 

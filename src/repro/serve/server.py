@@ -68,6 +68,8 @@ from .registry import ModelRegistry, NoSuchModelError, SwapValidationError
 
 __all__ = ["ServeConfig", "InferenceServer", "ServerThread"]
 
+REPLAY_CACHE_SIZE = 1024        # idempotent-rid responses kept
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -78,7 +80,6 @@ class ServeConfig:
     request_timeout_s: float = 30.0     # ticket wait before cancel
     max_line_bytes: int = 8 * 2 ** 20   # header line and body limit
     drain_grace_s: float = 30.0         # in-flight budget for drain=True
-    replay_cache_size: int = 1024       # idempotent-rid responses kept
 
 
 class InferenceServer:
@@ -524,7 +525,7 @@ class InferenceServer:
         """Cache one successful response (and its body) under its
         idempotency key."""
         self._replay[idem] = (response, body)
-        while len(self._replay) > self.config.replay_cache_size:
+        while len(self._replay) > REPLAY_CACHE_SIZE:
             self._replay.popitem(last=False)
 
     async def _run(self, line, version, sample, deadline=None):

@@ -16,7 +16,7 @@ batching queue:
 * **SLO budget** — a rolling reservoir of recent completion latencies;
   once its p99 exceeds ``p99_budget_ms`` new requests are rejected with
   reason ``"slo"`` *unless* the queue is nearly empty
-  (``probe_pending``), so a trickle of probe traffic keeps flowing,
+  (``PROBE_PENDING``), so a trickle of probe traffic keeps flowing,
   refreshes the reservoir, and lets the controller discover recovery
   instead of shedding forever on stale data.
 * **deadline feasibility** — a request that carries a remaining deadline
@@ -38,6 +38,9 @@ from .metrics import LatencyReservoir
 
 __all__ = ["SheddingConfig", "AdmissionController"]
 
+PROBE_PENDING = 2               # SLO gate lifts below this depth
+RESERVOIR = 256                 # completion latencies kept for p99
+
 
 @dataclass(frozen=True)
 class SheddingConfig:
@@ -45,16 +48,12 @@ class SheddingConfig:
 
     max_pending: int = 64          # admitted-but-unfinished requests
     p99_budget_ms: float | None = 200.0   # None disables the SLO gate
-    probe_pending: int = 2         # SLO gate lifts below this depth
-    reservoir: int = 256           # completion latencies kept for p99
 
     def __post_init__(self):
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.p99_budget_ms is not None and self.p99_budget_ms <= 0:
             raise ValueError("p99_budget_ms must be positive")
-        if self.probe_pending < 1:
-            raise ValueError("probe_pending must be >= 1")
 
 
 class AdmissionController:
@@ -64,7 +63,7 @@ class AdmissionController:
         self.config = config or SheddingConfig()
         self._lock = threading.Lock()
         self._pending = 0
-        self._latencies = LatencyReservoir(self.config.reservoir)
+        self._latencies = LatencyReservoir(RESERVOIR)
         self.admitted = 0
         self.rejected: dict[str, int] = {}
 
@@ -95,7 +94,7 @@ class AdmissionController:
                     self.rejected.get("queue-full", 0) + 1
                 return False, "queue-full"
             if (cfg.p99_budget_ms is not None
-                    and self._pending >= cfg.probe_pending):
+                    and self._pending >= PROBE_PENDING):
                 p99 = self._latencies.percentile(99.0)
                 if p99 is not None and p99 > cfg.p99_budget_ms:
                     self.rejected["slo"] = self.rejected.get("slo", 0) + 1

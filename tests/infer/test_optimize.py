@@ -1,9 +1,11 @@
-"""BN folding and ReLU fusion: numerics and fan-out safety."""
+"""BN folding, ReLU fusion and int8 weight codes: numerics and safety."""
 
 import numpy as np
+import pytest
 
 from repro.infer import (InferenceEngine, capture_plan, fold_batchnorm,
                          fuse_relu, optimize_plan)
+from repro.infer.optimize import _quantize_weight
 from repro.nn import BatchNorm2d, Conv2d, Module, ReLU, Sequential
 from repro.tensor import Tensor, no_grad, ops
 
@@ -161,3 +163,38 @@ class TestOptimizePipeline:
         assert counts.get("add_relu", 0) >= 9       # one per BasicBlock
         assert "batchnorm" not in counts
         assert report.steps_after < report.steps_before
+
+
+class TestQuantizeWeight:
+    def test_codes_on_the_int8_grid_within_half_a_step(self):
+        w = np.random.default_rng(0).normal(size=(6, 3, 3, 3)).astype(
+            np.float32)
+        w[1] *= 100.0                   # each channel gets its own scale
+        q, scale = _quantize_weight(w)
+        assert q.dtype == np.int8 and scale.shape == (6, 1, 1, 1)
+        assert q.max() <= 127 and q.min() >= -127
+        assert (np.abs(q).reshape(6, -1).max(axis=1) == 127).all()
+        assert (np.abs(q * scale - w) <= scale / 2 + 1e-7).all()
+
+    def test_dominant_side_lands_on_the_grid_edge(self):
+        # The scale comes from max |x|, so the larger side of a channel is
+        # exactly ±127 and the other side rounds inside the grid.
+        w = np.array([[10.0, -10.4], [-1.0, 1.0]], dtype=np.float32)
+        q, scale = _quantize_weight(w)
+        assert scale[0, 0] == pytest.approx(10.4 / 127)
+        assert q[0].tolist() == [122, -127]
+        assert q[1].tolist() == [-127, 127]
+
+    def test_nan_and_inf_raise_with_count(self):
+        w = np.array([[1.0, np.nan], [np.inf, 2.0]], dtype=np.float32)
+        with pytest.raises(ValueError, match="2 NaN/inf"):
+            _quantize_weight(w)
+
+    def test_all_zero_channel_gets_unit_scale(self):
+        # A dead (fully pruned-around) channel must not produce a 0 or
+        # NaN scale; its codes are exactly zero under any finite scale.
+        w = np.stack([np.zeros(4), np.full(4, 2.0)]).astype(np.float32)
+        q, scale = _quantize_weight(w)
+        assert scale.reshape(-1)[0] == 1.0
+        np.testing.assert_array_equal(q[0], 0)
+        np.testing.assert_allclose(q[1] * scale[1], w[1], rtol=0.01)

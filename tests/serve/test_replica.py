@@ -2,8 +2,9 @@
 
 Three layers, cheapest first:
 
-* pure-unit coverage of :class:`ReplicaSpec` / :class:`ReplicaConfig`
-  and the router's ``probe_scan`` (fake peers, no sockets, no clock);
+* pure-unit coverage of :class:`ReplicaSpec` / :class:`ReplicaConfig`,
+  the router's ``probe_scan`` (fake peers, no sockets, no clock) and its
+  per-replica circuit breaker (on a :class:`FakeClock`);
 * :class:`ReplicaSet` process lifecycle — spawn, ledgered artifacts,
   kill/respawn within budget, budget exhaustion;
 * end-to-end through a real server + fleet: bitwise answers, SIGKILL
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.clock import FakeClock
 from repro.infer import compile_model
 from repro.io import load_model, save_model
 from repro.models import build_model
@@ -22,6 +24,7 @@ from repro.serve import (ModelRegistry, ReplicaConfig, ReplicaRouter,
                          ReplicaSet, ReplicaSpec, ServeConfig, ServerThread,
                          reaper)
 from repro.serve.client import ServeClient
+from repro.serve.router import CircuitBreaker
 from repro.verify.invariants import perturb_batchnorm_stats
 
 
@@ -70,8 +73,7 @@ class TestSpecAndConfig:
         assert payload["checkpoint"] == "/tmp/m.npz"
 
     def test_retry_policy_is_bounded_by_the_respawn_budget(self):
-        config = ReplicaConfig(max_respawns=2, respawn_base_delay_s=0.5,
-                               respawn_max_delay_s=1.0)
+        config = ReplicaConfig(max_respawns=2, respawn_base_delay_s=0.5)
         policy = config.retry_policy()
         assert policy.max_attempts == 3          # budget + the first spawn
         assert policy.delay(5) <= 1.0 * 1.1      # capped (plus jitter)
@@ -163,12 +165,63 @@ class TestProbeScanDeterministic:
         assert len(peer.writer.lines) == 1          # one outstanding ping
 
 
+class TestCircuitBreaker:
+    def test_opens_after_threshold_consecutive_failures(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=5.0,
+                                 clock=clock)
+        for _ in range(2):
+            breaker.on_failure()
+            assert breaker.state == "closed" and breaker.allow()
+        breaker.on_failure()
+        assert breaker.state == "open"
+        assert not breaker.allow()
+
+    def test_success_resets_the_failure_streak(self):
+        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
+        breaker.on_failure()
+        breaker.on_success()
+        breaker.on_failure()
+        assert breaker.state == "closed"    # streak broken; not 2 in a row
+
+    def test_cooldown_admits_exactly_one_half_open_probe(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0,
+                                 clock=clock)
+        breaker.on_failure()
+        assert not breaker.allow()
+        clock.advance(9.999)
+        assert not breaker.allow()          # still cooling
+        clock.advance(0.001)
+        assert breaker.allow()              # the probe
+        assert breaker.state == "half-open"
+        assert not breaker.allow()          # second caller blocked
+
+    def test_probe_success_closes_probe_failure_reopens(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0,
+                                 clock=clock)
+        breaker.on_failure()
+        clock.advance(10.0)
+        assert breaker.allow()
+        breaker.on_success()
+        assert breaker.state == "closed" and breaker.allow()
+
+        breaker.on_failure()                # trip again
+        clock.advance(10.0)
+        assert breaker.allow()
+        breaker.on_failure()                # the probe failed
+        assert breaker.state == "open"
+        assert not breaker.allow()          # cooldown restarted
+        clock.advance(10.0)
+        assert breaker.allow()
+
+
 class TestReplicaSetLifecycle:
     def _config(self, tmp_path, **kw):
         kw.setdefault("replicas", 2)
         kw.setdefault("max_batch", 1)
         kw.setdefault("respawn_base_delay_s", 0.01)
-        kw.setdefault("respawn_max_delay_s", 0.02)
         return ReplicaConfig(**kw)
 
     def test_spawn_registers_artifacts_and_close_reclaims(self, tmp_path):

@@ -230,6 +230,31 @@ class TestOverload:
             outcomes["shed"]
 
 
+class TestExactlyOnce:
+    def test_retry_on_a_new_connection_replays_the_dropped_response(self):
+        # The reply to the first send is lost with its connection; the
+        # caller reconnects and resends the same rid. The server answers
+        # from its replay cache: same bytes, and the work is counted once.
+        sample = np.random.default_rng(4).normal(
+            size=(3, 8, 8)).astype(np.float32)
+        payload = {"op": "infer", "model": "m", "rid": "once:1"}
+        registry = ModelRegistry(
+            max_batch=8, shedding=SheddingConfig(p99_budget_ms=None))
+        with registry:
+            registry.deploy("m", "v1", model=_tiny_model(),
+                            input_shape=(3, 8, 8))
+            with ServerThread(registry, ServeConfig()) as srv:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    first = client.request(dict(payload), body=sample)
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    again = client.request(dict(payload), body=sample)
+                stats = srv.server.stats()
+        assert "replayed" not in first and again["replayed"] is True
+        assert again["output"].tobytes() == first["output"].tobytes()
+        assert stats["counters"]["completed"] == 1
+        assert stats["counters"]["replayed"] == 1
+
+
 class TestOversizedLines:
     """A request line over ``max_line_bytes`` is answered, not dropped.
 

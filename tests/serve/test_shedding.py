@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve import AdmissionController, SheddingConfig
+from repro.serve.shedding import RESERVOIR
 
 
 class TestSheddingConfig:
@@ -11,8 +12,6 @@ class TestSheddingConfig:
             SheddingConfig(max_pending=0)
         with pytest.raises(ValueError):
             SheddingConfig(p99_budget_ms=0.0)
-        with pytest.raises(ValueError):
-            SheddingConfig(probe_pending=0)
 
     def test_none_budget_disables_the_slo_gate(self):
         admission = AdmissionController(
@@ -51,8 +50,7 @@ class TestDepthBound:
 
 class TestSloGate:
     def _congested(self, **kw):
-        cfg = dict(max_pending=64, p99_budget_ms=10.0, probe_pending=2,
-                   reservoir=4)
+        cfg = dict(max_pending=64, p99_budget_ms=10.0)
         cfg.update(kw)
         admission = AdmissionController(SheddingConfig(**cfg))
         # Fill the latency reservoir with budget-busting completions.
@@ -66,7 +64,7 @@ class TestSloGate:
         admission = self._congested()
         assert admission.try_admit() == (True, None)    # pending 1 < probe
         assert admission.try_admit() == (True, None)    # pending 2 == probe?
-        # probe_pending=2: depths 0 and 1 are probe traffic, depth 2 sheds.
+        # PROBE_PENDING = 2: depths 0 and 1 are probe traffic, depth 2 sheds.
         assert admission.try_admit() == (False, "slo")
         assert admission.rejected == {"slo": 1}
 
@@ -77,9 +75,10 @@ class TestSloGate:
 
     def test_fast_probes_lift_the_gate(self):
         admission = self._congested()
-        # Probe completions refresh the (4-deep) reservoir with healthy
-        # latencies; the controller must rediscover recovery by itself.
-        for _ in range(4):
+        # Probe completions refresh the reservoir with healthy latencies
+        # until the slow ones age out; the controller must rediscover
+        # recovery by itself.
+        for _ in range(RESERVOIR):
             ok, _ = admission.try_admit()
             assert ok
             admission.on_complete(1.0)
