@@ -166,17 +166,32 @@ class TestOptimizePipeline:
 
 
 class TestQuantizeWeight:
-    def test_codes_on_the_int8_grid_within_half_a_step(self):
+    def test_roundtrip_error_bounded_by_half_step(self):
         w = np.random.default_rng(0).normal(size=(6, 3, 3, 3)).astype(
             np.float32)
-        w[1] *= 100.0                   # each channel gets its own scale
         q, scale = _quantize_weight(w)
         assert q.dtype == np.int8 and scale.shape == (6, 1, 1, 1)
-        assert q.max() <= 127 and q.min() >= -127
-        assert (np.abs(q).reshape(6, -1).max(axis=1) == 127).all()
         assert (np.abs(q * scale - w) <= scale / 2 + 1e-7).all()
 
-    def test_dominant_side_lands_on_the_grid_edge(self):
+    def test_grid_is_symmetric(self):
+        w = np.array([[-1.0, 1.0]], dtype=np.float32)
+        q, _ = _quantize_weight(w)
+        assert q[0, 0] == -q[0, 1] == -127
+
+    def test_codes_within_range(self):
+        w = np.random.default_rng(1).normal(size=(4, 100)).astype(np.float32)
+        q, _ = _quantize_weight(w)
+        assert q.max() <= 127 and q.min() >= -127
+        # Each channel's largest |x| sits exactly on the grid's edge.
+        assert (np.abs(q).max(axis=1) == 127).all()
+
+    def test_per_channel_scales_adapt(self):
+        w = np.stack([np.full(4, 0.01), np.full(4, 10.0)]).astype(np.float32)
+        q, scale = _quantize_weight(w)
+        assert scale.reshape(-1)[1] > scale.reshape(-1)[0]
+        np.testing.assert_allclose(q * scale, w, rtol=0.02)
+
+    def test_asymmetric_range_clamps_instead_of_wrapping(self):
         # The scale comes from max |x|, so the larger side of a channel is
         # exactly ±127 and the other side rounds inside the grid.
         w = np.array([[10.0, -10.4], [-1.0, 1.0]], dtype=np.float32)
@@ -184,6 +199,7 @@ class TestQuantizeWeight:
         assert scale[0, 0] == pytest.approx(10.4 / 127)
         assert q[0].tolist() == [122, -127]
         assert q[1].tolist() == [-127, 127]
+        np.testing.assert_allclose(q[0, 1] * scale[0, 0], -10.4, rtol=1e-6)
 
     def test_nan_and_inf_raise_with_count(self):
         w = np.array([[1.0, np.nan], [np.inf, 2.0]], dtype=np.float32)
