@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from ..models.pruning_spec import ConsumerRef
@@ -38,8 +37,8 @@ from ..nn import BatchNorm2d, Conv2d, Linear, Module
 from ..tensor import Tensor
 from .scorers import FilterScorer
 
-__all__ = ["CoupledGroup", "trace_coupled_groups", "prune_coupled_group",
-           "DepGraphScorer", "build_operation_graph"]
+__all__ = ["CoupledGroup", "OperationGraph", "trace_coupled_groups",
+           "prune_coupled_group", "DepGraphScorer", "build_operation_graph"]
 
 
 @dataclass
@@ -88,16 +87,33 @@ _PRESERVING_OPS = {"relu", "max_pool2d", "avg_pool2d", "pad2d", "dropout",
                    "mean"}
 
 
+@dataclass
+class OperationGraph:
+    """The recorded operations of one forward pass, in discovery order.
+
+    ``nodes`` maps a tensor's ``id`` to the tensor. ``children`` maps a
+    parent's id to ``{child id: the parent's position among the child's
+    inputs}``; a parent used twice by one child keeps its last position.
+    """
+
+    nodes: dict[int, Tensor] = field(default_factory=dict)
+    children: dict[int, dict[int, int]] = field(default_factory=dict)
+
+    def add_node(self, t: Tensor) -> None:
+        self.nodes[id(t)] = t
+        self.children[id(t)] = {}
+
+
 def build_operation_graph(model: Module, input_shape: tuple[int, int, int]
-                          ) -> tuple[nx.DiGraph, Tensor, dict[int, tuple[str, Module]]]:
-    """Trace one forward pass into a networkx DiGraph.
+                          ) -> tuple[OperationGraph, Tensor,
+                                     dict[int, tuple[str, Module]]]:
+    """Trace one forward pass into an :class:`OperationGraph`.
 
     Returns
     -------
     (graph, output, param_owner):
-        ``graph`` has one node per recorded tensor (keyed by ``id``), with
-        the tensor stored as attribute ``t``; edges run parent → child with
-        the parent's position stored as ``index``. ``param_owner`` maps a
+        ``graph`` has one node per recorded tensor (keyed by ``id``) and
+        an edge from each parent to each child. ``param_owner`` maps a
         parameter tensor's id to ``(module path, module)``.
     """
     param_owner: dict[int, tuple[str, Module]] = {}
@@ -113,18 +129,16 @@ def build_operation_graph(model: Module, input_shape: tuple[int, int, int]
     finally:
         model.train(was_training)
 
-    graph = nx.DiGraph()
+    graph = OperationGraph()
     stack = [output]
-    seen = {id(output)}
-    graph.add_node(id(output), t=output)
+    graph.add_node(output)
     while stack:
         node = stack.pop()
         for index, parent in enumerate(node._parents):
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                graph.add_node(id(parent), t=parent)
+            if id(parent) not in graph.nodes:
+                graph.add_node(parent)
                 stack.append(parent)
-            graph.add_edge(id(parent), id(node), index=index)
+            graph.children[id(parent)][id(node)] = index
     return graph, output, param_owner
 
 
@@ -149,13 +163,12 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _producer_output_nodes(graph: nx.DiGraph,
+def _producer_output_nodes(graph: OperationGraph,
                            param_owner: dict[int, tuple[str, Module]]
                            ) -> dict[int, str]:
     """Map op-node id → producer path for conv2d/matmul nodes using a weight."""
     result: dict[int, str] = {}
-    for node_id in graph.nodes:
-        t: Tensor = graph.nodes[node_id]["t"]
+    for node_id, t in graph.nodes.items():
         if t._op == "conv2d" and len(t._parents) >= 2:
             wid = id(t._parents[1])
             if wid in param_owner and isinstance(param_owner[wid][1], Conv2d):
@@ -203,10 +216,9 @@ def trace_coupled_groups(model: Module,
         tags[node_id] = (root, group_size)
         if node_id == id(output):
             terminal.add(root)
-        for _, child_id, edge in graph.out_edges(node_id, data=True):
-            child: Tensor = graph.nodes[child_id]["t"]
+        for child_id, index in graph.children[node_id].items():
+            child = graph.nodes[child_id]
             op = child._op
-            index = edge["index"]
             if child_id in producer_nodes and index == 0:
                 # Channel tag feeds the data input of a conv/linear:
                 # that layer is a consumer; the tag stops here (the layer's
@@ -226,7 +238,7 @@ def trace_coupled_groups(model: Module,
                     bns[root].add(param_owner[id(child._parents[1])][0])
                     worklist.append((child_id, root, group_size))
             elif op == "reshape":
-                parent_t: Tensor = graph.nodes[node_id]["t"]
+                parent_t = graph.nodes[node_id]
                 if (parent_t.ndim == 4 and child.ndim == 2
                         and child.shape[0] == parent_t.shape[0]):
                     # Flatten (N, C, H, W) → (N, C·H·W): each channel now
