@@ -13,10 +13,13 @@ Layout: plan shapes are NCHW, but every 4-D float value the plan computes
 is NHWC memory behind an NCHW view (:func:`alloc_value`). Elementwise,
 batch-norm, concat, pad and reduction kernels index the views and never
 see the difference. A convolution is one tall GEMM whose ``(n·OH·OW, O)``
-output rows *are* that memory, pooling combines NHWC window slices, and
-a linear layer fed by a flatten reads the NHWC memory directly through
-weight columns permuted at build time. The plan input alone stays NCHW,
-as the caller passes it; the first convolution reads it as NCHW columns.
+output rows *are* that memory (a 1x1 input under "same" padding runs the
+centre tap alone), pooling is separable (window rows, then window
+columns, of NHWC memory), and a linear layer fed by a flatten reads the
+NHWC memory directly through weight columns permuted at build time. The
+plan input alone stays NCHW, as the caller passes it; a stride-1
+convolution reads it row-padded, each tap one contiguous run of padded
+image rows.
 
 The context object (``ctx``) provides:
 
@@ -39,7 +42,6 @@ x`` rebinds locally); they call the ufunc with ``out=`` instead.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..tensor.conv import im2col
 
@@ -103,61 +105,79 @@ def _layer_weight(params) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _build_conv2d(step, ctx, relu=False):
-    """One tall GEMM ``rows @ (K, O)`` per run, ``rows = n·OH·OW``.
+    """One tall GEMM ``cols @ (K, O)`` per run, the bias a ones column.
 
-    The rows it writes are the output value's NHWC memory, so ReLU applies
-    in place and the next conv reads contiguous channels; the bias joins
-    the GEMM as a ones column. An NHWC input is lowered by
-    :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order. An
-    NCHW input (the plan input, whose few channels would make each tap
-    copy move ``C`` floats) is lowered into ``(c, kh, kw)``-major columns
-    whose inner run is an image row, and multiplied transposed.
+    A 1x1 input under "same" padding meets only the centre tap, so it
+    runs as an unpadded 1x1 conv over ``W[:, :, p, p]``. Otherwise:
+
+    * An NHWC input, or a strided conv, is lowered by
+      :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order. The
+      GEMM's ``(n·OH·OW, O)`` rows are the output value's NHWC memory,
+      and ReLU runs in place on them.
+    * A stride-1 conv on any other input (the plan input, whose few
+      channels would make each ``im2col`` tap copy move ``C`` floats) is
+      row-padded. Each image is copied into a zeroed ``(C, H+2p+1,
+      W+2p)`` scratch, whose spare row keeps the last tap in bounds, so
+      every ``(c, kh, kw)`` tap of a sample is one contiguous run of
+      ``OH·(W+2p)`` floats. The GEMM over those runs computes every row
+      position at the padded width, and the ReLU pass (or a copy) drops
+      the ``kw-1`` wrap-around columns as it writes the output.
     """
     p = step.params
     w = np.asarray(_layer_weight(p), dtype=np.float32)
-    o, c, kh, kw = w.shape
     stride, padding = int(p["stride"]), int(p["padding"])
+    h, w_in = ctx.shape(step.inputs[0])[2:]
+    if h == w_in == 1 and w.shape[2] == w.shape[3] == 2 * padding + 1:
+        w = w[:, :, padding:padding + 1, padding:padding + 1]
+        stride, padding = 1, 0
+    o, c, kh, kw = w.shape
     bias = p.get("bias")
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
     nb, _, oh, ow = out.shape
-    h, w_in = ctx.shape(step.inputs[0])[2:]
-    span = oh * ow
-    out_rows = _rows(out)
     k = c * kh * kw
     k_cols = k + (1 if bias is not None else 0)   # bias: a ones column
 
-    if _is_nhwc(get(nb)):
+    if stride == 1 and not _is_nhwc(get(nb)):
+        wp = w_in + 2 * padding
+        span = oh * wp
+        wk = w.reshape(o, k).T
+        cols_t = ctx.scratch("cols", (k_cols, nb * span))
+        cols = cols_t.T
+        img = ctx.scratch("pad", (nb, c, h + 2 * padding + 1, wp), zero=True)
+        sn, sc, sh, sw = img.strides
+        taps = np.ndarray((c, kh, kw, nb, span), img.dtype, img, 0,
+                          (sc, sh, sw, sn, sw))
+        tap_cols = cols_t[:k].reshape(c, kh, kw, nb, span)
+        wide = ctx.scratch("wide", (nb, oh, wp, o))
+        prod = wide.reshape(-1, o)
+        dst = _nhwc(out)
+
+        def lower(n):
+            img[:n, :, padding:padding + h, padding:padding + w_in] = get(n)
+            np.copyto(tap_cols[:, :, :, :n], taps[:, :, :, :n])
+
+        def finish(n):
+            if relu:
+                np.maximum(wide[:n, :, :ow], 0.0, out=dst[:n])
+            else:
+                np.copyto(dst[:n], wide[:n, :, :ow])
+    else:
+        span = oh * ow
         wk = w.transpose(2, 3, 1, 0).reshape(k, o)
         cols = ctx.scratch("cols", (nb * span, k_cols))
         pad = (ctx.scratch("pad", (nb, h + 2 * padding, w_in + 2 * padding,
                                    c), zero=True)
                if padding > 0 else None)
+        prod = _rows(out)
 
         def lower(n):
             im2col(get(n), kh, kw, stride, padding,
                    out=cols[:n * span, :k], pad=pad)
-            return cols[:n * span]
-    else:
-        wk = w.reshape(o, k).T
-        cols_t = ctx.scratch("cols", (k_cols, nb * span))
-        cols = cols_t.T
-        taps = cols_t[:k].reshape(c, kh, kw, nb, oh, ow)
-        pad = (ctx.scratch("pad", (nb, c, h + 2 * padding, w_in + 2 * padding),
-                           zero=True)
-               if padding > 0 else None)
 
-        def lower(n):
-            x = get(n)
-            if pad is not None:
-                pad[:n, :, padding:padding + h, padding:padding + w_in] = x
-                x = pad[:n]
-            sn, sc, sh, sw = x.strides
-            np.copyto(taps[:, :, :, :n], as_strided(
-                x, shape=(c, kh, kw, n, oh, ow),
-                strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-                writeable=False))
-            return cols[:n * span]
+        def finish(n):
+            if relu:
+                _maybe_relu(prod, n * span)
 
     if bias is not None:
         wk = np.concatenate([wk, np.asarray(bias, np.float32)[None]])
@@ -166,9 +186,9 @@ def _build_conv2d(step, ctx, relu=False):
 
     def run(n):
         rows = n * span
-        np.matmul(lower(n), wk, out=out_rows[:rows])
-        if relu:
-            _maybe_relu(out_rows, rows)
+        lower(n)
+        np.matmul(cols[:rows], wk, out=prod[:rows])
+        finish(n)
 
     return run
 
@@ -295,13 +315,17 @@ def _build_clip(step, ctx):
 # ----------------------------------------------------------------------
 
 def pool_builder(combine, scale_by_area=False, channels_last=False):
-    """Pooling as k² elementwise combines over strided NHWC window slices.
+    """Separable pooling over NHWC memory.
 
-    Each combine is a flat ufunc whose inner run is ``C`` contiguous
-    elements. Float values are NCHW views over NHWC memory and are read
-    through their NHWC view; ``channels_last`` values (int8 codes) carry
-    NHWC plan shapes already. One builder serves ``max_pool2d``,
-    ``avg_pool2d`` and ``qmax_pool2d``.
+    ``k`` combines over window rows, each over whole image rows (inner
+    run ``W·C``), fill an ``(n, OH, W, C)`` scratch; ``k`` combines over
+    its strided column slices (inner run ``C``) then fill the output.
+    That is ``2k`` passes in place of ``k²`` with an inner run of ``C``.
+    Max gives the ``k²`` loop's result bitwise; an average sums in
+    another order, equal at rounding level. Float values are NCHW views
+    over NHWC memory and are read through their NHWC view;
+    ``channels_last`` values (int8 codes) carry NHWC plan shapes already.
+    One builder serves ``max_pool2d``, ``avg_pool2d`` and ``qmax_pool2d``.
     """
     view = (lambda x: x) if channels_last else _nhwc
 
@@ -310,20 +334,21 @@ def pool_builder(combine, scale_by_area=False, channels_last=False):
         stride = int(step.params["stride"])
         get = ctx.getter(step.inputs[0])
         out = view(ctx.out(step.output))
-        oh, ow = out.shape[1], out.shape[2]
+        nb, oh, ow, c = out.shape
+        w_in = view(get(nb)).shape[2]
+        rows = ctx.scratch("rows", (nb, oh, w_in, c), dtype=out.dtype)
         inv_area = np.float32(1.0 / (kernel * kernel))
-        offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
 
         def run(n):
-            x = view(get(n))
-            i0, j0 = offsets[0]
-            np.copyto(out[:n], x[:, i0:i0 + oh * stride:stride,
-                                 j0:j0 + ow * stride:stride])
-            for i, j in offsets[1:]:
-                combine(out[:n], x[:, i:i + oh * stride:stride,
-                                   j:j + ow * stride:stride], out=out[:n])
+            x, r, y = view(get(n)), rows[:n], out[:n]
+            np.copyto(r, x[:, :oh * stride:stride])
+            for i in range(1, kernel):
+                combine(r, x[:, i:i + oh * stride:stride], out=r)
+            np.copyto(y, r[:, :, :ow * stride:stride])
+            for j in range(1, kernel):
+                combine(y, r[:, :, j:j + ow * stride:stride], out=y)
             if scale_by_area:
-                np.multiply(out[:n], inv_area, out=out[:n])
+                np.multiply(y, inv_area, out=y)
 
         return run
     return build
@@ -331,7 +356,8 @@ def pool_builder(combine, scale_by_area=False, channels_last=False):
 
 def _build_global_avg_pool(step, ctx):
     """Spatial mean; ``qglobal_avg_pool`` reads int8 NHWC codes and folds
-    their ``scale`` into the mean's factor."""
+    their ``scale`` into the mean's factor. A 1x1 map is one scaled
+    copy."""
     codes = step.op == "qglobal_avg_pool"
     view = (lambda x: x) if codes else _nhwc
     get = ctx.getter(step.inputs[0])
@@ -339,6 +365,12 @@ def _build_global_avg_pool(step, ctx):
     in_shape = ctx.shape(step.inputs[0])
     h, w = in_shape[1:3] if codes else in_shape[2:]
     factor = np.float32(float(step.params.get("scale", 1.0)) / (h * w))
+
+    if h * w == 1:
+        def run(n):
+            np.multiply(view(get(n))[:, 0, 0], factor, out=out[:n])
+
+        return run
 
     def run(n):
         np.sum(view(get(n)), axis=(1, 2), dtype=np.float32, out=out[:n])

@@ -11,7 +11,9 @@ contiguous NHWC memory and transpose nothing. The conv lowering is the
 shared :func:`~repro.tensor.conv.im2col`: a *tall* GEMM whose rows are
 output pixels and whose columns are ``(kh, kw, c)`` taps, the orientation
 BLAS handles well across every layer shape this runtime serves; each
-GEMM's output lands directly in the next layer's input layout.
+GEMM's output lands directly in the next layer's input layout. A 1x1
+input under "same" padding runs the centre tap alone (padding codes are
+0, so the integer sums are the whole kernel's).
 
 Integer arithmetic on float hardware
 ------------------------------------
@@ -152,7 +154,7 @@ def quantize_bias(bias, w_scale, in_scale) -> np.ndarray | None:
 # GEMM core shared by qconv2d / qlinear
 # ----------------------------------------------------------------------
 
-def _gemm_plan(ctx, p, wq_raw, rows_cap, emit):
+def _gemm_plan(ctx, p, wq_raw, rows_cap, emit, centre=None):
     """Columns, exact GEMM and epilogue of one quantized layer.
 
     Returns ``(cols, finish)``. The caller lowers its input into the
@@ -162,20 +164,28 @@ def _gemm_plan(ctx, p, wq_raw, rows_cap, emit):
     certified single-chunk fast path) or a float64 one (chunked), scales
     it, and writes int8 codes (``emit="q8"``: round, clamp, ReLU as a
     clamp at 0) or dequantized float32 into ``out_rows``.
+
+    ``centre=p`` runs only conv tap ``(p, p)``; the certificate then
+    covers those rows, while the accumulator keeps the whole kernel's
+    dtype, the one :func:`~repro.qinfer.reference.run_reference` uses.
     """
     in_scale = float(p["in_scale"])
     w_scale = np.asarray(p["w_scale"], dtype=np.float64).reshape(-1)
     relu = bool(p.get("relu", False))
     bias_q = quantize_bias(p.get("bias"), w_scale, in_scale)
     wt, cert = gemm_matrices(wq_raw, bias_q)
+    chunked = len(accumulation_chunks(cert)) > 1
+    if centre is not None:
+        wt, cert = gemm_matrices(
+            wq_raw[:, :, centre:centre + 1, centre:centre + 1], bias_q)
     chunks = accumulation_chunks(cert)
     k_cols, o = wt.shape
     cols = ctx.scratch("cols", (rows_cap, k_cols))
     if bias_q is not None:
         cols[:, -1] = 1.0
     acc = ctx.scratch("acc", (rows_cap, o))
-    total = (acc if len(chunks) == 1
-             else ctx.scratch("acc64", (rows_cap, o), dtype=np.float64))
+    total = (ctx.scratch("acc64", (rows_cap, o), dtype=np.float64)
+             if chunked else acc)
     mult = w_scale * in_scale
     if emit == "q8":
         mult = mult / float(p["out_scale"])
@@ -214,9 +224,14 @@ def _build_qconv2d(step, ctx):
     wq = np.asarray(p["weight_q"], dtype=np.int8)
     o, c, kh, kw = wq.shape
     stride, padding = int(p["stride"]), int(p["padding"])
+    nb, h, w_in = ctx.shape(step.inputs[0])[:3]   # (nb, H, W, C) codes
+    centre = None
+    if h == w_in == 1 and kh == kw == 2 * padding + 1:
+        # A 1x1 input meets only the centre tap. Padding codes are 0, so
+        # the integer sums are the whole kernel's.
+        centre, kh, kw, stride, padding = padding, 1, 1, 1, 0
     emit = p.get("emit", "q8")
     get = ctx.getter(step.inputs[0])
-    nb, h, w_in = ctx.shape(step.inputs[0])[:3]   # (nb, H, W, C) codes
     out = ctx.out(step.output)
     # q8: (nb, OH, OW, O) int8 codes; f32: an NCHW view over NHWC memory.
     # Either way the GEMM's (rows, O) output is the value's memory.
@@ -224,7 +239,7 @@ def _build_qconv2d(step, ctx):
     rows_cap = out_rows.shape[0]
     span = rows_cap // nb
     k = kh * kw * c
-    cols, finish = _gemm_plan(ctx, p, wq, rows_cap, emit)
+    cols, finish = _gemm_plan(ctx, p, wq, rows_cap, emit, centre)
     pad = None
     if padding > 0:
         pad = ctx.scratch(

@@ -5,7 +5,9 @@ drives a lowering whose indexing depends on that layout: strided and
 non-square convolutions, the 1×1 downsample joined by ``add_relu``,
 average pooling, a flatten feeding a linear layer (which reads NHWC
 memory through permuted weight columns) or anything else, and
-calibration hooks.
+calibration hooks. The lowerings chosen by shape are covered too: the
+centre tap of a 1×1 input, the row-padded conv on the plan input and
+separable pooling.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from repro.infer import compile_model
 from repro.models import build_model
 from repro.nn import (AvgPool2d, Conv2d, Flatten, GlobalAvgPool2d, Linear,
-                      ReLU, Sequential)
+                      MaxPool2d, ReLU, Sequential)
 from repro.tensor import Tensor, no_grad
 from repro.verify.invariants import INFER_CASES, perturb_batchnorm_stats
 
@@ -82,6 +84,108 @@ class TestConvLayouts:
             GlobalAvgPool2d(), Linear(6, 3, rng=_rng()))
         engine = _check(model, _inputs((4, 3, 8, 10)))
         assert engine.plan.op_counts()["avg_pool2d"] == 2
+
+
+def _scratch_shape(engine, step, name):
+    return engine.arena._scratch[(step.output, name)].shape
+
+
+class TestCentreTap:
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_by_one_input_runs_the_centre_tap(self, k, stride):
+        model = Sequential(
+            Conv2d(3, 6, 1, rng=_rng()), ReLU(),
+            Conv2d(6, 8, k, stride=stride, padding=k // 2, rng=_rng()),
+            ReLU(), GlobalAvgPool2d(), Linear(8, 3, rng=_rng()))
+        engine = _check(model, _inputs((5, 3, 1, 1)), max_batch=8)
+        conv = [s for s in engine.plan.steps if s.op == "conv2d_relu"][1]
+        assert conv.params["weight"].shape[2:] == (k, k)
+        assert _scratch_shape(engine, conv, "cols") == (8, 6 + 1)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_on_the_plan_input(self, k):
+        model = Sequential(Conv2d(4, 8, k, padding=k // 2, rng=_rng()))
+        engine = _check(model, _inputs((3, 4, 1, 1)))
+        # One row of C + 1 columns (the centre tap and the bias) per image.
+        cols = _scratch_shape(engine, engine.plan.steps[0], "cols")
+        assert np.prod(cols) == 3 * (4 + 1)
+
+
+class TestRowPaddedConv:
+    """Stride-1 convs on the plan input: taps are runs of padded rows."""
+
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (5, 0),
+                                           (5, 1), (5, 2)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_matches_eager(self, k, padding, bias, relu):
+        layers = [Conv2d(3, 5, k, padding=padding, bias=bias, rng=_rng())]
+        model = Sequential(*layers, *([ReLU()] if relu else []))
+        x = _inputs((5, 3, 7, 10))
+        engine = _check(model, x, max_batch=8)
+        (conv,) = engine.plan.steps
+        oh = 7 + 2 * padding - k + 1
+        assert _scratch_shape(engine, conv, "wide") \
+            == (8, oh, 10 + 2 * padding, 5)
+        # The plan input is read in whatever layout the caller passes.
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+        np.testing.assert_array_equal(
+            engine.run(nhwc.transpose(0, 3, 1, 2)), engine.run(x))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_strided_conv_on_the_plan_input_uses_im2col(self, padding):
+        model = Sequential(
+            Conv2d(3, 6, 3, stride=2, padding=padding, rng=_rng()), ReLU())
+        engine = _check(model, _inputs((4, 3, 9, 12)), max_batch=6)
+        (conv,) = engine.plan.steps
+        assert (conv.output, "wide") not in engine.arena._scratch
+        assert _scratch_shape(engine, conv, "cols")[1] == 3 * 3 * 3 + 1
+
+
+def _pool_loop(x, k, s, combine):
+    """The k² loop separable pooling replaces, over an NCHW array."""
+    n, c, h, w = x.shape
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    out = None
+    for i in range(k):
+        for j in range(k):
+            tap = x[:, :, i:i + oh * s:s, j:j + ow * s:s]
+            out = tap.copy() if out is None else combine(out, tap)
+    return out
+
+
+class TestSeparablePooling:
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("hw", [(9, 11), (7, 13)])
+    def test_max_pool_equals_the_window_loop_bitwise(self, k, s, hw):
+        model = Sequential(Conv2d(3, 6, 3, padding=1, rng=_rng()), ReLU(),
+                           MaxPool2d(k, stride=s))
+        model.eval()
+        x = _inputs((5,) + (3,) + hw)
+        engine = compile_model(model, x, max_batch=8)
+        conv = engine.plan.steps[0]
+        for n in (5, 2):
+            seen = []
+            out = engine.run_observing(
+                x[:n], {conv.output: lambda v: seen.append(np.array(v))})
+            np.testing.assert_array_equal(
+                out, _pool_loop(seen[0], k, s, np.maximum))
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2)])
+    def test_avg_pool_matches_the_window_loop(self, k, s):
+        model = Sequential(Conv2d(3, 6, 3, padding=1, rng=_rng()), ReLU(),
+                           AvgPool2d(k, stride=s))
+        model.eval()
+        x = _inputs((4, 3, 9, 11))
+        engine = compile_model(model, x)
+        conv = engine.plan.steps[0]
+        seen = []
+        out = engine.run_observing(
+            x, {conv.output: lambda v: seen.append(np.array(v))})
+        np.testing.assert_allclose(
+            out, _pool_loop(seen[0], k, s, np.add) / (k * k),
+            rtol=1e-6, atol=1e-6)
 
 
 class TestFlatten:

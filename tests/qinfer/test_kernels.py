@@ -168,3 +168,92 @@ class TestFloatReferenceAccuracy:
         parts = np.concatenate([engine.run(x[i:i + 16])
                                 for i in range(0, 48, 16)])
         np.testing.assert_array_equal(full, parts)
+
+
+def _int8_engine(model, shape, max_batch=8, seed=0, **kwargs):
+    model.eval()
+    loader = _calibration(seed, shape=shape)
+    return compile_model(model, loader[0], max_batch=max_batch,
+                         quantize="int8", calibrate=loader, **kwargs)
+
+
+class TestShapeLowerings:
+    """Lowerings chosen by shape stay bitwise equal to the reference."""
+
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (5, 1)])
+    def test_centre_tap_qconv2d_matches_reference(self, k, stride):
+        from repro.nn import (Conv2d, GlobalAvgPool2d, Linear, MaxPool2d,
+                              ReLU, Sequential)
+
+        rng = np.random.default_rng(1)
+        model = Sequential(
+            Conv2d(3, 16, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
+            Conv2d(16, 16, k, stride=stride, padding=k // 2, rng=rng),
+            ReLU(), Conv2d(16, 8, k, padding=k // 2, rng=rng), ReLU(),
+            GlobalAvgPool2d(), Linear(8, 3, rng=rng))
+        engine = _int8_engine(model, (6, 3, 4, 4))
+        qconvs = [s for s in engine.plan.steps if s.op == "qconv2d"]
+        assert len(qconvs) == 2
+        for step in qconvs:
+            assert step.params["weight_q"].shape[2:] == (k, k)
+            assert engine.arena._scratch[(step.output, "cols")].shape[1] \
+                == 16 + 1                      # centre tap + bias column
+        x = _calibration(4, shape=(6, 3, 4, 4))[0]
+        for n in (1, 6):
+            np.testing.assert_array_equal(engine.run(x[:n]),
+                                          run_reference(engine.plan, x[:n]))
+
+    def test_centre_tap_keeps_the_whole_kernels_accumulator(self):
+        # Saturated 3x3 codes over 128 channels need two certified chunks
+        # (and run_reference's float64 epilogue); the centre tap alone
+        # needs one, but must keep the float64 epilogue to stay bitwise.
+        from repro.nn import (Conv2d, GlobalAvgPool2d, Linear, MaxPool2d,
+                              ReLU, Sequential)
+
+        rng = np.random.default_rng(0)
+        model = Sequential(
+            Conv2d(3, 128, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
+            Conv2d(128, 128, 3, padding=1, rng=rng), ReLU(),
+            GlobalAvgPool2d(), Linear(128, 40, rng=rng))
+        model[3].weight.data = (0.01 * rng.choice(
+            [-1.0, 1.0], size=model[3].weight.data.shape)).astype(np.float32)
+        engine = _int8_engine(model, (16, 3, 4, 4), max_batch=16,
+                              observer="minmax")
+        (step,) = [s for s in engine.plan.steps if s.op == "qconv2d"]
+        wq = step.params["weight_q"]
+        assert len(accumulation_chunks(gemm_matrices(wq, None)[1])) == 2
+        assert (step.output, "acc64") in engine.arena._scratch
+        x = 10 * _calibration(8, shape=(16, 3, 4, 4))[0]
+        np.testing.assert_array_equal(engine.run(x),
+                                      run_reference(engine.plan, x))
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 2), (3, 3)])
+    def test_qmax_pool2d_matches_the_window_loop(self, k, s):
+        from repro.nn import (Conv2d, GlobalAvgPool2d, Linear, MaxPool2d,
+                              ReLU, Sequential)
+
+        rng = np.random.default_rng(2)
+        model = Sequential(
+            Conv2d(3, 16, 3, padding=1, rng=rng), ReLU(),
+            Conv2d(16, 16, 3, padding=1, rng=rng), ReLU(),
+            MaxPool2d(k, stride=s), Conv2d(16, 8, 3, padding=1, rng=rng),
+            ReLU(), GlobalAvgPool2d(), Linear(8, 3, rng=rng))
+        engine = _int8_engine(model, (6, 3, 9, 11))
+        (pool,) = [st for st in engine.plan.steps if st.op == "qmax_pool2d"]
+        x = _calibration(6, shape=(6, 3, 9, 11))[0]
+        seen = {}
+        engine.run_observing(x[:5], {
+            vid: (lambda v, vid=vid: seen.__setitem__(vid, np.array(v)))
+            for vid in (pool.inputs[0], pool.output)})
+        codes = seen[pool.inputs[0]]                 # (n, H, W, C) int8
+        n, h, w, _ = codes.shape
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        expected = None
+        for i in range(k):
+            for j in range(k):
+                tap = codes[:, i:i + oh * s:s, j:j + ow * s:s]
+                expected = (tap.copy() if expected is None
+                            else np.maximum(expected, tap))
+        np.testing.assert_array_equal(seen[pool.output], expected)
+        np.testing.assert_array_equal(engine.run(x),
+                                      run_reference(engine.plan, x))
