@@ -111,9 +111,10 @@ def _build_conv2d(step, ctx, relu=False):
     runs as an unpadded 1x1 conv over ``W[:, :, p, p]``. Otherwise:
 
     * An NHWC input, or a strided conv, is lowered by
-      :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order. The
-      GEMM's ``(n·OH·OW, O)`` rows are the output value's NHWC memory,
-      and ReLU runs in place on them.
+      :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order (an
+      input of another layout through a preallocated channels-last
+      scratch). The GEMM's ``(n·OH·OW, O)`` rows are the output value's
+      NHWC memory, and ReLU runs in place on them.
     * A stride-1 conv on any other input (the plan input, whose few
       channels would make each ``im2col`` tap copy move ``C`` floats) is
       row-padded. Each image is copied into a zeroed ``(C, H+2p+1,
@@ -138,7 +139,8 @@ def _build_conv2d(step, ctx, relu=False):
     k = c * kh * kw
     k_cols = k + (1 if bias is not None else 0)   # bias: a ones column
 
-    if stride == 1 and not _is_nhwc(get(nb)):
+    nhwc = _is_nhwc(get(nb))
+    if stride == 1 and not nhwc:
         wp = w_in + 2 * padding
         span = oh * wp
         wk = w.reshape(o, k).T
@@ -168,7 +170,7 @@ def _build_conv2d(step, ctx, relu=False):
         cols = ctx.scratch("cols", (nb * span, k_cols))
         pad = (ctx.scratch("pad", (nb, h + 2 * padding, w_in + 2 * padding,
                                    c), zero=True)
-               if padding > 0 else None)
+               if padding > 0 or not nhwc else None)
         prod = _rows(out)
 
         def lower(n):

@@ -59,7 +59,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
         and casts its int8 codes here). Allocated when omitted.
     pad:
         Optional NHWC scratch ``(>=N, H+2p, W+2p, C)`` whose border is
-        zero; its interior is overwritten. Allocated when omitted.
+        zero; its interior is overwritten. Allocated when omitted and
+        ``padding > 0``. Passed with ``padding == 0``, it takes the
+        channels-last copy of an input that is not NHWC memory.
 
     Returns
     -------
@@ -71,7 +73,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
+    if padding > 0 or pad is not None:
         if pad is None:
             pad = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
                            dtype=x.dtype)

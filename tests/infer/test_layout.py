@@ -10,6 +10,8 @@ centre tap of a 1×1 input, the row-padded conv on the plan input and
 separable pooling.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ class TestRowPaddedConv:
         (conv,) = engine.plan.steps
         assert (conv.output, "wide") not in engine.arena._scratch
         assert _scratch_shape(engine, conv, "cols")[1] == 3 * 3 * 3 + 1
+
+    def test_strided_conv_on_the_plan_input_allocates_only_the_output(self):
+        model = Sequential(Conv2d(3, 8, 3, stride=2, rng=_rng()))
+        model.eval()
+        x = _inputs((16, 3, 33, 33))
+        engine = compile_model(model, x)
+        engine.run(x)
+        tracemalloc.start()
+        try:
+            out = engine.run(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + x.nbytes // 4
 
 
 def _pool_loop(x, k, s, combine):
