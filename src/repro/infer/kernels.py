@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor.conv import im2col
+from ..tensor.conv import centre_tap_only, im2col
 
 __all__ = ["BUILDERS", "alloc_value", "build_step", "pool_builder",
            "register_builders"]
@@ -128,7 +128,7 @@ def _build_conv2d(step, ctx, relu=False):
     w = np.asarray(_layer_weight(p), dtype=np.float32)
     stride, padding = int(p["stride"]), int(p["padding"])
     h, w_in = ctx.shape(step.inputs[0])[2:]
-    if h == w_in == 1 and w.shape[2] == w.shape[3] == 2 * padding + 1:
+    if centre_tap_only(h, w_in, *w.shape[2:], padding):
         w = w[:, :, padding:padding + 1, padding:padding + 1]
         stride, padding = 1, 0
     o, c, kh, kw = w.shape

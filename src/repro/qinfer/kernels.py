@@ -50,7 +50,7 @@ import numpy as np
 
 from ..infer.kernels import (_build_global_avg_pool, _build_relu, _nhwc,
                              _rows, pool_builder, register_builders)
-from ..tensor.conv import im2col
+from ..tensor.conv import centre_tap_only, im2col
 
 __all__ = ["Q_BUILDERS", "QMAX", "F32_EXACT_LIMIT", "accumulation_chunks",
            "gemm_matrices", "conv_cert_rows", "quantize_bias"]
@@ -226,7 +226,7 @@ def _build_qconv2d(step, ctx):
     stride, padding = int(p["stride"]), int(p["padding"])
     nb, h, w_in = ctx.shape(step.inputs[0])[:3]   # (nb, H, W, C) codes
     centre = None
-    if h == w_in == 1 and kh == kw == 2 * padding + 1:
+    if centre_tap_only(h, w_in, kh, kw, padding):
         # A 1x1 input meets only the centre tap. Padding codes are 0, so
         # the integer sums are the whole kernel's.
         centre, kh, kw, stride, padding = padding, 1, 1, 1, 0

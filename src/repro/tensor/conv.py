@@ -31,6 +31,13 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def centre_tap_only(h: int, w: int, kh: int, kw: int, padding: int) -> bool:
+    """Whether every output of a conv over an ``h × w`` input reads only
+    the centre tap ``(padding, padding)``: a 1x1 input under "same"
+    padding (``kh == kw == 2·padding + 1``), at any stride."""
+    return h == w == 1 and kh == kw == 2 * padding + 1
+
+
 def _channels_last(x: np.ndarray) -> np.ndarray:
     """``(N, H, W, C)`` C-contiguous view of an ``(N, C, H, W)`` array.
 
@@ -147,7 +154,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    centre = h == w == 1 and kh == kw == 2 * padding + 1
+    centre = centre_tap_only(h, w, kh, kw, padding)
     lh, lw, pad, p0 = (1, 1, 0, padding) if centre else (kh, kw, padding, 0)
     taps = weight.data[:, :, p0:p0 + lh, p0:p0 + lw]    # lowered kernel
 
