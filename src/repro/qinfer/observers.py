@@ -19,8 +19,6 @@ Two strategies, both deterministic for a fixed loader and iteration order
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["CalibrationError", "Observer", "MinMaxObserver",
@@ -84,10 +82,8 @@ class MinMaxObserver(Observer):
 class PercentileObserver(Observer):
     """Histogram-based percentile of ``|x|`` with exact range doubling.
 
-    The histogram starts sized to the first batch's range, rounded up to
-    a power of two, so bin edges do not move with rounding-level changes
-    of that batch's maximum. A later batch that overflows it doubles the
-    range — merging adjacent bin pairs, so
+    The histogram starts sized to the first batch's range. A later batch
+    that overflows it doubles the range — merging adjacent bin pairs, so
     no previously recorded mass is lost or displaced — until the new
     maximum fits. The reported ``amax`` is the upper edge of the first
     bin where the cumulative count reaches ``percentile``.
@@ -106,7 +102,7 @@ class PercentileObserver(Observer):
 
     def _grow_to(self, amax: float) -> None:
         if self._top == 0.0:
-            self._top = 2.0 ** math.ceil(math.log2(amax))
+            self._top = amax
             return
         while self._top < amax:
             merged = self._counts[0::2] + self._counts[1::2]
