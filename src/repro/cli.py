@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--smoke", action="store_true",
                          help="tiny models / few repeats (CI)")
     p_bench.add_argument("--quant", action="store_true",
-                         help="extend the sweep to the int8 engine "
+                         help="extend the sweep to int8 weight codes "
                               "({dense,pruned} x {fp32,int8} grid with "
                               "artifact sizes and top-1 agreement)")
     p_bench.add_argument("--out", default=None,

@@ -44,25 +44,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor.conv import centre_tap_only, im2col
+from .optimize import dequantize_weight
 
-__all__ = ["BUILDERS", "alloc_value", "build_step", "pool_builder",
-           "register_builders"]
+__all__ = ["BUILDERS", "alloc_value", "build_step"]
 
 
-def alloc_value(shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    """Zeroed buffer for one computed plan value, in the runtime's layout.
+def alloc_value(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeroed float32 buffer for one computed plan value.
 
-    A 4-D float value is NHWC memory behind an NCHW view: plan shapes and
-    every kernel's indexing stay NCHW, while convolutions, pooling and
-    the int8 boundaries read and write contiguous channels. Other values
-    (int8 codes, whose plan shapes are already NHWC, and 2-D features)
-    are plain C-contiguous arrays.
+    A 4-D value is NHWC memory behind an NCHW view: plan shapes and every
+    kernel's indexing stay NCHW, while convolutions and pooling read and
+    write contiguous channels. Other values (2-D features) are plain
+    C-contiguous arrays.
     """
-    dtype = np.dtype(dtype)
-    if len(shape) == 4 and dtype.kind == "f":
+    if len(shape) == 4:
         n, c, h, w = shape
-        return np.zeros((n, h, w, c), dtype=dtype).transpose(0, 3, 1, 2)
-    return np.zeros(shape, dtype=dtype)
+        return np.zeros((n, h, w, c), np.float32).transpose(0, 3, 1, 2)
+    return np.zeros(shape, np.float32)
 
 
 def _nhwc(x: np.ndarray) -> np.ndarray:
@@ -88,15 +86,13 @@ def _maybe_relu(buf, n):
 def _layer_weight(params) -> np.ndarray:
     """Float weight of a conv/linear step.
 
-    Weight-only-quantized steps (float execution, int8 storage — see
-    :func:`repro.infer.optimize.quantize_plan`) carry ``weight_q`` +
-    ``w_scale`` instead of ``weight``; dequantization happens here, once,
-    at engine build time.
+    Steps of an int8 plan (see :func:`repro.infer.optimize.quantize_weights`)
+    carry ``weight_q`` + ``w_scale`` instead of ``weight``; they are
+    dequantized here, once, at engine build time.
     """
     w = params.get("weight")
     if w is None:
-        w = (np.asarray(params["weight_q"], dtype=np.float32)
-             * np.asarray(params["w_scale"], dtype=np.float32))
+        w = dequantize_weight(params["weight_q"], params["w_scale"])
     return w
 
 
@@ -280,10 +276,8 @@ def _build_relu(step, ctx):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
-    zero = out.dtype.type(0)            # float values or int8 codes
-
     def run(n):
-        np.maximum(get(n), zero, out=out[:n])
+        np.maximum(get(n), 0.0, out=out[:n])
 
     return run
 
@@ -316,7 +310,7 @@ def _build_clip(step, ctx):
 # Pooling
 # ----------------------------------------------------------------------
 
-def pool_builder(combine, scale_by_area=False, channels_last=False):
+def _pool_builder(combine, scale_by_area=False):
     """Separable pooling over NHWC memory.
 
     ``k`` combines over window rows, each over whole image rows (inner
@@ -324,25 +318,22 @@ def pool_builder(combine, scale_by_area=False, channels_last=False):
     its strided column slices (inner run ``C``) then fill the output.
     That is ``2k`` passes in place of ``k²`` with an inner run of ``C``.
     Max gives the ``k²`` loop's result bitwise; an average sums in
-    another order, equal at rounding level. Float values are NCHW views
-    over NHWC memory and are read through their NHWC view;
-    ``channels_last`` values (int8 codes) carry NHWC plan shapes already.
-    One builder serves ``max_pool2d``, ``avg_pool2d`` and ``qmax_pool2d``.
+    another order, equal at rounding level. Values are NCHW views over
+    NHWC memory and are read through their NHWC view.
     """
-    view = (lambda x: x) if channels_last else _nhwc
 
     def build(step, ctx):
         kernel = int(step.params["kernel"])
         stride = int(step.params["stride"])
         get = ctx.getter(step.inputs[0])
-        out = view(ctx.out(step.output))
+        out = _nhwc(ctx.out(step.output))
         nb, oh, ow, c = out.shape
-        w_in = view(get(nb)).shape[2]
-        rows = ctx.scratch("rows", (nb, oh, w_in, c), dtype=out.dtype)
+        w_in = get(nb).shape[3]
+        rows = ctx.scratch("rows", (nb, oh, w_in, c))
         inv_area = np.float32(1.0 / (kernel * kernel))
 
         def run(n):
-            x, r, y = view(get(n)), rows[:n], out[:n]
+            x, r, y = _nhwc(get(n)), rows[:n], out[:n]
             np.copyto(r, x[:, :oh * stride:stride])
             for i in range(1, kernel):
                 combine(r, x[:, i:i + oh * stride:stride], out=r)
@@ -357,25 +348,20 @@ def pool_builder(combine, scale_by_area=False, channels_last=False):
 
 
 def _build_global_avg_pool(step, ctx):
-    """Spatial mean; ``qglobal_avg_pool`` reads int8 NHWC codes and folds
-    their ``scale`` into the mean's factor. A 1x1 map is one scaled
-    copy."""
-    codes = step.op == "qglobal_avg_pool"
-    view = (lambda x: x) if codes else _nhwc
+    """Spatial mean over NHWC memory; a 1x1 map is one scaled copy."""
     get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)                    # (nb, C) f32
-    in_shape = ctx.shape(step.inputs[0])
-    h, w = in_shape[1:3] if codes else in_shape[2:]
-    factor = np.float32(float(step.params.get("scale", 1.0)) / (h * w))
+    out = ctx.out(step.output)                    # (nb, C)
+    h, w = ctx.shape(step.inputs[0])[2:]
+    factor = np.float32(1.0 / (h * w))
 
     if h * w == 1:
         def run(n):
-            np.multiply(view(get(n))[:, 0, 0], factor, out=out[:n])
+            np.multiply(_nhwc(get(n))[:, 0, 0], factor, out=out[:n])
 
         return run
 
     def run(n):
-        np.sum(view(get(n)), axis=(1, 2), dtype=np.float32, out=out[:n])
+        np.sum(_nhwc(get(n)), axis=(1, 2), dtype=np.float32, out=out[:n])
         np.multiply(out[:n], factor, out=out[:n])
 
     return run
@@ -519,8 +505,8 @@ BUILDERS = {
     "tanh": _build_unary(np.tanh),
     "sigmoid": _build_sigmoid,
     "clip": _build_clip,
-    "max_pool2d": pool_builder(np.maximum),
-    "avg_pool2d": pool_builder(np.add, scale_by_area=True),
+    "max_pool2d": _pool_builder(np.maximum),
+    "avg_pool2d": _pool_builder(np.add, scale_by_area=True),
     "global_avg_pool": _build_global_avg_pool,
     "flatten": _build_flatten,
     "reshape": _build_reshape,
@@ -533,20 +519,6 @@ BUILDERS = {
     "log_softmax": _build_log_softmax,
     "softmax": lambda step, ctx: _build_log_softmax(step, ctx, log=False),
 }
-
-
-def register_builders(builders: dict) -> None:
-    """Extend the kernel registry (used by :mod:`repro.qinfer.kernels`).
-
-    Re-registering the same builder object for an op is a no-op;
-    registering a *different* builder for an existing op is an error, so
-    subsystems cannot silently shadow each other's lowerings.
-    """
-    for op, builder in builders.items():
-        existing = BUILDERS.get(op)
-        if existing is not None and existing is not builder:
-            raise ValueError(f"op {op!r} already has a registered builder")
-        BUILDERS[op] = builder
 
 
 def build_step(step, ctx):

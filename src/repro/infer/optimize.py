@@ -1,6 +1,6 @@
-"""Plan-level optimization passes: BatchNorm folding and ReLU fusion.
+"""Plan-level passes: BatchNorm folding, ReLU fusion, int8 weight storage.
 
-Both passes are peephole rewrites over the SSA step list of a
+The first two passes are peephole rewrites over the SSA step list of a
 :class:`~repro.infer.plan.Plan`:
 
 * **BatchNorm folding** — an eval-mode BatchNorm is the affine map
@@ -16,6 +16,10 @@ Both passes are peephole rewrites over the SSA step list of a
   runtime applies the clamp in place on the producer's output buffer
   instead of launching a separate pass over the activation.
 
+:func:`quantize_weights` then stores every conv and linear weight as
+per-output-channel int8 codes plus a float32 scale, which the runtime
+dequantizes once at engine build.
+
 Passes never mutate the input plan; they rebuild the step list with fresh
 ``Step`` objects and remap downstream references to dropped values.
 """
@@ -29,7 +33,8 @@ import numpy as np
 from .plan import Plan, Step
 
 __all__ = ["OptimizationReport", "fold_batchnorm", "fuse_relu",
-           "optimize_plan", "QuantizeReport", "quantize_plan"]
+           "optimize_plan", "quantize_weights", "dequantize_weights",
+           "dequantize_weight"]
 
 
 @dataclass
@@ -128,41 +133,10 @@ def fuse_relu(plan: Plan) -> tuple[Plan, int]:
 
 
 # ----------------------------------------------------------------------
-# Int8 quantization rewrite (repro.qinfer)
+# Int8 weight storage
 # ----------------------------------------------------------------------
 
-@dataclass
-class QuantizeReport:
-    """What :func:`quantize_plan` rewrote, and what it left in float."""
-
-    quantized_conv: int = 0
-    quantized_linear: int = 0
-    kept_float: list[str] = field(default_factory=list)
-    boundary_steps: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"int8: {self.quantized_conv} conv + "
-                f"{self.quantized_linear} linear quantized, "
-                f"{len(self.kept_float)} kept float, "
-                f"{self.boundary_steps} quantize/dequantize boundaries")
-
-
-# Shape heuristic for which layers run int8. Tiny-channel convs lose to
-# float32 BLAS because the int8->float32 im2col cast dominates the (small)
-# GEMM; measured on this runtime, the break-even is C_in >= 16 generally,
-# or C_in >= 8 once the spatial size has dropped to <= 8 (smaller cast,
-# relatively larger GEMM). The first conv (C_in = 3) is never quantized,
-# which also matches standard deployment practice of keeping the stem in
-# higher precision.
-def _conv_worth_quantizing(c_in: int, h_in: int) -> bool:
-    return c_in >= 16 or (c_in >= 8 and h_in <= 8)
-
-
-_MIN_LINEAR_FEATURES = 32
-
-_QCONV_OPS = {"conv2d": False, "conv2d_relu": True}
-_QLINEAR_OPS = {"linear": False, "linear_relu": True}
+_WEIGHT_OPS = ("conv2d", "conv2d_relu", "linear", "linear_relu")
 
 
 def _quantize_weight(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,236 +162,54 @@ def _quantize_weight(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, scale.astype(np.float32)
 
 
-def _nhwc(shape: tuple[int, ...]) -> tuple[int, ...]:
-    if len(shape) == 4:
-        n, c, h, w = shape
-        return (n, h, w, c)
-    return tuple(shape)
+def dequantize_weight(codes: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The float32 weight that int8 ``codes`` and their ``scale`` stand for.
 
-
-def quantize_plan(plan: Plan, scales: dict[int, float],
-                  ) -> tuple[Plan, QuantizeReport]:
-    """Rewrite conv/linear steps of an optimized float plan into int8 ops.
-
-    ``scales`` maps value ids of the float plan to per-tensor activation
-    quantization scales (from :func:`repro.qinfer.calibrate.collect_scales`).
-    The rewrite assigns each value a domain: a step runs quantized when
-    its inputs can be codes and the shape heuristic says int8 wins;
-    ``quantize``/``dequantize`` boundary steps are inserted only where
-    the domain actually changes. Quantized 4-D activations live in NHWC
-    (``plan.shapes`` records the permuted shape) so the int8 conv GEMM
-    output is directly the next conv's input layout. Monotone ops
-    (max-pool, ReLU) pass codes through at unchanged scale; residual adds
-    requantize onto the output grid; global average pooling consumes
-    codes and emits float32.
-
-    BatchNorm must already be folded (run :func:`optimize_plan` first) —
-    a remaining ``batchnorm`` step simply stays in float here, costing a
-    dequantize boundary.
+    The one definition of ``codes × scale``: the runtime builds its GEMM
+    matrices from it, so an engine over a quantized plan equals, bitwise,
+    an fp32 engine over :func:`dequantize_weights` of that plan.
     """
-    report = QuantizeReport()
-    shapes = dict(plan.shapes)
-    # Codes pass through max-pool/ReLU unchanged, so those outputs MUST
-    # carry their input's scale — an independently observed (smaller)
-    # range would silently re-interpret the codes on a different grid.
-    scales = dict(scales)
-    for step in plan.steps:
-        if step.op in ("max_pool2d", "relu") and step.inputs[0] in scales:
-            scales[step.output] = scales[step.inputs[0]]
-    consumers: dict[int, list[Step]] = {}
-    for step in plan.steps:
-        for vid in step.inputs:
-            consumers.setdefault(vid, []).append(step)
+    return (np.asarray(codes, dtype=np.float32)
+            * np.asarray(scale, dtype=np.float32))
 
-    # Pass 1: which conv/linear steps run int8 (keyed by output vid).
-    quant: set[int] = set()
-    for step in plan.steps:
-        in_vid = step.inputs[0] if step.inputs else None
-        if step.op in _QCONV_OPS:
-            c_in, h_in = shapes[in_vid][1], shapes[in_vid][2]
-            if _conv_worth_quantizing(c_in, h_in) and in_vid in scales:
-                quant.add(step.output)
-            else:
-                report.kept_float.append(step.describe())
-        elif step.op in _QLINEAR_OPS:
-            if shapes[in_vid][1] >= _MIN_LINEAR_FEATURES and in_vid in scales:
-                quant.add(step.output)
-            else:
-                report.kept_float.append(step.describe())
 
-    # Pass 2 (forward): which values *can* exist as int8 codes.
-    capable: dict[int, bool] = {}
-    for step in plan.steps:
-        out = step.output
-        if step.op in _QCONV_OPS or step.op in _QLINEAR_OPS:
-            capable[out] = out in quant and out in scales
-        elif step.op in ("max_pool2d", "relu"):
-            capable[out] = capable.get(step.inputs[0], False)
-        elif step.op in ("add", "add_relu"):
-            capable[out] = (capable.get(step.inputs[0], False)
-                            and capable.get(step.inputs[1], False)
-                            and out in scales)
-        else:
-            capable[out] = False
+def _map_params(plan: Plan, rewrite) -> Plan:
+    """A copy of ``plan`` whose step params are ``rewrite(op, params)``."""
+    return plan.replace(steps=[
+        Step(step.op, step.inputs, step.output,
+             rewrite(step.op, dict(step.params)), step.source)
+        for step in plan.steps])
 
-    # Pass 3 (reverse, memoized): should the producer emit codes? Only
-    # when *every* consumer reads codes — with mixed consumers the value
-    # is emitted float and code-consumers requantize it themselves.
-    want_q8: dict[int, bool] = {}
 
-    def _wants(vid: int) -> bool:
-        cached = want_q8.get(vid)
-        if cached is not None:
-            return cached
-        want_q8[vid] = False            # break cycles conservatively
-        ok = capable.get(vid, False) and vid != plan.output_id
-        if ok:
-            users = consumers.get(vid, [])
-            ok = bool(users)
-            for user in users:
-                if user.op in _QCONV_OPS or user.op in _QLINEAR_OPS:
-                    ok = ok and user.output in quant
-                elif user.op in ("max_pool2d", "relu"):
-                    ok = ok and _wants(user.output)
-                elif user.op == "global_avg_pool":
-                    pass
-                elif user.op in ("add", "add_relu"):
-                    ok = ok and capable.get(user.output, False)
-                else:
-                    ok = False
-                if not ok:
-                    break
-        want_q8[vid] = ok
-        return ok
+def quantize_weights(plan: Plan) -> Plan:
+    """Store every conv and linear weight as int8 codes plus a scale.
 
-    # Pass 4: emission.
-    next_vid = max(shapes) + 1
-    new_steps: list[Step] = []
-    q8_of: dict[int, int] = {}
-    f32_avail = {plan.input_id} | set(plan.constants)
+    Each ``weight`` param becomes ``weight_q`` (int8, per output channel)
+    and ``w_scale`` (float32). Nothing else changes: the runtime
+    dequantizes the codes once when it builds the engine and runs the
+    fp32 kernels, so the plan's arithmetic stays float32 and only its
+    storage shrinks to one byte per weight.
+    """
 
-    def fresh() -> int:
-        nonlocal next_vid
-        next_vid += 1
-        return next_vid - 1
+    def rewrite(op, params):
+        if op in _WEIGHT_OPS:
+            params["weight_q"], params["w_scale"] = _quantize_weight(
+                params.pop("weight"))
+        return params
 
-    def ensure_q8(vid: int) -> int:
-        qv = q8_of.get(vid)
-        if qv is None:
-            qv = fresh()
-            new_steps.append(Step("quantize", (vid,), qv,
-                                  {"scale": float(scales[vid]),
-                                   "out_dtype": "int8"}, "qinfer"))
-            shapes[qv] = _nhwc(shapes[vid])
-            q8_of[vid] = qv
-            report.boundary_steps += 1
-        return qv
+    return _map_params(plan, rewrite)
 
-    def ensure_f32(vid: int) -> int:
-        if vid not in f32_avail:
-            new_steps.append(Step("dequantize", (q8_of[vid],), vid,
-                                  {"scale": float(scales[vid])}, "qinfer"))
-            f32_avail.add(vid)
-            report.boundary_steps += 1
-        return vid
 
-    for step in plan.steps:
-        op, out = step.op, step.output
-        if out in quant:
-            relu = op.endswith("_relu")
-            in_vid = step.inputs[0]
-            emit_q8 = _wants(out)
-            qin = ensure_q8(in_vid)
-            wq, w_scale = _quantize_weight(step.params["weight"])
-            params = {"weight_q": wq,
-                      "w_scale": w_scale.reshape(-1),
-                      "bias": step.params.get("bias"),
-                      "in_scale": float(scales[in_vid]),
-                      "relu": relu,
-                      "emit": "q8" if emit_q8 else "f32"}
-            if op in _QCONV_OPS:
-                qop = "qconv2d"
-                params["stride"] = step.params["stride"]
-                params["padding"] = step.params["padding"]
-                report.quantized_conv += 1
-            else:
-                qop = "qlinear"
-                report.quantized_linear += 1
-            if emit_q8:
-                qout = fresh()
-                params["out_scale"] = float(scales[out])
-                params["out_dtype"] = "int8"
-                shapes[qout] = _nhwc(shapes[out])
-                q8_of[out] = qout
-            else:
-                qout = out
-                f32_avail.add(out)
-            new_steps.append(Step(qop, (qin,), qout, params, step.source))
-        elif (op in ("max_pool2d", "relu")
-              and step.inputs[0] in q8_of and _wants(out)):
-            qout = fresh()
-            if op == "max_pool2d":
-                params = {"kernel": step.params["kernel"],
-                          "stride": step.params["stride"],
-                          "out_dtype": "int8"}
-                qop = "qmax_pool2d"
-            else:
-                params = {"out_dtype": "int8"}
-                qop = "qrelu"
-            shapes[qout] = _nhwc(shapes[out])
-            q8_of[out] = qout
-            new_steps.append(
-                Step(qop, (q8_of[step.inputs[0]],), qout, params,
-                     step.source))
-        elif (op in ("add", "add_relu")
-              and all(v in q8_of for v in step.inputs)
-              and capable.get(out, False)):
-            a, b = step.inputs
-            emit_q8 = _wants(out)
-            params = {"a_scale": float(scales[a]),
-                      "b_scale": float(scales[b]),
-                      "emit": "q8" if emit_q8 else "f32"}
-            if emit_q8:
-                qout = fresh()
-                params["out_scale"] = float(scales[out])
-                params["out_dtype"] = "int8"
-                shapes[qout] = _nhwc(shapes[out])
-                q8_of[out] = qout
-            else:
-                qout = out
-                f32_avail.add(out)
-            new_steps.append(
-                Step("qadd_relu" if op == "add_relu" else "qadd",
-                     (q8_of[a], q8_of[b]), qout, params, step.source))
-        elif op == "global_avg_pool" and step.inputs[0] in q8_of:
-            in_vid = step.inputs[0]
-            new_steps.append(
-                Step("qglobal_avg_pool", (q8_of[in_vid],), out,
-                     {"scale": float(scales[in_vid])}, step.source))
-            f32_avail.add(out)
-        else:
-            inputs = tuple(
-                ensure_f32(v) if v in q8_of and v not in f32_avail else v
-                for v in step.inputs)
-            params = dict(step.params)
-            if op in _QCONV_OPS or op in _QLINEAR_OPS:
-                # Weight-only quantization for layers kept in float:
-                # executes at full float32 speed (codes are dequantized
-                # once into the GEMM matrix at engine build), but the
-                # artifact stores one byte per weight like every other
-                # layer. Error is the per-channel int8 weight grid only.
-                params["weight_q"], params["w_scale"] = _quantize_weight(
-                    params.pop("weight"))
-            new_steps.append(Step(op, inputs, out, params, step.source))
-            f32_avail.add(out)
+def dequantize_weights(plan: Plan) -> Plan:
+    """Replace int8 weight codes by their float32 ``codes × scale``."""
 
-    if plan.output_id not in f32_avail:
-        ensure_f32(plan.output_id)
-    if not (report.quantized_conv or report.quantized_linear):
-        report.notes.append(
-            "no layer met the int8 shape heuristic; plan left in float")
-    new_plan = plan.replace(steps=new_steps, shapes=shapes)
-    return new_plan, report
+    def rewrite(op, params):
+        if "weight_q" in params:
+            params["weight"] = dequantize_weight(params.pop("weight_q"),
+                                                 params.pop("w_scale"))
+        return params
+
+    return _map_params(plan, rewrite)
 
 
 def optimize_plan(plan: Plan, fold_bn: bool = True,

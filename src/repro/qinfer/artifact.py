@@ -1,10 +1,10 @@
 """Deployable plan artifacts: serialized compiled plans, honest bytes.
 
-A compiled :class:`~repro.infer.plan.Plan` — float or int8-quantized —
-serializes to a single compact container: every parameter array is
-stored as raw bytes at its **native dtype** (int8 weight codes stay one
-byte per element, so a quantized artifact's size on disk reflects the
-real compression, not fake-quantized float32), step topology and scalar
+A compiled :class:`~repro.infer.plan.Plan` — float weights or int8
+weight codes — serializes to a single compact container: every parameter
+array is stored as raw bytes at its **native dtype** (int8 weight codes
+stay one byte per element, so an int8 artifact's size on disk reflects
+the real compression, not fake-quantized float32), step topology and scalar
 params live in a small zlib-compressed JSON manifest, and a SHA-256
 digest over the manifest plus every array's bytes makes corruption —
 including a flipped scale — a load-time :class:`ArtifactCorruptError`
@@ -22,6 +22,10 @@ Layout::
 
 The manifest records each array's key, dtype, shape, offset, and length
 within the payload region.
+
+Version 2 plans hold only ops the fp32 runtime executes. Version 1 plans
+could also hold int8-execution steps (``qconv2d``, ``quantize``, ...)
+that no longer exist, so :func:`load_plan` refuses them by version.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ __all__ = ["ArtifactCorruptError", "save_plan", "load_plan",
            "plan_size_bytes"]
 
 _MAGIC = b"RPLAN"
-_VERSION = 1
+_VERSION = 2
 
 
 class ArtifactCorruptError(RuntimeError):

@@ -3,13 +3,12 @@
 Two drills extend the resilience battery to the int8 deployable:
 
 * ``quant.deploy`` — the full fused prune+quantize deploy path: a pruned
-  model is compiled to int8 (percentile calibration), serialized with
+  model is compiled with int8 weight codes, serialized with
   :func:`repro.qinfer.save_plan`, and deployed *as an artifact* over an
-  active float version through the serve swap gate (bitwise
-  reference-interpreter validation plus the top-1 agreement gate against
-  the live engine). The registry must land on the quantized version, and
-  a warm restart from the manifest must restore the identical int8
-  engine — never silently requantize;
+  active float version through the serve swap gate (the top-1 agreement
+  gate against the live engine). The registry must land on the quantized
+  version and serve the compiled engine's outputs bitwise, and a warm
+  restart from the manifest must restore the identical int8 engine;
 
 * ``quant.corrupt`` — an artifact whose bytes rot on disk (the flip lands
   in the serialized scale/weight payload) must be rejected at deploy time
@@ -48,10 +47,9 @@ def _pruned_model(seed: int):
     return model
 
 
-def _calibration_loader(seed: int, batches: int = 3):
+def _probe_batch(seed: int):
     rng = np.random.default_rng(seed + 13)
-    return [rng.normal(size=(16, 3, 8, 8)).astype(np.float32)
-            for _ in range(batches)]
+    return rng.normal(size=(16, 3, 8, 8)).astype(np.float32)
 
 
 def _drill_quant_deploy(seed: int):
@@ -60,13 +58,12 @@ def _drill_quant_deploy(seed: int):
 
     result = DrillResult()
     model = _pruned_model(seed)
-    loader = _calibration_loader(seed)
-    engine = compile_model(model, loader[0], max_batch=16,
-                           quantize="int8", calibrate=loader)
+    batch = _probe_batch(seed)
+    engine = compile_model(model, batch, max_batch=16, quantize="int8")
     if not engine.quantized:
         result.fail("compile_model(quantize='int8') produced a float engine")
 
-    probe = loader[0][:8]
+    probe = batch[:8]
     expected = engine.run(probe)
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "pruned-int8.rplan"
@@ -112,10 +109,9 @@ def _drill_quant_corrupt(seed: int):
 
     result = DrillResult()
     model = _pruned_model(seed)
-    loader = _calibration_loader(seed)
-    engine = compile_model(model, loader[0], max_batch=16,
-                           quantize="int8", calibrate=loader)
-    probe = loader[0][:8]
+    batch = _probe_batch(seed)
+    engine = compile_model(model, batch, max_batch=16, quantize="int8")
+    probe = batch[:8]
 
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "good.rplan"

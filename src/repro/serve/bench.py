@@ -9,9 +9,10 @@ with :func:`repro.serve.loadgen.run_load`. The payload lands in
 This is where pruning pays off operationally: the pruned variant runs the
 same protocol, the same batching, the same shedding — and serves more
 requests per second per box purely because each batch is cheaper. The
-``int8`` variant deploys the pruned model through the quantized compile
-path (:mod:`repro.qinfer` — percentile calibration, top-1 swap gate), so
-the sweep also measures the fused prune+quantize deployable.
+``int8`` variant deploys the pruned model with int8 weight codes through
+the quantized deploy path (top-1 swap gate, a ``.rplan`` artifact for
+replicas), so the sweep also measures the fused prune+quantize
+deployable.
 
 Smoke mode (CI) shrinks the model and the sweep and *asserts* the serving
 contract: finite p99, zero errors, zero dropped requests.
@@ -97,19 +98,14 @@ def run_bench(smoke: bool = False, seed: int = 0,
         shedding=SheddingConfig(max_pending=max_pending,
                                 p99_budget_ms=None))
     entries = []
-    rng = np.random.default_rng(seed)
     models: dict[str, object] = {}
     with registry:
         for variant in variants:
             model = _build_variant(spec, pruned=(variant != "dense"))
             models[variant] = model
-            kwargs = {}
-            if variant == "int8":
-                kwargs = dict(quantize="int8", calibrate=[
-                    rng.normal(size=(max_batch, *sample_shape)
-                               ).astype(np.float32) for _ in range(3)])
             registry.deploy(f"{spec['name']}-{variant}", "v1", model=model,
-                            input_shape=sample_shape, seed=seed, **kwargs)
+                            input_shape=sample_shape, seed=seed,
+                            quantize="int8" if variant == "int8" else None)
         router = rset = tmpdir = None
         if replicas:
             from ..io import save_model
@@ -121,8 +117,8 @@ def run_bench(smoke: bool = False, seed: int = 0,
             for variant in variants:
                 ref = f"{spec['name']}-{variant}"
                 if variant == "int8":
-                    # Replicas must serve the *same* int8 engine, not a
-                    # requantisation — ship the compiled plan artifact.
+                    # Replicas serve the frontend's own int8 engine: ship
+                    # the compiled plan artifact.
                     _, active = registry.resolve(ref)
                     path = Path(tmpdir.name) / f"{ref}.rplan"
                     save_plan(active.engine.plan, path)

@@ -52,8 +52,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            pad: np.ndarray | None = None) -> np.ndarray:
     """Lower image patches into one GEMM-ready row matrix.
 
-    Shared by the eager tape, the int8 engine and the compiled float
-    engine (for every conv but one that reads the NCHW plan input).
+    Shared by the eager tape and the compiled engine (for every conv but
+    a stride-1 one that reads the NCHW plan input).
 
     Parameters
     ----------
@@ -61,9 +61,10 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
         Input array ``(N, C, H, W)`` in any memory layout; channels-last
         memory behind an NCHW view is read without a copy.
     out:
-        Optional ``(N*OH*OW, kh*kw*C)`` destination of any dtype and row
-        stride (the int8 engine passes float32 columns of a wider matrix
-        and casts its int8 codes here). Allocated when omitted.
+        Optional ``(N*OH*OW, kh*kw*C)`` destination of any row stride
+        (the compiled engine passes the leading columns of a matrix
+        that carries its bias as a last column of ones). Allocated when
+        omitted.
     pad:
         Optional NHWC scratch ``(>=N, H+2p, W+2p, C)`` whose border is
         zero; its interior is overwritten. Allocated when omitted and
@@ -97,8 +98,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     sn, sh, sw, sc = xh.strides                 # xh is C-contiguous
     patches = np.ndarray((n, oh, ow, kh, kw, c), xh.dtype, xh, 0,
                          (sn, sh * stride, sw * stride, sh, sw, sc))
-    np.copyto(out.reshape(n, oh, ow, kh, kw, c, copy=False), patches,
-              casting="unsafe")
+    np.copyto(out.reshape(n, oh, ow, kh, kw, c, copy=False), patches)
     return out
 
 

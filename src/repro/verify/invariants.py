@@ -363,79 +363,124 @@ def check_compiled_inference_equivalence(seed: int = 0,
 def check_quantized_inference_equivalence(seed: int = 0,
                                           quick: bool = False
                                           ) -> InvariantResult:
-    """Int8 engine ≡ exact-integer reference, and close to eager, everywhere.
+    """Int8 weight codes ≡ their fp32 weights, through the ``.rplan``.
 
-    For every registry architecture, dense and pruned, the quantized
-    compile path (:mod:`repro.qinfer`: percentile calibration →
-    ``quantize_plan`` rewrite → int8 NHWC kernels) must
+    ``compile_model(quantize="int8")`` stores conv and linear weights as
+    int8 codes plus a scale and runs the fp32 kernels over them. For
+    every registry architecture, dense and pruned, after a round trip
+    through :func:`repro.qinfer.save_plan` / :func:`~repro.qinfer.load_plan`:
 
-    * reproduce the exact-integer reference interpreter **bitwise** —
-      the f32-BLAS-over-integer-codes trick is only legal while every
-      accumulator stays exact, and any drift means that certificate
-      (or the chunking it mandates) is broken; and
-    * agree with eager float execution on ≥ 90% of top-1 decisions on a
-      random probe — the same gate :meth:`ModelRegistry.deploy` applies
-      to quantized swaps (``min_top1_agreement``), so a regression here
-      fails verification before it can fail a deploy.
+    * the loaded weights equal ``codes × scale`` bitwise, and the codes
+      and scales equal the compiled plan's;
+    * an engine built from the loaded plan equals the compiled int8
+      engine bitwise, at batch 1 and at ``max_batch``;
+    * it equals an fp32 engine built from the dequantized weights
+      bitwise — int8 storage adds no arithmetic of its own; and
+    * it agrees with eager float execution on ≥ 90% of top-1 decisions,
+      the gate :meth:`ModelRegistry.deploy` applies to quantized swaps
+      (``min_top1_agreement``).
+
+    ``quick`` changes nothing: every case costs a few milliseconds.
     """
-    from ..infer import compile_model
-    from ..qinfer import run_reference
+    import tempfile
+    from pathlib import Path
+
+    from ..infer import InferenceEngine, compile_model
+    from ..infer.optimize import dequantize_weights
+    from ..qinfer import load_plan, save_plan
 
     start = time.perf_counter()
     result = InvariantResult(name="quantized_inference_equivalence",
                              passed=True)
-    cases = ({k: INFER_CASES[k] for k in ("vgg11", "resnet20", "mlp")}
-             if quick else INFER_CASES)
     rng = np.random.default_rng(seed + 5)
     checked = 0
     worst_top1 = 1.0
-    for model_name, kwargs in cases.items():
-        batch = _eval_batch(model_name, kwargs, seed)
-        loader = [rng.normal(size=batch.shape).astype(np.float32)
-                  for _ in range(2)]
-        for variant in ("dense", "pruned"):
-            try:
-                model = build_model(model_name, **kwargs)
-                perturb_batchnorm_stats(model, seed=seed)
-                if variant == "pruned":
-                    groups = model.prunable_groups()
-                    victims = _random_victims(model, groups, rng)
-                    sizes = group_sizes(model, groups)
-                    keep = {name: np.setdiff1d(np.arange(sizes[name]), idx)
-                            for name, idx in victims.items()}
-                    prune_groups(model, groups, keep)
-                eager_out = _forward(model, batch)
-                engine = compile_model(model, batch, quantize="int8",
-                                       calibrate=loader, validate=False)
-                for n in _batch_sizes(batch):
-                    native = engine.run(batch[:n])
-                    reference = run_reference(engine.plan, batch[:n])
-                    if native.dtype != reference.dtype or not np.array_equal(
-                            native, reference):
-                        result.passed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for model_name, kwargs in INFER_CASES.items():
+            batch = _eval_batch(model_name, kwargs, seed)
+            max_batch = batch.shape[0]
+            for variant in ("dense", "pruned"):
+                where = f"{model_name}/{variant}"
+                try:
+                    model = build_model(model_name, **kwargs)
+                    perturb_batchnorm_stats(model, seed=seed)
+                    if variant == "pruned":
+                        groups = model.prunable_groups()
+                        victims = _random_victims(model, groups, rng)
+                        sizes = group_sizes(model, groups)
+                        keep = {name: np.setdiff1d(np.arange(sizes[name]),
+                                                   idx)
+                                for name, idx in victims.items()}
+                        prune_groups(model, groups, keep)
+                    eager_out = _forward(model, batch)
+                    engine = compile_model(model, batch, quantize="int8",
+                                           validate=False)
+                    path = Path(tmp) / f"{model_name}-{variant}.rplan"
+                    save_plan(engine.plan, path)
+                    loaded = load_plan(path)
+                    result.failures.extend(
+                        f"{where}: {problem}" for problem in
+                        _weight_code_problems(engine.plan, loaded))
+                    engines = {
+                        "loaded": InferenceEngine(loaded, max_batch),
+                        "fp32 over codes × scale": InferenceEngine(
+                            dequantize_weights(loaded), max_batch)}
+                    for n in (1, max_batch):
+                        native = engine.run(batch[:n])
+                        for label, other in engines.items():
+                            if not np.array_equal(other.run(batch[:n]),
+                                                  native):
+                                result.failures.append(
+                                    f"{where}: {label} engine differs "
+                                    f"from the compiled int8 engine at "
+                                    f"batch {n}")
+                    top1 = float(np.mean(
+                        np.argmax(native, -1)
+                        == np.argmax(eager_out, -1)))
+                    worst_top1 = min(worst_top1, top1)
+                    if top1 < 0.9:
                         result.failures.append(
-                            f"{model_name}/{variant}: native int8 engine is "
-                            f"not bitwise-equal to the exact reference "
-                            f"interpreter at batch {n}")
-                # ``native`` is the full batch: _batch_sizes ends with it.
-                top1 = float(np.mean(np.argmax(native, -1)
-                                     == np.argmax(eager_out, -1)))
-                worst_top1 = min(worst_top1, top1)
-                if top1 < 0.9:
-                    result.passed = False
+                            f"{where}: top-1 agreement with eager is "
+                            f"{top1:.2f} < 0.9")
+                    checked += 1
+                except Exception as exc:
                     result.failures.append(
-                        f"{model_name}/{variant}: top-1 agreement with "
-                        f"eager is {top1:.2f} < 0.9")
-                checked += 1
-            except Exception as exc:
-                result.passed = False
-                result.failures.append(
-                    f"{model_name}/{variant}: {type(exc).__name__}: {exc}")
-    result.detail = (f"{checked} model/variant cases bitwise vs reference "
-                     f"at batches 1, partial and full, "
+                        f"{where}: {type(exc).__name__}: {exc}")
+    result.passed = not result.failures
+    result.detail = (f"{checked} model/variant cases through the .rplan, "
+                     f"bitwise at batch 1 and max_batch, "
                      f"worst top-1 {worst_top1:.2f}")
     result.seconds = time.perf_counter() - start
     return result
+
+
+def _weight_code_problems(compiled, loaded) -> list[str]:
+    """Where the loaded plan's weights are not the compiled plan's codes
+    times their scales, bitwise."""
+    from ..infer.optimize import dequantize_weights
+
+    problems = []
+    floats = dequantize_weights(loaded).steps
+    for ours, theirs, flat in zip(compiled.steps, loaded.steps, floats):
+        if "weight_q" not in ours.params:
+            if ours.op in ("conv2d", "conv2d_relu", "linear", "linear_relu"):
+                problems.append(f"{ours.describe()} stores float weights")
+            continue
+        codes, scale = theirs.params["weight_q"], theirs.params["w_scale"]
+        if codes.dtype != np.int8 or scale.dtype != np.float32:
+            problems.append(f"{ours.describe()} stores {codes.dtype} codes "
+                            f"and {scale.dtype} scales")
+        if not (np.array_equal(codes, ours.params["weight_q"])
+                and np.array_equal(scale, ours.params["w_scale"])):
+            problems.append(f"{ours.describe()}: codes or scales changed "
+                            "through the .rplan")
+        expected = codes.astype(np.float32) * scale
+        weight = flat.params["weight"]
+        if (weight.dtype != np.float32
+                or weight.tobytes() != expected.tobytes()):
+            problems.append(f"{ours.describe()}: loaded weight is not "
+                            "codes × scale bitwise")
+    return problems
 
 
 def run_invariants(seed: int = 0, quick: bool = False) -> list[InvariantResult]:

@@ -5,7 +5,7 @@ drives a lowering whose indexing depends on that layout: strided and
 non-square convolutions, the 1×1 downsample joined by ``add_relu``,
 average pooling, a flatten feeding a linear layer (which reads NHWC
 memory through permuted weight columns) or anything else, and
-calibration hooks. The lowerings chosen by shape are covered too: the
+observing hooks. The lowerings chosen by shape are covered too: the
 centre tap of a 1×1 input, the row-padded conv on the plan input and
 separable pooling.
 """
@@ -15,7 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.infer import compile_model
+from repro.infer import InferenceEngine, compile_model
+from repro.infer.optimize import dequantize_weights
 from repro.models import build_model
 from repro.nn import (AvgPool2d, Conv2d, Flatten, GlobalAvgPool2d, Linear,
                       MaxPool2d, ReLU, Sequential)
@@ -236,17 +237,14 @@ class TestFlatten:
         _check(model, _inputs((3, 3, 5, 6)))
 
     def test_int8_engine_with_flatten_head(self):
-        from repro.qinfer import run_reference
-
         model = build_model("vgg11", num_classes=3, image_size=64,
                             width=0.25, head="flatten", seed=0)
         perturb_batchnorm_stats(model, seed=0)
         model.eval()
         x = _inputs((4, 3, 64, 64))
-        engine = compile_model(model, x, quantize="int8",
-                               calibrate=[_inputs((4, 3, 64, 64), 1)])
-        np.testing.assert_array_equal(engine.run(x[:3]),
-                                      run_reference(engine.plan, x[:3]))
+        engine = compile_model(model, x, quantize="int8")
+        fp32 = InferenceEngine(dequantize_weights(engine.plan), max_batch=4)
+        np.testing.assert_array_equal(engine.run(x[:3]), fp32.run(x[:3]))
 
 
 class TestObservingHooks:
@@ -273,15 +271,24 @@ class TestObservingHooks:
         np.testing.assert_allclose(value, expected, rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("name", ["vgg11", "resnet20"])
-    def test_calibrated_int8_engine_matches_reference(self, name):
-        from repro.qinfer import run_reference
-
+    def test_int8_engine_observes_fp32_values(self, name):
+        # Hooks on an int8 engine see exactly what they see on the fp32
+        # engine over the dequantized weights, at every batch size.
         model = build_model(name, **INFER_CASES[name])
         perturb_batchnorm_stats(model, seed=0)
         model.eval()
         x = _inputs((6, 3, 8, 8))
-        engine = compile_model(model, x, quantize="int8",
-                               calibrate=[_inputs((6, 3, 8, 8), 2)])
+        engine = compile_model(model, x, quantize="int8")
+        fp32 = InferenceEngine(dequantize_weights(engine.plan), max_batch=6)
+        vids = [s.output for s in engine.plan.steps]
         for n in (1, 4, 6):
-            np.testing.assert_array_equal(engine.run(x[:n]),
-                                          run_reference(engine.plan, x[:n]))
+            seen = {e: {} for e in ("int8", "fp32")}
+            outs = [eng.run_observing(x[:n], {
+                vid: (lambda v, vid=vid, key=key:
+                      seen[key].__setitem__(vid, np.array(v)))
+                for vid in vids})
+                for key, eng in (("int8", engine), ("fp32", fp32))]
+            np.testing.assert_array_equal(*outs)
+            for vid in vids:
+                np.testing.assert_array_equal(seen["int8"][vid],
+                                              seen["fp32"][vid])

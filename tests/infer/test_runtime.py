@@ -76,8 +76,8 @@ class TestInferenceEngine:
 
     def test_engine_is_freed_without_the_cycle_collector(self):
         # A reference cycle would keep every arena alive until the cycle
-        # collector runs: calibration and validation build throwaway
-        # engines, so peak memory would grow with each compile.
+        # collector runs: validation of an int8 compile builds a throwaway
+        # engine, so peak memory would grow with each compile.
         import gc
         import weakref
 
@@ -117,11 +117,11 @@ class TestCompileValidation:
 
 
 def _poisoned_empty(real_empty):
-    """``np.empty`` whose memory reads as NaN (floats) or 99 (integers),
-    so a scratch buffer that relies on arriving zeroed shows it."""
+    """``np.empty`` whose memory reads as NaN, so a scratch buffer that
+    relies on arriving zeroed shows it."""
     def empty(shape, dtype=float, *args, **kwargs):
         arr = real_empty(shape, dtype, *args, **kwargs)
-        arr.fill(np.nan if np.dtype(dtype).kind == "f" else 99)
+        arr.fill(np.nan)
         return arr
     return empty
 
@@ -134,7 +134,8 @@ class TestArenaReuse:
 
     @pytest.mark.parametrize("name", ["vgg11", "resnet20", "mlp"])
     def test_every_batch_size_repeats_bitwise(self, name, monkeypatch):
-        from repro.qinfer import run_reference
+        from repro.infer import InferenceEngine
+        from repro.infer.optimize import dequantize_weights
         from repro.verify.invariants import INFER_CASES
 
         model = build_model(name, **INFER_CASES[name])
@@ -143,13 +144,12 @@ class TestArenaReuse:
         rng = np.random.default_rng(11)
         shape = (self.MAX_BATCH, 3, 8, 8)
         xs = rng.normal(size=shape).astype(np.float32)
-        calibration = [rng.normal(size=shape).astype(np.float32)
-                       for _ in range(2)]
         with monkeypatch.context() as patch:
             patch.setattr(np, "empty", _poisoned_empty(np.empty))
             fp32 = compile_model(model, xs, validate=False)
-            int8 = compile_model(model, xs, quantize="int8",
-                                 calibrate=calibration, validate=False)
+            int8 = compile_model(model, xs, quantize="int8", validate=False)
+        over_codes = InferenceEngine(dequantize_weights(int8.plan),
+                                     max_batch=self.MAX_BATCH)
 
         sizes = list(range(1, self.MAX_BATCH + 1))
         first = {}
@@ -166,5 +166,5 @@ class TestArenaReuse:
             np.testing.assert_allclose(first["fp32", n],
                                        _eager(model, xs[:n]),
                                        rtol=1e-4, atol=1e-5)
-            np.testing.assert_array_equal(
-                first["int8", n], run_reference(int8.plan, xs[:n]))
+            np.testing.assert_array_equal(first["int8", n],
+                                          over_codes.run(xs[:n]))

@@ -5,26 +5,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.infer import compile_model
+from repro.infer import InferenceEngine, compile_model
+from repro.infer.optimize import dequantize_weights
 from repro.models import build_model
 from repro.qinfer import (ArtifactCorruptError, load_plan, plan_size_bytes,
-                          save_plan, run_reference)
+                          save_plan)
 from repro.verify.invariants import perturb_batchnorm_stats
+
+
+def write_v1(path: Path, to: Path) -> Path:
+    """A copy of the artifact at ``path`` that claims format version 1."""
+    raw = bytearray(path.read_bytes())
+    raw[len(b"RPLAN")] = 1
+    to.write_bytes(bytes(raw))
+    return to
 
 
 @pytest.fixture(scope="module")
 def engines():
-    rng = np.random.default_rng(0)
-    loader = [rng.normal(size=(16, 3, 8, 8)).astype(np.float32)
-              for _ in range(3)]
+    x = np.random.default_rng(0).normal(size=(16, 3, 8, 8)).astype(
+        np.float32)
     model = build_model("vgg11", num_classes=3, image_size=8, width=0.25,
                         seed=0)
     perturb_batchnorm_stats(model, seed=0)
     model.eval()
-    fp32 = compile_model(model, loader[0], max_batch=16)
-    int8 = compile_model(model, loader[0], max_batch=16,
-                         quantize="int8", calibrate=loader)
-    return fp32, int8, loader[0]
+    fp32 = compile_model(model, x, max_batch=16)
+    int8 = compile_model(model, x, max_batch=16, quantize="int8")
+    return fp32, int8, x
 
 
 class TestRoundTrip:
@@ -34,7 +41,6 @@ class TestRoundTrip:
         digest = save_plan(int8.plan, path)
         assert isinstance(digest, str) and len(digest) == 64
         restored = load_plan(path)
-        from repro.infer.runtime import InferenceEngine
         engine = InferenceEngine(restored, max_batch=16)
         assert engine.quantized
         np.testing.assert_array_equal(engine.run(x), int8.run(x))
@@ -48,12 +54,14 @@ class TestRoundTrip:
                  if "weight_q" in s.params]
         assert codes and all(c.dtype == np.int8 for c in codes)
 
-    def test_reference_runs_on_loaded_plan(self, engines, tmp_path):
+    def test_loaded_plan_equals_fp32_over_dequantized_weights(
+            self, engines, tmp_path):
         _, int8, x = engines
         path = tmp_path / "plan.rplan"
         save_plan(int8.plan, path)
-        np.testing.assert_array_equal(run_reference(load_plan(path), x),
-                                      int8.run(x))
+        fp32 = InferenceEngine(dequantize_weights(load_plan(path)),
+                               max_batch=16)
+        np.testing.assert_array_equal(fp32.run(x), int8.run(x))
 
 
 class TestSizeAccounting:
@@ -102,3 +110,16 @@ class TestCorruption:
             load_plan(bad)
         with pytest.raises(ArtifactCorruptError):
             load_plan(tmp_path / "never-written.rplan")
+
+
+class TestVersion:
+    def test_v1_artifact_refused_by_version(self, engines, tmp_path):
+        # Version 1 plans could hold int8-execution steps (qconv2d,
+        # quantize, ...) that the runtime no longer has.
+        _, int8, _ = engines
+        path = tmp_path / "plan.rplan"
+        save_plan(int8.plan, path)
+        old = write_v1(path, tmp_path / "v1.rplan")
+        with pytest.raises(ArtifactCorruptError,
+                           match="unsupported artifact version 1"):
+            load_plan(old)

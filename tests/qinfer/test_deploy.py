@@ -10,18 +10,18 @@ from repro.serve.manifest import restore_registry
 from repro.serve.registry import ModelRegistry, SwapValidationError
 from repro.verify.invariants import perturb_batchnorm_stats
 
+from .test_artifact import write_v1
+
 
 @pytest.fixture()
 def setup(tmp_path):
     rng = np.random.default_rng(0)
-    loader = [rng.normal(size=(16, 3, 8, 8)).astype(np.float32)
-              for _ in range(3)]
+    loader = [rng.normal(size=(16, 3, 8, 8)).astype(np.float32)]
     model = build_model("vgg11", num_classes=3, image_size=8, width=0.25,
                         seed=0)
     perturb_batchnorm_stats(model, seed=0)
     model.eval()
-    engine = compile_model(model, loader[0], max_batch=16,
-                           quantize="int8", calibrate=loader)
+    engine = compile_model(model, loader[0], max_batch=16, quantize="int8")
     artifact = tmp_path / "model.rplan"
     save_plan(engine.plan, artifact)
     return model, loader, engine, artifact, tmp_path
@@ -32,7 +32,7 @@ class TestQuantizedModelDeploy:
         model, loader, _, _, _ = setup
         with ModelRegistry(max_batch=16) as registry:
             report = registry.deploy("m", "v1", model=model,
-                                     quantize="int8", calibrate=loader)
+                                     quantize="int8")
             assert report.quantized
             assert report.top1_agreement >= 0.9
 
@@ -41,18 +41,17 @@ class TestQuantizedModelDeploy:
         with ModelRegistry(max_batch=16) as registry:
             with pytest.raises(SwapValidationError):
                 registry.deploy("m", "v1", model=model, quantize="int8",
-                                calibrate=loader, min_top1_agreement=1.01)
+                                min_top1_agreement=1.01)
 
     def test_quantized_deploy_journals_an_artifact(self, setup, tmp_path):
         model, loader, _, _, _ = setup
         manifest_dir = tmp_path / "manifest"
         with ModelRegistry(max_batch=16,
                            manifest_dir=manifest_dir) as registry:
-            registry.deploy("m", "v1", model=model,
-                            quantize="int8", calibrate=loader)
+            registry.deploy("m", "v1", model=model, quantize="int8")
             expected = registry.resolve("m")[1].engine.run(loader[0][:4])
         # Restart: the journaled plan artifact restores the same engine
-        # without requantizing (no calibration data at restore time).
+        # from its codes, without a recompile.
         with ModelRegistry(max_batch=16,
                            manifest_dir=manifest_dir) as restored:
             report = restore_registry(restored, manifest_dir)
@@ -106,3 +105,37 @@ class TestArtifactDeploy:
                 registry.deploy("m", "v1", model=model, artifact=artifact)
             with pytest.raises(ValueError):
                 registry.deploy("m", "v1")
+
+
+class TestOldArtifactVersion:
+    def test_v1_artifact_deploy_rejected_old_version_serves(self, setup,
+                                                            tmp_path):
+        model, loader, _, artifact, _ = setup
+        old = write_v1(artifact, tmp_path / "v1.rplan")
+        with ModelRegistry(max_batch=16) as registry:
+            registry.deploy("m", "v1", artifact=artifact)
+            with pytest.raises(SwapValidationError,
+                               match="unsupported artifact version 1"):
+                registry.deploy("m", "v2", artifact=old)
+            assert registry.models()["m"]["active"] == "m@v1"
+
+    def test_restore_skips_and_reports_a_v1_artifact(self, setup, tmp_path):
+        _, loader, engine, artifact, _ = setup
+        other = tmp_path / "other.rplan"
+        other.write_bytes(artifact.read_bytes())
+        manifest_dir = tmp_path / "manifest"
+        with ModelRegistry(max_batch=16,
+                           manifest_dir=manifest_dir) as registry:
+            registry.deploy("good", "v1", artifact=artifact)
+            registry.deploy("old", "v1", artifact=other)
+        # The journaled artifact of "old" turns out to be a version-1
+        # file, as if written before the format changed.
+        write_v1(other, other)
+        with ModelRegistry(max_batch=16) as restored:
+            report = restore_registry(restored, manifest_dir)
+            assert [e["name"] for e in report.restored] == ["good"]
+            (skipped,) = report.skipped
+            assert skipped["name"] == "old"
+            assert "unsupported artifact version 1" in skipped["reason"]
+            out = restored.resolve("good")[1].engine.run(loader[0][:4])
+            np.testing.assert_array_equal(out, engine.run(loader[0][:4]))

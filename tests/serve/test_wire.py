@@ -363,11 +363,8 @@ class TestNonFiniteRefused:
 
 
 def _int8_artifact(model, path):
-    rng = np.random.default_rng(0)
-    loader = [rng.normal(size=(8,) + SHAPE).astype(np.float32)
-              for _ in range(3)]
-    engine = compile_model(model, loader[0], max_batch=8, quantize="int8",
-                           calibrate=loader)
+    x = np.random.default_rng(0).normal(size=(8,) + SHAPE).astype(np.float32)
+    engine = compile_model(model, x, max_batch=8, quantize="int8")
     save_plan(engine.plan, path)
     return path
 
