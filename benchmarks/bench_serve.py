@@ -10,7 +10,8 @@ repo root (schema in ``docs/serving.md``):
     python benchmarks/bench_serve.py --smoke      # tiny CI variant
 
 Smoke mode additionally asserts the serving contract — zero dropped
-requests, zero errors, finite positive p99 — at every sweep point.
+requests, zero errors, finite positive p99 — at every sweep point, and
+finite ``engine`` and ``return`` stage times in the server's ``stats``.
 """
 
 import argparse

@@ -21,11 +21,21 @@ The protocol is three methods:
     batching loop needs; routing it through the clock is what lets a fake
     clock expire a batching window deterministically — if the queue is
     empty the fake simply advances virtual time by ``timeout`` and raises.
+
+On Linux, :class:`SystemClock`'s timed ``get`` is exact. A thread's timer
+slack (50 µs by default) lets the kernel fire its timeouts that much
+late, so a 50 µs batching idle gap would end after about 110 µs. The
+first timed ``get`` on a thread therefore sets that thread's own slack to
+1 ns (``prctl(PR_SET_TIMERSLACK)``), once per thread. This is a
+per-thread process attribute; other threads keep their slack, and off
+Linux, or if the call fails, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import queue as _queue
+import sys
 import threading
 import time as _time
 
@@ -46,8 +56,34 @@ class Clock:
         raise NotImplementedError
 
 
+_PR_SET_TIMERSLACK = 29
+_EXACT_SLACK_NS = 1
+
+
+def _timer_slack_setter():
+    """``set(ns)`` for the calling thread's timer slack, or None where
+    there is no ``prctl`` (off Linux, or no C library to call it from)."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return None
+    prctl.restype = ctypes.c_int
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    return lambda ns: prctl(_PR_SET_TIMERSLACK, ns, 0, 0, 0)
+
+
+_set_timer_slack = _timer_slack_setter()
+_exact_threads = threading.local()
+
+
 class SystemClock(Clock):
-    """The real thing: ``time.monotonic``, ``time.sleep``, blocking gets."""
+    """The real thing: ``time.monotonic``, ``time.sleep``, blocking gets.
+
+    A timed :meth:`get` returns when its timeout ends, not one timer slack
+    later (see the module docstring).
+    """
 
     def monotonic(self) -> float:
         return _time.monotonic()
@@ -59,6 +95,10 @@ class SystemClock(Clock):
     def get(self, q, timeout: float):
         if timeout <= 0:
             return q.get_nowait()
+        if not getattr(_exact_threads, "set", False):
+            _exact_threads.set = True
+            if _set_timer_slack is not None:
+                _set_timer_slack(_EXACT_SLACK_NS)
         return q.get(timeout=timeout)
 
 

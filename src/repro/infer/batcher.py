@@ -64,13 +64,15 @@ class InferenceTicket:
     caller that times out does not leave an unresolved ticket (or wasted
     compute) behind. ``deadline`` (absolute clock seconds, or None) is
     set by :meth:`BatchRunner.submit` and read by the batch-formation
-    loop to evict expired work. ``submitted`` and ``started`` are the
-    runner-clock times of the submit and of the start of the batch that
-    ran the ticket (None until one did); see :attr:`queue_wait_ms`.
+    loop to evict expired work. ``submitted``, ``started`` and
+    ``finished`` are the runner-clock times of the submit, of the start
+    of the batch that ran the ticket and of that batch's ``engine.run``
+    returning (None until they happen); see :attr:`queue_wait_ms` and
+    :attr:`engine_ms`.
     """
 
     __slots__ = ("_event", "_lock", "_value", "_error", "_callbacks",
-                 "deadline", "submitted", "started")
+                 "deadline", "submitted", "started", "finished")
 
     def __init__(self, deadline: float | None = None,
                  submitted: float | None = None):
@@ -82,6 +84,7 @@ class InferenceTicket:
         self.deadline = deadline
         self.submitted = submitted
         self.started: float | None = None
+        self.finished: float | None = None
 
     @property
     def queue_wait_ms(self) -> float | None:
@@ -90,6 +93,25 @@ class InferenceTicket:
         if self.started is None or self.submitted is None:
             return None
         return (self.started - self.submitted) * 1e3
+
+    @property
+    def engine_ms(self) -> float | None:
+        """Milliseconds from the start of this ticket's batch to its
+        ``engine.run`` returning, or None when no batch ran it."""
+        if self.started is None or self.finished is None:
+            return None
+        return (self.finished - self.started) * 1e3
+
+    def stages_ms(self, resumed: float) -> dict:
+        """Where a served ticket's time went, in milliseconds:
+        ``queue_wait_ms``, ``engine_ms``, and ``return_ms`` from its
+        batch's ``engine.run`` returning to ``resumed``, the runner-clock
+        time at which the caller went on with the result. Each is None
+        when that stage did not happen."""
+        return {"queue_wait_ms": self.queue_wait_ms,
+                "engine_ms": self.engine_ms,
+                "return_ms": (None if self.finished is None
+                              else (resumed - self.finished) * 1e3)}
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -327,6 +349,9 @@ class BatchRunner:
                     for ticket in tickets:
                         ticket._fail(exc)
                     continue
+                finished = self.clock.monotonic()
+                for ticket in tickets:
+                    ticket.finished = finished
                 self.stats["samples"] += len(tickets)
                 self.stats["batches"] += 1
                 self.stats["largest_batch"] = max(self.stats["largest_batch"],

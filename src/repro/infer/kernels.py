@@ -1,13 +1,24 @@
-"""Kernel builders: compile plan steps into zero-allocation closures.
+"""Kernel builders: compile plan steps into zero-allocation programs.
 
 Each builder receives a :class:`~repro.infer.plan.Step` plus a build
-context and returns ``run(n)`` — a closure that reads its input buffers,
-computes the step for the first ``n`` rows, and writes the step's output
-buffer in place. All large arrays (activations, im2col row matrices,
+context and returns ``bind(n)``. ``bind(n)`` computes, once, every view
+the step needs at batch size ``n`` (input and output slices, GEMM row
+slices, pad interiors, ``im2col`` window views, pooling tap slices) and
+returns ``run()``, a zero-argument closure that computes the step for
+the first ``n`` rows and writes the step's output buffer in place. The
+engine binds each batch size on first use and keeps the bound program, so
+a steady-state run does no slicing and no view building, only the
+arithmetic. All large arrays (activations, im2col row matrices,
 padded-image scratch) are preallocated at engine build time at the
 engine's batch capacity; a steady-state ``run`` performs no large
 allocations. View-only ops (``flatten``, ``reshape``) return ``None`` and
 register an alias instead of a buffer.
+
+Some values cannot be bound: the plan input is the caller's array, new on
+every call, and an alias may be a copy. A step whose ``bind`` reads one
+of them is bound again on every call (the engine sees the read); a
+kernel that reads such a value inside ``run()`` instead, through its
+getter, stays bound. The row-padded conv on the plan input does that.
 
 Layout: plan shapes are NCHW, but every 4-D float value the plan computes
 is NHWC memory behind an NCHW view (:func:`alloc_value`). Elementwise,
@@ -35,15 +46,18 @@ The context object (``ctx``) provides:
 ``producer(vid)``
     The step computing a value, or None for the input and constants.
 
-Closures never use augmented assignment on closed-over buffers (``buf +=
-x`` rebinds locally); they call the ufunc with ``out=`` instead.
+Only ``bind`` calls getters (or a kernel's own ``run()``, for a value it
+reads at run time); builders call the rest of the context at build
+time only. Closures never use augmented assignment on closed-over
+buffers (``buf += x`` rebinds locally); they call the ufunc with ``out=``
+instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..tensor.conv import centre_tap_only, im2col
+from ..tensor.conv import centre_tap_only, window_view
 from .optimize import dequantize_weight
 
 __all__ = ["BUILDERS", "alloc_value", "build_step"]
@@ -79,10 +93,6 @@ def _rows(buf: np.ndarray) -> np.ndarray:
     return _nhwc(buf).reshape(-1, buf.shape[1], copy=False)
 
 
-def _maybe_relu(buf, n):
-    np.maximum(buf[:n], 0.0, out=buf[:n])
-
-
 def _layer_weight(params) -> np.ndarray:
     """Float weight of a conv/linear step.
 
@@ -106,11 +116,12 @@ def _build_conv2d(step, ctx, relu=False):
     A 1x1 input under "same" padding meets only the centre tap, so it
     runs as an unpadded 1x1 conv over ``W[:, :, p, p]``. Otherwise:
 
-    * An NHWC input, or a strided conv, is lowered by
-      :func:`~repro.tensor.conv.im2col` in ``(kh, kw, c)`` tap order (an
-      input of another layout through a preallocated channels-last
-      scratch). The GEMM's ``(n·OH·OW, O)`` rows are the output value's
-      NHWC memory, and ReLU runs in place on them.
+    * An NHWC input, or a strided conv, is lowered by copying the
+      :func:`~repro.tensor.conv.window_view` of its ``(kh, kw, c)`` taps
+      into the GEMM's rows (an input of another layout first through a
+      preallocated channels-last scratch, a padded one through a zeroed
+      scratch whose interior it fills). The GEMM's ``(n·OH·OW, O)`` rows
+      are the output value's NHWC memory, and ReLU runs in place on them.
     * A stride-1 conv on any other input (the plan input, whose few
       channels would make each ``im2col`` tap copy move ``C`` floats) is
       row-padded. Each image is copied into a zeroed ``(C, H+2p+1,
@@ -118,7 +129,8 @@ def _build_conv2d(step, ctx, relu=False):
       every ``(c, kh, kw)`` tap of a sample is one contiguous run of
       ``OH·(W+2p)`` floats. The GEMM over those runs computes every row
       position at the padded width, and the ReLU pass (or a copy) drops
-      the ``kw-1`` wrap-around columns as it writes the output.
+      the ``kw-1`` wrap-around columns as it writes the output. The input
+      is read at run time, so the plan input needs no re-binding.
     """
     p = step.params
     w = np.asarray(_layer_weight(p), dtype=np.float32)
@@ -151,15 +163,22 @@ def _build_conv2d(step, ctx, relu=False):
         prod = wide.reshape(-1, o)
         dst = _nhwc(out)
 
-        def lower(n):
-            img[:n, :, padding:padding + h, padding:padding + w_in] = get(n)
-            np.copyto(tap_cols[:, :, :, :n], taps[:, :, :, :n])
+        def lowering(n):
+            interior = img[:n, :, padding:padding + h, padding:padding + w_in]
+            tap_src, tap_dst = taps[:, :, :, :n], tap_cols[:, :, :, :n]
+            kept, y = wide[:n, :, :ow], dst[:n]
 
-        def finish(n):
-            if relu:
-                np.maximum(wide[:n, :, :ow], 0.0, out=dst[:n])
-            else:
-                np.copyto(dst[:n], wide[:n, :, :ow])
+            def lower():
+                np.copyto(interior, get(n))
+                np.copyto(tap_dst, tap_src)
+
+            def finish():
+                if relu:
+                    np.maximum(kept, 0.0, out=y)
+                else:
+                    np.copyto(y, kept)
+
+            return lower, finish
     else:
         span = oh * ow
         wk = w.transpose(2, 3, 1, 0).reshape(k, o)
@@ -169,26 +188,46 @@ def _build_conv2d(step, ctx, relu=False):
                if padding > 0 or not nhwc else None)
         prod = _rows(out)
 
-        def lower(n):
-            im2col(get(n), kh, kw, stride, padding,
-                   out=cols[:n * span, :k], pad=pad)
+        def lowering(n):
+            x = get(n)
+            if pad is None:
+                xh = np.ascontiguousarray(_nhwc(x))
+            else:
+                xh = pad[:n]
+                interior = xh[:, padding:padding + h, padding:padding + w_in]
+                x_nhwc = _nhwc(x)
+            windows = window_view(xh, kh, kw, stride)
+            rows = cols[:n * span, :k].reshape(windows.shape, copy=False)
+            y = prod[:n * span]
 
-        def finish(n):
-            if relu:
-                _maybe_relu(prod, n * span)
+            def lower():
+                if pad is not None:
+                    np.copyto(interior, x_nhwc)
+                np.copyto(rows, windows)
+
+            def finish():
+                if relu:
+                    np.maximum(y, 0.0, out=y)
+
+            return lower, finish
 
     if bias is not None:
         wk = np.concatenate([wk, np.asarray(bias, np.float32)[None]])
         cols[:, k] = 1.0
     wk = np.ascontiguousarray(wk, dtype=np.float32)
 
-    def run(n):
-        rows = n * span
-        lower(n)
-        np.matmul(cols[:rows], wk, out=prod[:rows])
-        finish(n)
+    def bind(n):
+        lower, finish = lowering(n)
+        a, y = cols[:n * span], prod[:n * span]
 
-    return run
+        def run():
+            lower()
+            np.matmul(a, wk, out=y)
+            finish()
+
+        return run
+
+    return bind
 
 
 def _build_linear(step, ctx, relu=False):
@@ -212,14 +251,19 @@ def _build_linear(step, ctx, relu=False):
             get = lambda n: _nhwc(src(n)).reshape(n, -1)  # noqa: E731
     wt = np.ascontiguousarray(w.T)      # (in, out)
 
-    def run(n):
-        np.matmul(get(n), wt, out=out[:n])
-        if b is not None:
-            np.add(out[:n], b, out=out[:n])
-        if relu:
-            _maybe_relu(out, n)
+    def bind(n):
+        x, y = get(n), out[:n]
 
-    return run
+        def run():
+            np.matmul(x, wt, out=y)
+            if b is not None:
+                np.add(y, b, out=y)
+            if relu:
+                np.maximum(y, 0.0, out=y)
+
+        return run
+
+    return bind
 
 
 def _build_batchnorm(step, ctx, relu=False):
@@ -232,13 +276,18 @@ def _build_batchnorm(step, ctx, relu=False):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
-    def run(n):
-        np.multiply(get(n), scale, out=out[:n])
-        np.add(out[:n], shift, out=out[:n])
-        if relu:
-            _maybe_relu(out, n)
+    def bind(n):
+        x, y = get(n), out[:n]
 
-    return run
+        def run():
+            np.multiply(x, scale, out=y)
+            np.add(y, shift, out=y)
+            if relu:
+                np.maximum(y, 0.0, out=y)
+
+        return run
+
+    return bind
 
 
 # ----------------------------------------------------------------------
@@ -251,48 +300,50 @@ def _build_binary(ufunc, relu=False):
         gb = ctx.getter(step.inputs[1])
         out = ctx.out(step.output)
 
-        def run(n):
-            ufunc(ga(n), gb(n), out=out[:n])
-            if relu:
-                _maybe_relu(out, n)
+        def bind(n):
+            a, b, y = ga(n), gb(n), out[:n]
 
-        return run
+            def run():
+                ufunc(a, b, out=y)
+                if relu:
+                    np.maximum(y, 0.0, out=y)
+
+            return run
+
+        return bind
     return build
 
 
-def _build_unary(ufunc):
+def _build_unary(ufunc, *args):
+    """``ufunc(x, *args)`` elementwise (``relu`` is ``maximum(x, 0)``)."""
     def build(step, ctx):
         get = ctx.getter(step.inputs[0])
         out = ctx.out(step.output)
 
-        def run(n):
-            ufunc(get(n), out=out[:n])
+        def bind(n):
+            x, y = get(n), out[:n]
+            return lambda: ufunc(x, *args, out=y)
 
-        return run
+        return bind
     return build
-
-
-def _build_relu(step, ctx):
-    get = ctx.getter(step.inputs[0])
-    out = ctx.out(step.output)
-
-    def run(n):
-        np.maximum(get(n), 0.0, out=out[:n])
-
-    return run
 
 
 def _build_sigmoid(step, ctx):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
-    def run(n):
-        np.negative(get(n), out=out[:n])
-        np.exp(out[:n], out=out[:n])
-        np.add(out[:n], 1.0, out=out[:n])
-        np.reciprocal(out[:n], out=out[:n])
+    def bind(n):
+        x, y = get(n), out[:n]
 
-    return run
+        def run():
+            np.negative(x, out=y)
+            np.exp(y, out=y)
+            np.add(y, 1.0, out=y)
+            np.reciprocal(y, out=y)
+
+        return run
+
+    return bind
 
 
 def _build_clip(step, ctx):
@@ -300,10 +351,11 @@ def _build_clip(step, ctx):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
-    def run(n):
-        np.clip(get(n), low, high, out=out[:n])
+    def bind(n):
+        x, y = get(n), out[:n]
+        return lambda: np.clip(x, low, high, out=y)
 
-    return run
+    return bind
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +371,8 @@ def _pool_builder(combine, scale_by_area=False):
     That is ``2k`` passes in place of ``k²`` with an inner run of ``C``.
     Max gives the ``k²`` loop's result bitwise; an average sums in
     another order, equal at rounding level. Values are NCHW views over
-    NHWC memory and are read through their NHWC view.
+    NHWC memory and are read through their NHWC view; every tap slice is
+    bound once per batch size.
     """
 
     def build(step, ctx):
@@ -332,18 +385,25 @@ def _pool_builder(combine, scale_by_area=False):
         rows = ctx.scratch("rows", (nb, oh, w_in, c))
         inv_area = np.float32(1.0 / (kernel * kernel))
 
-        def run(n):
+        def bind(n):
             x, r, y = _nhwc(get(n)), rows[:n], out[:n]
-            np.copyto(r, x[:, :oh * stride:stride])
-            for i in range(1, kernel):
-                combine(r, x[:, i:i + oh * stride:stride], out=r)
-            np.copyto(y, r[:, :, :ow * stride:stride])
-            for j in range(1, kernel):
-                combine(y, r[:, :, j:j + ow * stride:stride], out=y)
-            if scale_by_area:
-                np.multiply(y, inv_area, out=y)
+            row_taps = [x[:, i:i + oh * stride:stride] for i in range(kernel)]
+            col_taps = [r[:, :, j:j + ow * stride:stride]
+                        for j in range(kernel)]
 
-        return run
+            def run():
+                np.copyto(r, row_taps[0])
+                for tap in row_taps[1:]:
+                    combine(r, tap, out=r)
+                np.copyto(y, col_taps[0])
+                for tap in col_taps[1:]:
+                    combine(y, tap, out=y)
+                if scale_by_area:
+                    np.multiply(y, inv_area, out=y)
+
+            return run
+
+        return bind
     return build
 
 
@@ -354,17 +414,19 @@ def _build_global_avg_pool(step, ctx):
     h, w = ctx.shape(step.inputs[0])[2:]
     factor = np.float32(1.0 / (h * w))
 
-    if h * w == 1:
-        def run(n):
-            np.multiply(_nhwc(get(n))[:, 0, 0], factor, out=out[:n])
+    def bind(n):
+        x, y = _nhwc(get(n)), out[:n]
+        if h * w == 1:
+            x = x[:, 0, 0]
+            return lambda: np.multiply(x, factor, out=y)
+
+        def run():
+            np.sum(x, axis=(1, 2), dtype=np.float32, out=y)
+            np.multiply(y, factor, out=y)
 
         return run
 
-    def run(n):
-        np.sum(_nhwc(get(n)), axis=(1, 2), dtype=np.float32, out=out[:n])
-        np.multiply(out[:n], factor, out=out[:n])
-
-    return run
+    return bind
 
 
 # ----------------------------------------------------------------------
@@ -391,10 +453,11 @@ def _build_transpose(step, ctx):
     get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
 
-    def run(n):
-        np.copyto(out[:n], np.transpose(get(n), axes))
+    def bind(n):
+        x, y = np.transpose(get(n), axes), out[:n]
+        return lambda: np.copyto(y, x)
 
-    return run
+    return bind
 
 
 def _build_concat(step, ctx):
@@ -410,11 +473,16 @@ def _build_concat(step, ctx):
         slots.append(tuple(index))
         offset += width
 
-    def run(n):
-        for get, slot in zip(getters, slots):
-            out[:n][slot] = get(n)
+    def bind(n):
+        pairs = [(out[:n][slot], get(n)) for get, slot in zip(getters, slots)]
 
-    return run
+        def run():
+            for dst, src in pairs:
+                np.copyto(dst, src)
+
+        return run
+
+    return bind
 
 
 def _build_pad2d(step, ctx):
@@ -423,10 +491,11 @@ def _build_pad2d(step, ctx):
     out = ctx.out(step.output)          # arena buffers start zeroed
     h, w = ctx.shape(step.inputs[0])[2:]
 
-    def run(n):
-        out[:n, :, ph:ph + h, pw:pw + w] = get(n)
+    def bind(n):
+        x, interior = get(n), out[:n, :, ph:ph + h, pw:pw + w]
+        return lambda: np.copyto(interior, x)
 
-    return run
+    return bind
 
 
 # ----------------------------------------------------------------------
@@ -448,10 +517,11 @@ def _build_reduction(npfunc):
         get = ctx.getter(step.inputs[0])
         out = ctx.out(step.output)
 
-        def run(n):
-            npfunc(get(n), axis=axis, keepdims=keepdims, out=out[:n])
+        def bind(n):
+            x, y = get(n), out[:n]
+            return lambda: npfunc(x, axis=axis, keepdims=keepdims, out=y)
 
-        return run
+        return bind
     return build
 
 
@@ -467,19 +537,23 @@ def _build_log_softmax(step, ctx, log=True):
                       for d, s in enumerate(out.shape))
     mbuf = ctx.scratch("red", red_shape)
 
-    def run(n):
-        x = get(n)
-        np.max(x, axis=axis, keepdims=True, out=mbuf[:n])
-        np.subtract(x, mbuf[:n], out=out[:n])
-        np.exp(out[:n], out=ebuf[:n])
-        np.sum(ebuf[:n], axis=axis, keepdims=True, out=mbuf[:n])
-        if log:
-            np.log(mbuf[:n], out=mbuf[:n])
-            np.subtract(out[:n], mbuf[:n], out=out[:n])
-        else:
-            np.divide(ebuf[:n], mbuf[:n], out=out[:n])
+    def bind(n):
+        x, y, e, m = get(n), out[:n], ebuf[:n], mbuf[:n]
 
-    return run
+        def run():
+            np.max(x, axis=axis, keepdims=True, out=m)
+            np.subtract(x, m, out=y)
+            np.exp(y, out=e)
+            np.sum(e, axis=axis, keepdims=True, out=m)
+            if log:
+                np.log(m, out=m)
+                np.subtract(y, m, out=y)
+            else:
+                np.divide(e, m, out=y)
+
+        return run
+
+    return bind
 
 
 BUILDERS = {
@@ -489,7 +563,7 @@ BUILDERS = {
     "linear_relu": lambda step, ctx: _build_linear(step, ctx, relu=True),
     "batchnorm": _build_batchnorm,
     "batchnorm_relu": lambda step, ctx: _build_batchnorm(step, ctx, relu=True),
-    "relu": _build_relu,
+    "relu": _build_unary(np.maximum, 0.0),
     "add": _build_binary(np.add),
     "add_relu": _build_binary(np.add, relu=True),
     "sub": _build_binary(np.subtract),
@@ -522,7 +596,7 @@ BUILDERS = {
 
 
 def build_step(step, ctx):
-    """Compile one plan step; returns ``run(n)`` or ``None`` for aliases."""
+    """Compile one plan step; returns ``bind(n)`` or ``None`` for aliases."""
     builder = BUILDERS.get(step.op)
     if builder is None:
         raise NotImplementedError(

@@ -1,11 +1,13 @@
 """Compiled inference runtime: preallocated buffers + a flat program.
 
 The engine turns a (typically optimized) :class:`~repro.infer.plan.Plan`
-into a list of kernel closures bound to a buffer arena. Every value in the
+into a list of kernel binders over a buffer arena. Every value in the
 plan owns at most one buffer, allocated once at ``(max_batch, *tail)``
-capacity; running a batch of ``n <= max_batch`` samples slices the leading
-axis and performs no large allocations. Batches larger than the capacity
-are processed in chunks transparently.
+capacity. The first run at batch size ``n <= max_batch`` binds a program
+for ``n`` (every kernel's slices of the leading axis, computed once) and
+keeps it; later runs at that size only call its closures and perform no
+large allocations. Batches larger than the capacity are processed in
+chunks transparently.
 
 Entry point: :func:`compile_model`, which captures, optimizes, builds, and
 (by default) validates the compiled engine against the eager model on the
@@ -118,7 +120,8 @@ class InferenceEngine:
         self.arena = BufferArena()
         self.optimization: OptimizationReport | None = None
         self._aliases: dict[int, callable] = {}
-        self._program: list = []
+        self._binders: list = []
+        self._programs: dict[int, tuple] = {}   # n -> (runs, output view)
         # An int8 plan stores its weights as codes (quantize_weights);
         # the engine runs the same fp32 kernels over them.
         self.quantized = any("weight_q" in step.params
@@ -126,21 +129,26 @@ class InferenceEngine:
 
         # The plan input is the caller's (NCHW) batch itself, read in
         # place; a zero batch stands in for it while the kernels build.
-        # A one-slot list, not an attribute: a getter closing over the
+        # One-slot lists, not attributes: a getter closing over the
         # engine would make a reference cycle that outlives the engine.
+        # ``_unbound`` is raised by every read of a value a bound program
+        # cannot keep (the plan input, an alias).
         self._x = [np.zeros(self._capacity_shape(plan.input_id), np.float32)]
+        self._unbound = [False]
+        self._sample_shape = tuple(plan.shapes[plan.input_id][1:])
+        self._out_tail = tuple(plan.shapes[plan.output_id][1:])
         ctx = _BuildContext(self)
         for step in plan.steps:
             ctx._bind(step)
-            run = build_step(step, ctx)
-            if run is not None:
-                self._program.append(run)
+            bind = build_step(step, ctx)
+            if bind is not None:
+                self._binders.append(bind)
         self._output = self._getter(plan.output_id)
 
     @property
     def sample_shape(self) -> tuple[int, ...]:
         """Shape of one input sample (the plan's input, batch axis off)."""
-        return tuple(self.plan.shapes[self.plan.input_id][1:])
+        return self._sample_shape
 
     # -- value plumbing -------------------------------------------------
 
@@ -153,23 +161,55 @@ class InferenceEngine:
         if vid in self.plan.constants:
             const = np.asarray(self.plan.constants[vid], dtype=np.float32)
             return lambda n: const
+        unbound = self._unbound
         if vid == self.plan.input_id:
             slot = self._x
-            return lambda n: slot[0][:n]
+
+            def read_input(n):
+                unbound[0] = True
+                return slot[0][:n]
+            return read_input
         alias = self._aliases.get(vid)
         if alias is not None:
-            return alias
+            def read_alias(n):
+                unbound[0] = True
+                return alias(n)
+            return read_alias
         buf = self.arena.buffer(vid, self._capacity_shape(vid))
         return lambda n: buf[:n]
 
     # -- execution ------------------------------------------------------
 
+    def _bind(self, n: int) -> tuple:
+        """The program for batch size ``n``: one closure per kernel and
+        the output view (None when the output must be read per run).
+
+        A kernel whose ``bind`` read the plan input or an alias closed
+        over a view that the next call would not see, so it is bound
+        again on every run instead.
+        """
+        unbound = self._unbound
+        runs = []
+        for bind in self._binders:
+            unbound[0] = False
+            run = bind(n)
+            if unbound[0]:
+                run = (lambda bind: lambda: bind(n)())(bind)
+            runs.append(run)
+        unbound[0] = False
+        output = self._output(n)
+        return tuple(runs), (None if unbound[0] else output)
+
     def _run_chunk(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         self._x[0] = x
-        for run in self._program:
-            run(n)
-        return self._output(n)
+        program = self._programs.get(n)
+        if program is None:
+            program = self._programs[n] = self._bind(n)
+        runs, output = program
+        for run in runs:
+            run()
+        return self._output(n) if output is None else output
 
     def run(self, x) -> np.ndarray:
         """Execute the compiled network on a batch (or single sample).
@@ -195,18 +235,20 @@ class InferenceEngine:
         if isinstance(x, Tensor):
             x = x.data
         x = np.asarray(x, dtype=np.float32)
-        sample_shape = self.sample_shape
+        sample_shape = self._sample_shape
         single = x.shape == sample_shape
         if single:
             x = x[None]
-        if x.shape[1:] != sample_shape:
+        elif x.shape[1:] != sample_shape:
             raise ValueError(
                 f"input shape {x.shape} does not match compiled sample "
                 f"shape {sample_shape} (leading batch axis excepted)")
-        getters = {vid: self._getter(vid) for vid in hooks}
         n = x.shape[0]
-        out_tail = tuple(self.plan.shapes[self.plan.output_id][1:])
-        out = np.empty((n,) + out_tail, dtype=np.float32)
+        if not hooks and n <= self.max_batch:
+            out = self._run_chunk(x).copy()
+            return out[0] if single else out
+        getters = {vid: self._getter(vid) for vid in hooks}
+        out = np.empty((n,) + self._out_tail, dtype=np.float32)
         for lo in range(0, n, self.max_batch):
             hi = min(lo + self.max_batch, n)
             out[lo:hi] = self._run_chunk(x[lo:hi])
@@ -215,7 +257,7 @@ class InferenceEngine:
         return out[0] if single else out
 
     def describe(self) -> str:
-        lines = [f"InferenceEngine: {len(self._program)} kernels, "
+        lines = [f"InferenceEngine: {len(self._binders)} kernels, "
                  f"max_batch={self.max_batch}, "
                  f"arena={len(self.arena)} buffers "
                  f"({self.arena.nbytes / 1e6:.2f} MB)"]

@@ -15,7 +15,8 @@ replicas), so the sweep also measures the fused prune+quantize
 deployable.
 
 Smoke mode (CI) shrinks the model and the sweep and *asserts* the serving
-contract: finite p99, zero errors, zero dropped requests.
+contract: finite p99, zero errors, zero dropped requests, and finite
+``engine`` and ``return`` stage times in ``stats``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def run_bench(smoke: bool = False, seed: int = 0,
                         entries.append(entry)
                         if smoke:
                             _assert_smoke_contract(entry)
+                if smoke:
+                    _assert_stage_stamps(srv.server.stats())
         finally:
             if rset is not None:
                 rset.close()            # idempotent; server closes it too
@@ -179,6 +182,19 @@ def _assert_smoke_contract(entry: dict) -> None:
     p99 = entry["p99_ms"]
     if p99 is None or not np.isfinite(p99) or p99 <= 0:
         raise AssertionError(f"serve bench p99 not finite/positive: {entry}")
+
+
+def _assert_stage_stamps(stats: dict) -> None:
+    """CI tripwire: batched answers report their engine and return
+    stages (the ``stats`` op's ``engine`` and ``return`` reservoirs)."""
+    for stage in ("engine", "return"):
+        summary = stats.get(stage) or {}
+        values = [summary.get("p50_ms"), summary.get("p99_ms")]
+        if not summary.get("count") or not all(
+                v is not None and np.isfinite(v) for v in values):
+            raise AssertionError(
+                f"serve bench stats lack a finite {stage!r} stage: "
+                f"{summary}")
 
 
 def write_bench(results: dict, path) -> None:

@@ -125,6 +125,8 @@ class ServerMetrics:
         self.reject_reasons: dict[str, int] = {}
         self._latency = LatencyReservoir(reservoir)
         self._queue_wait = LatencyReservoir(reservoir)
+        self._engine = LatencyReservoir(reservoir)
+        self._return = LatencyReservoir(reservoir)
         self._per_model: dict[str, LatencyReservoir] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
@@ -138,12 +140,19 @@ class ServerMetrics:
                 self.reject_reasons.get(reason, 0) + 1
 
     def record_completion(self, model: str, latency_ms: float,
-                          queue_wait_ms: float | None = None) -> None:
+                          queue_wait_ms: float | None = None,
+                          engine_ms: float | None = None,
+                          return_ms: float | None = None) -> None:
+        """Count one answered request; a batched one also feeds its stage
+        reservoirs (see :meth:`repro.infer.InferenceTicket.stages_ms`)."""
         with self._lock:
             self.counters["completed"] += 1
             self._latency.record(latency_ms)
-            if queue_wait_ms is not None:
-                self._queue_wait.record(queue_wait_ms)
+            for reservoir, value in ((self._queue_wait, queue_wait_ms),
+                                     (self._engine, engine_ms),
+                                     (self._return, return_ms)):
+                if value is not None:
+                    reservoir.record(value)
             per_model = self._per_model.get(model)
             if per_model is None:
                 per_model = self._per_model[model] = \
@@ -163,6 +172,8 @@ class ServerMetrics:
                 "reject_reasons": dict(self.reject_reasons),
                 "latency": self._latency.summary(),
                 "queue_wait": self._queue_wait.summary(),
+                "engine": self._engine.summary(),
+                "return": self._return.summary(),
                 "per_model": {name: r.summary()
                               for name, r in self._per_model.items()},
             }

@@ -38,7 +38,7 @@ header names its shape):
 * ``{"op": "infer", "rid": r, "model": ..., "input_shape": [...],
   "deadline_ms": ...}`` + body — batched inference, answered with
   ``{"rid": r, "ok": true, "output_shape": [...], "queue_wait_ms": ...,
-  ...}`` + the output row's bytes. The sample is decoded with
+  "engine_ms": ..., "return_ms": ..., ...}`` + the output row's bytes. The sample is decoded with
   ``np.frombuffer`` and its shape and finiteness checked before it is
   queued; replies may arrive out of order (the ticket callback writes
   the response under a write lock).
@@ -322,12 +322,12 @@ class _ReplicaService:
                           "message": f"{type(t._error).__name__}: "
                                      f"{t._error}"})
                 return
+            stages = t.stages_ms(version.runner.clock.monotonic())
             latency_ms = (time.monotonic() - start) * 1e3
-            self.metrics.record_completion(version.ref, latency_ms,
-                                           t.queue_wait_ms)
+            self.metrics.record_completion(version.ref, latency_ms, **stages)
             shape, out = wire.pack(t._value)
             send({"rid": rid, "ok": True, "model": version.ref,
-                  "output_shape": shape, "queue_wait_ms": t.queue_wait_ms,
+                  "output_shape": shape, **stages,
                   "latency_ms": round(latency_ms, 3),
                   "replica": self.replica_id}, out)
 

@@ -69,6 +69,7 @@ from .registry import ModelRegistry, NoSuchModelError, SwapValidationError
 __all__ = ["ServeConfig", "InferenceServer", "ServerThread"]
 
 REPLAY_CACHE_SIZE = 1024        # idempotent-rid responses kept
+_STAGES = ("queue_wait_ms", "engine_ms", "return_ms")   # of a batched answer
 
 
 @dataclass(frozen=True)
@@ -453,10 +454,9 @@ class InferenceServer:
                                                       deadline)
             if routed is None:
                 routed = await self._run(line, version, sample, deadline)
-            output, served_by, active_ref, queue_wait_ms = routed
+            output, served_by, active_ref, stages = routed
             latency_ms = (self.clock.monotonic() - start) * 1e3
-            self.metrics.record_completion(active_ref, latency_ms,
-                                           queue_wait_ms)
+            self.metrics.record_completion(active_ref, latency_ms, **stages)
             response = {"id": rid, "ok": True, "model": active_ref,
                         "served_by": served_by,
                         "latency_ms": round(latency_ms, 3)}
@@ -489,13 +489,14 @@ class InferenceServer:
     async def _route_replicated(self, ref: str, sample, body, deadline):
         """Dispatch one request to the replica tier.
 
-        Returns ``(output, served_by, model_ref, queue_wait_ms)``, or
+        Returns ``(output, served_by, model_ref, stages)``, or
         ``None`` when the request should be served on the local
         in-process path instead (no routable replica, re-dispatch budget
         spent, replica-side engine fault, or the tier just degraded).
         Request and reply bodies are forwarded as bytes: ``output`` is a
         view of the replica's reply body, so the bytes the replica
-        computed are the bytes the client reads.
+        computed are the bytes the client reads. ``stages`` are the
+        replica's own stage times (see :meth:`_run`).
         """
         from .router import ReplicasUnavailable
         if body is None:
@@ -509,7 +510,8 @@ class InferenceServer:
         if reply.get("ok"):
             served_by = f"replica:{reply.get('replica', '?')}"
             return (wire.unpack(reply["output_shape"], out), served_by,
-                    reply.get("model", ref), reply.get("queue_wait_ms"))
+                    reply.get("model", ref),
+                    {key: reply.get(key) for key in _STAGES})
         error = reply.get("error")
         if error == "expired":
             raise DeadlineExpired(
@@ -531,8 +533,11 @@ class InferenceServer:
     async def _run(self, line, version, sample, deadline=None):
         """Batched path with supervisor-style containment.
 
-        Returns ``(output_row, served_by, model_ref, queue_wait_ms)``;
-        ``queue_wait_ms`` is None when the eager path served it. Raises only
+        Returns ``(output_row, served_by, model_ref, stages)``. ``stages``
+        holds the batched answer's ``queue_wait_ms``, ``engine_ms`` and
+        ``return_ms`` (:meth:`repro.infer.InferenceTicket.stages_ms`, the
+        return hop ending when this coroutine resumes), and is empty when
+        the eager path served it. Raises only
         when the request itself cannot be served — a client error from
         the eager path, a timeout, or an expired deadline; engine-side
         faults degrade, they do not drop.
@@ -543,7 +548,7 @@ class InferenceServer:
                                       "eager path could run")
             out = await asyncio.to_thread(self.registry.eager_infer,
                                           line, version, sample)
-            return out, "eager", version.ref, None
+            return out, "eager", version.ref, {}
 
         failure: BaseException | None = None
         for attempt in range(2):
@@ -561,7 +566,9 @@ class InferenceServer:
                                       "waiting for its batch")
             value, failure = outcome._value, outcome._error
             if failure is None:
-                return value, "batch", version.ref, outcome.queue_wait_ms
+                resumed = version.runner.clock.monotonic()
+                return (value, "batch", version.ref,
+                        outcome.stages_ms(resumed))
             if isinstance(failure, DeadlineExpired):
                 # Evicted from the queue before its batch ran: final.
                 raise failure
@@ -583,7 +590,7 @@ class InferenceServer:
             raise
         self.metrics.incr("fallbacks")
         self.registry.note_fallback(line, version)
-        return out, "eager", version.ref, None
+        return out, "eager", version.ref, {}
 
     async def _await_ticket(self, ticket, runner, deadline=None):
         """Wait for a ticket; ``_EXPIRED`` when its deadline bound the wait.

@@ -47,59 +47,46 @@ def _channels_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-           out: np.ndarray | None = None,
-           pad: np.ndarray | None = None) -> np.ndarray:
+def window_view(xh: np.ndarray, kh: int, kw: int,
+                stride: int) -> np.ndarray:
+    """Every receptive field of C-contiguous NHWC memory, as a view.
+
+    Returns the ``(N, OH, OW, kh, kw, C)`` array whose ``(n, y, x)`` entry
+    is the window at output position ``(y, x)``; nothing is copied. ``xh``
+    already holds any padding.
+    """
+    n, hp, wp, c = xh.shape
+    oh = conv_output_size(hp, kh, stride, 0)
+    ow = conv_output_size(wp, kw, stride, 0)
+    sn, sh, sw, sc = xh.strides
+    return np.ndarray((n, oh, ow, kh, kw, c), xh.dtype, xh, 0,
+                      (sn, sh * stride, sw * stride, sh, sw, sc))
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+           padding: int) -> np.ndarray:
     """Lower image patches into one GEMM-ready row matrix.
 
-    Shared by the eager tape and the compiled engine (for every conv but
-    a stride-1 one that reads the NCHW plan input).
-
-    Parameters
-    ----------
-    x:
-        Input array ``(N, C, H, W)`` in any memory layout; channels-last
-        memory behind an NCHW view is read without a copy.
-    out:
-        Optional ``(N*OH*OW, kh*kw*C)`` destination of any row stride
-        (the compiled engine passes the leading columns of a matrix
-        that carries its bias as a last column of ones). Allocated when
-        omitted.
-    pad:
-        Optional NHWC scratch ``(>=N, H+2p, W+2p, C)`` whose border is
-        zero; its interior is overwritten. Allocated when omitted and
-        ``padding > 0``. Passed with ``padding == 0``, it takes the
-        channels-last copy of an input that is not NHWC memory.
-
-    Returns
-    -------
-    ``out``: row ``(n, y, x)`` holds one receptive field, column
-    ``(i, j, c)`` kernel tap ``(i, j)`` of channel ``c``. The input is read
-    as channels-last, so the rows are one strided copy whose inner run is
-    ``kw*C`` contiguous elements.
+    ``x`` is ``(N, C, H, W)`` in any memory layout; channels-last memory
+    behind an NCHW view is read without a copy. Returns the
+    ``(N*OH*OW, kh*kw*C)`` rows: row ``(n, y, x)`` holds one receptive
+    field, column ``(i, j, c)`` kernel tap ``(i, j)`` of channel ``c``. The
+    input is read as channels-last, so the rows are one strided copy of
+    :func:`window_view` whose inner run is ``kw*C`` contiguous elements.
+    The compiled engine binds the same view over its own scratch.
     """
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    if padding > 0 or pad is not None:
-        if pad is None:
-            pad = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
-                           dtype=x.dtype)
-        xh = pad[:n]
+    if padding > 0:
+        xh = np.zeros((n, h + 2 * padding, w + 2 * padding, c),
+                      dtype=x.dtype)
         xh[:, padding:padding + h, padding:padding + w] = x.transpose(
             0, 2, 3, 1)
     else:
         xh = _channels_last(x)
-    if out is None:
-        out = np.empty((n * oh * ow, kh * kw * c), dtype=x.dtype)
-    elif out.shape != (n * oh * ow, kh * kw * c):
-        raise ValueError(f"im2col out has shape {out.shape}, expected "
-                         f"{(n * oh * ow, kh * kw * c)}")
-    sn, sh, sw, sc = xh.strides                 # xh is C-contiguous
-    patches = np.ndarray((n, oh, ow, kh, kw, c), xh.dtype, xh, 0,
-                         (sn, sh * stride, sw * stride, sh, sw, sc))
-    np.copyto(out.reshape(n, oh, ow, kh, kw, c, copy=False), patches)
-    return out
+    patches = window_view(xh, kh, kw, stride)
+    out = np.empty(patches.shape, dtype=x.dtype)
+    np.copyto(out, patches)
+    return out.reshape(-1, kh * kw * c)
 
 
 def col2im(rows: np.ndarray, x_shape: tuple[int, int, int, int],

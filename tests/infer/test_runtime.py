@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.infer import CompileValidationError, compile_model
-from repro.models import build_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.tensor import Tensor, no_grad
 from repro.verify.invariants import perturb_batchnorm_stats
 
@@ -168,3 +168,89 @@ class TestArenaReuse:
                                        rtol=1e-4, atol=1e-5)
             np.testing.assert_array_equal(first["int8", n],
                                           over_codes.run(xs[:n]))
+
+
+def _registry_engines():
+    """Every registry model, dense and pruned, fp32 and int8."""
+    return [(name, pruned, quantize)
+            for name in sorted(MODEL_REGISTRY)
+            for pruned in (False, True)
+            for quantize in (None, "int8")]
+
+
+class TestBoundPrograms:
+    """An engine binds one program per batch size on first use and keeps
+    it. Whatever the order of sizes and inputs, every output must equal,
+    bitwise, that of a freshly built engine running the same input once:
+    a kept view of the plan input, or of a size run earlier, shows up as
+    a difference."""
+
+    MAX_BATCH = 4
+
+    @pytest.mark.parametrize("name,pruned,quantize", _registry_engines())
+    def test_outputs_equal_a_fresh_engine(self, name, pruned, quantize):
+        from repro.infer import InferenceEngine
+        from repro.infer.bench import _prune_model
+        from repro.verify.invariants import INFER_CASES
+
+        model = build_model(name, **INFER_CASES[name])
+        perturb_batchnorm_stats(model, seed=0)
+        if pruned:
+            _prune_model(model, 0)
+        model.eval()
+        rng = np.random.default_rng(17)
+        xs, ys = rng.normal(size=(2, self.MAX_BATCH + 3, 3, 8, 8)
+                            ).astype(np.float32)
+        engine = compile_model(model, xs[:self.MAX_BATCH], quantize=quantize,
+                               validate=False)
+
+        def fresh():
+            return InferenceEngine(engine.plan, max_batch=self.MAX_BATCH)
+
+        sizes = list(range(1, self.MAX_BATCH + 1))
+        rng.shuffle(sizes)
+        for n in sizes:
+            # Two different inputs back to back at one batch size.
+            for batch in (xs[:n], ys[self.MAX_BATCH + 3 - n:]):
+                np.testing.assert_array_equal(
+                    engine.run(batch), fresh().run(batch),
+                    err_msg=f"{name} n={n}")
+        chunked = ys[:self.MAX_BATCH + 3]
+        np.testing.assert_array_equal(engine.run(chunked),
+                                      fresh().run(chunked))
+
+        watched = [engine.plan.input_id] + [s.output
+                                            for s in engine.plan.steps[:3]]
+
+        def observe(eng, x):
+            seen = {vid: [] for vid in watched}
+            hooks = {vid: (lambda v, vid=vid: seen[vid].append(np.array(v)))
+                     for vid in watched}
+            return eng.run_observing(x, hooks), seen
+
+        for x in (xs[:2], ys[:self.MAX_BATCH + 1]):
+            got, got_seen = observe(engine, x)
+            want, want_seen = observe(fresh(), x)
+            np.testing.assert_array_equal(got, want)
+            for vid in watched:
+                for a, b in zip(got_seen[vid], want_seen[vid], strict=True):
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_a_kernel_that_binds_the_plan_input_is_bound_per_call(
+            self, padding):
+        # A strided conv on the plan input binds its im2col windows over
+        # views of the caller's array, so the engine binds it again on
+        # every call instead of keeping it.
+        from repro.infer import InferenceEngine
+        from repro.nn import Conv2d, ReLU, Sequential
+
+        model = Sequential(Conv2d(3, 6, 3, stride=2, padding=padding,
+                                  rng=np.random.default_rng(3)), ReLU())
+        model.eval()
+        xs, ys = np.random.default_rng(5).normal(
+            size=(2, 3, 3, 9, 9)).astype(np.float32)
+        engine = compile_model(model, xs, validate=False)
+        for x in (xs, ys, xs[:2], ys[:2]):
+            fresh = InferenceEngine(engine.plan, max_batch=3)
+            np.testing.assert_array_equal(engine.run(x), fresh.run(x))

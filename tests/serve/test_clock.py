@@ -1,6 +1,9 @@
 """The injectable time source: system and fake clocks agree on semantics."""
 
+import ctypes
 import queue
+import sys
+import threading
 
 import pytest
 
@@ -23,6 +26,48 @@ class TestSystemClock:
             SYSTEM_CLOCK.get(q, 0.0)
         q.put("y")
         assert SYSTEM_CLOCK.get(q, -1.0) == "y"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="timer slack is a Linux thread attribute")
+class TestExactWaits:
+    """A timed ``SYSTEM_CLOCK.get`` sets its own thread's timer slack to
+    1 ns, so the wait ends when its timeout does; other threads keep
+    theirs."""
+
+    PR_SET_TIMERSLACK, PR_GET_TIMERSLACK = 29, 30
+    DEFAULT_SLACK_NS = 50_000
+
+    def test_a_timed_get_makes_only_its_own_thread_exact(self):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        slack = {}
+
+        def read(key):
+            slack[key] = prctl(self.PR_GET_TIMERSLACK, 0, 0, 0, 0)
+
+        def waiter():
+            read("waiter before")
+            with pytest.raises(queue.Empty):
+                SYSTEM_CLOCK.get(queue.Queue(), 0.001)
+            read("waiter after")
+
+        def spawn():
+            # New threads start with their creator's slack: give the
+            # creator the kernel default, whatever ran on this process
+            # before.
+            prctl(self.PR_SET_TIMERSLACK, self.DEFAULT_SLACK_NS, 0, 0, 0)
+            for target in (waiter, lambda: read("idle")):
+                thread = threading.Thread(target=target)
+                thread.start()
+                thread.join()
+
+        creator = threading.Thread(target=spawn)
+        creator.start()
+        creator.join()
+        assert slack == {"waiter before": self.DEFAULT_SLACK_NS,
+                         "waiter after": 1,
+                         "idle": self.DEFAULT_SLACK_NS}
 
 
 class TestFakeClock:
