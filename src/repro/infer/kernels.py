@@ -46,11 +46,11 @@ The context object (``ctx``) provides:
 ``producer(vid)``
     The step computing a value, or None for the input and constants.
 
-Only ``bind`` calls getters (or a kernel's own ``run()``, for a value it
-reads at run time); builders call the rest of the context at build
-time only. Closures never use augmented assignment on closed-over
-buffers (``buf += x`` rebinds locally); they call the ufunc with ``out=``
-instead.
+The context is for build time: a builder may call a getter there to
+read a shape or a layout, but the views its kernel uses come from
+``bind`` (or from ``run()``, for a value read at run time). Closures
+never use augmented assignment on closed-over buffers (``buf += x``
+rebinds locally); they call the ufunc with ``out=`` instead.
 """
 
 from __future__ import annotations

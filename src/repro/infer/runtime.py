@@ -108,6 +108,12 @@ class _BuildContext:
                                           zero)
 
 
+def _rebound_per_run(bind, n: int):
+    """``run()`` for a kernel that cannot keep its bound views: binds it
+    at batch size ``n`` again on every call."""
+    return lambda: bind(n)()
+
+
 class InferenceEngine:
     """Executable form of a plan: flat kernel program over a buffer arena."""
 
@@ -180,7 +186,7 @@ class InferenceEngine:
 
     # -- execution ------------------------------------------------------
 
-    def _bind(self, n: int) -> tuple:
+    def _bind_program(self, n: int) -> tuple:
         """The program for batch size ``n``: one closure per kernel and
         the output view (None when the output must be read per run).
 
@@ -194,7 +200,7 @@ class InferenceEngine:
             unbound[0] = False
             run = bind(n)
             if unbound[0]:
-                run = (lambda bind: lambda: bind(n)())(bind)
+                run = _rebound_per_run(bind, n)
             runs.append(run)
         unbound[0] = False
         output = self._output(n)
@@ -205,7 +211,7 @@ class InferenceEngine:
         self._x[0] = x
         program = self._programs.get(n)
         if program is None:
-            program = self._programs[n] = self._bind(n)
+            program = self._programs[n] = self._bind_program(n)
         runs, output = program
         for run in runs:
             run()
@@ -244,7 +250,7 @@ class InferenceEngine:
                 f"input shape {x.shape} does not match compiled sample "
                 f"shape {sample_shape} (leading batch axis excepted)")
         n = x.shape[0]
-        if not hooks and n <= self.max_batch:
+        if not hooks and 0 < n <= self.max_batch:
             out = self._run_chunk(x).copy()
             return out[0] if single else out
         getters = {vid: self._getter(vid) for vid in hooks}

@@ -38,10 +38,10 @@ header names its shape):
 * ``{"op": "infer", "rid": r, "model": ..., "input_shape": [...],
   "deadline_ms": ...}`` + body — batched inference, answered with
   ``{"rid": r, "ok": true, "output_shape": [...], "queue_wait_ms": ...,
-  "engine_ms": ..., "return_ms": ..., ...}`` + the output row's bytes. The sample is decoded with
-  ``np.frombuffer`` and its shape and finiteness checked before it is
-  queued; replies may arrive out of order (the ticket callback writes
-  the response under a write lock).
+  "engine_ms": ..., "return_ms": ..., ...}`` + the output row's bytes.
+  The sample is decoded with ``np.frombuffer`` and its shape and
+  finiteness checked before it is queued; replies may arrive out of
+  order (the ticket callback writes the response under a write lock).
 * ``{"op": "stats"}`` — counters + retained latency samples for
   fleet-wide aggregation; ``{"op": "chaos"}`` (only when
   ``allow_chaos=True``) wedges the service for hang drills.

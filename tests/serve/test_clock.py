@@ -40,6 +40,7 @@ class TestExactWaits:
 
     def test_a_timed_get_makes_only_its_own_thread_exact(self):
         prctl = ctypes.CDLL(None).prctl
+        prctl.restype = ctypes.c_int
         prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
         slack = {}
 

@@ -189,3 +189,46 @@ class TestServerMetrics:
         # And the stock sections are still present alongside.
         assert set(snap) >= {"counters", "reject_reasons", "latency",
                              "queue_wait", "per_model", "models"}
+
+
+class TestStageStamps:
+    """A served ticket's time splits into queue wait, engine and return,
+    each exact on a fake clock, and each feeds its own reservoir."""
+
+    def test_ticket_stages_are_exact_on_a_fake_clock(self):
+        import numpy as np
+
+        from repro.clock import FakeClock
+        from repro.infer import BatchRunner, InferenceTicket
+
+        clock = FakeClock(start=5.0)
+
+        class SlowEngine:
+            max_batch = 4
+
+            def run(self, batch):
+                clock.advance(0.003)        # the engine takes 3 ms
+                return batch * 2
+
+        with BatchRunner(SlowEngine(), max_wait=0.0, clock=clock) as runner:
+            ticket = runner.submit(np.ones(2, np.float32))
+            ticket.result(timeout=10.0)
+        assert ticket.finished - ticket.started == pytest.approx(0.003)
+        stages = ticket.stages_ms(ticket.finished + 0.0005)
+        assert stages["queue_wait_ms"] == ticket.queue_wait_ms
+        assert stages["engine_ms"] == pytest.approx(3.0)
+        assert stages["return_ms"] == pytest.approx(0.5)
+        assert InferenceTicket().stages_ms(1.0) == {
+            "queue_wait_ms": None, "engine_ms": None, "return_ms": None}
+
+    def test_stages_feed_their_reservoirs(self):
+        metrics = ServerMetrics()
+        metrics.record_completion("m@v1", 10.0, queue_wait_ms=2.0,
+                                  engine_ms=3.0, return_ms=0.5)
+        metrics.record_completion("m@v1", 12.0)     # the eager path
+        snap = metrics.snapshot()
+        assert snap["engine"] == {"count": 1, "p50_ms": 3.0, "p99_ms": 3.0,
+                                  "max_ms": 3.0}
+        assert snap["return"]["count"] == 1
+        assert snap["return"]["p50_ms"] == 0.5
+        assert snap["queue_wait"]["count"] == 1
