@@ -14,11 +14,12 @@ engine's batch capacity; a steady-state ``run`` performs no large
 allocations. View-only ops (``flatten``, ``reshape``) return ``None`` and
 register an alias instead of a buffer.
 
-Some values cannot be bound: the plan input is the caller's array, new on
-every call, and an alias may be a copy. A step whose ``bind`` reads one
-of them is bound again on every call (the engine sees the read); a
-kernel that reads such a value inside ``run()`` instead, through its
-getter, stays bound. The row-padded conv on the plan input does that.
+The plan input is a buffer like any other: the engine copies the caller's
+batch into it on every run. One kind of value cannot be bound: an alias
+registered with ``copies=True`` (a reshape whose input's memory order
+allows no view, such as the NCHW flatten of NHWC memory) is a new array
+on every read. The context records, at build time, which steps read one;
+the engine binds those steps again on every call.
 
 Layout: plan shapes are NCHW, but every 4-D float value the plan computes
 is NHWC memory behind an NCHW view (:func:`alloc_value`). Elementwise,
@@ -37,8 +38,9 @@ The context object (``ctx``) provides:
 ``getter(vid)``
     ``callable(n)`` producing the value — a ``buf[:n]`` slice for batched
     values, the raw array for baked constants, or a registered alias view.
-``out(vid)`` / ``alias(vid, fn)``
-    Allocate the output buffer for a value, or register it as a view.
+``out(vid)`` / ``alias(vid, fn, copies=False)``
+    Allocate the output buffer for a value, or register it as a view (a
+    copy made on every read under ``copies``).
 ``scratch(name, shape, zero=False)``
     Named preallocated scratch array owned by this step.
 ``shape(vid)``
@@ -48,7 +50,7 @@ The context object (``ctx``) provides:
 
 The context is for build time: a builder may call a getter there to
 read a shape or a layout, but the views its kernel uses come from
-``bind`` (or from ``run()``, for a value read at run time). Closures
+``bind``, and it asks only for the getters of values it reads. Closures
 never use augmented assignment on closed-over buffers (``buf += x``
 rebinds locally); they call the ufunc with ``out=`` instead.
 """
@@ -122,15 +124,14 @@ def _build_conv2d(step, ctx, relu=False):
       preallocated channels-last scratch, a padded one through a zeroed
       scratch whose interior it fills). The GEMM's ``(n·OH·OW, O)`` rows
       are the output value's NHWC memory, and ReLU runs in place on them.
-    * A stride-1 conv on any other input (the plan input, whose few
+    * A stride-1 conv on any other input (the NCHW plan input, whose few
       channels would make each ``im2col`` tap copy move ``C`` floats) is
       row-padded. Each image is copied into a zeroed ``(C, H+2p+1,
       W+2p)`` scratch, whose spare row keeps the last tap in bounds, so
       every ``(c, kh, kw)`` tap of a sample is one contiguous run of
       ``OH·(W+2p)`` floats. The GEMM over those runs computes every row
       position at the padded width, and the ReLU pass (or a copy) drops
-      the ``kw-1`` wrap-around columns as it writes the output. The input
-      is read at run time, so the plan input needs no re-binding.
+      the ``kw-1`` wrap-around columns as it writes the output.
     """
     p = step.params
     w = np.asarray(_layer_weight(p), dtype=np.float32)
@@ -164,12 +165,13 @@ def _build_conv2d(step, ctx, relu=False):
         dst = _nhwc(out)
 
         def lowering(n):
+            x = get(n)
             interior = img[:n, :, padding:padding + h, padding:padding + w_in]
             tap_src, tap_dst = taps[:, :, :, :n], tap_cols[:, :, :, :n]
             kept, y = wide[:n, :, :ow], dst[:n]
 
             def lower():
-                np.copyto(interior, get(n))
+                np.copyto(interior, x)
                 np.copyto(tap_dst, tap_src)
 
             def finish():
@@ -235,9 +237,9 @@ def _build_linear(step, ctx, relu=False):
     w = np.asarray(_layer_weight(p), dtype=np.float32)
     bias = p.get("bias")
     b = None if bias is None else np.asarray(bias, dtype=np.float32)
-    get = ctx.getter(step.inputs[0])
     out = ctx.out(step.output)
     flat = ctx.producer(step.inputs[0])
+    get = None
     if (flat is not None and flat.op == "flatten"
             and int(flat.params["start_dim"]) == 1):
         # Read a flattened NHWC value in memory order, a free view, with
@@ -249,6 +251,8 @@ def _build_linear(step, ctx, relu=False):
             w = w[:, np.arange(c * h * w_in).reshape(c, h, w_in)
                   .transpose(1, 2, 0).reshape(-1)]
             get = lambda n: _nhwc(src(n)).reshape(n, -1)  # noqa: E731
+    if get is None:
+        get = ctx.getter(step.inputs[0])
     wt = np.ascontiguousarray(w.T)      # (in, out)
 
     def bind(n):
@@ -441,10 +445,19 @@ def _build_flatten(step, ctx):
 
 
 def _build_reshape(step, ctx, tail=None):
+    """A view of the input where its memory order allows one; otherwise
+    (NHWC memory flattened in NCHW order) a copy made on every read."""
     tail = tuple(step.params["tail"]) if tail is None else tail
     get = ctx.getter(step.inputs[0])
-    ctx.alias(step.output,
-              lambda n: np.ascontiguousarray(get(n)).reshape((n,) + tail))
+    nb = ctx.max_batch
+    try:
+        np.reshape(get(nb), (nb,) + tail, copy=False)
+    except ValueError:
+        ctx.alias(step.output, lambda n: np.reshape(get(n), (n,) + tail),
+                  copies=True)
+    else:
+        ctx.alias(step.output,
+                  lambda n: np.reshape(get(n), (n,) + tail, copy=False))
     return None
 
 

@@ -3,7 +3,8 @@
 The engine turns a (typically optimized) :class:`~repro.infer.plan.Plan`
 into a list of kernel binders over a buffer arena. Every value in the
 plan owns at most one buffer, allocated once at ``(max_batch, *tail)``
-capacity. The first run at batch size ``n <= max_batch`` binds a program
+capacity; the caller's batch is copied into the plan input's buffer on
+every run. The first run at batch size ``n <= max_batch`` binds a program
 for ``n`` (every kernel's slices of the leading axis, computed once) and
 keeps it; later runs at that size only call its closures and perform no
 large allocations. Batches larger than the capacity are processed in
@@ -37,13 +38,18 @@ class BufferArena:
 
     Value buffers are keyed by value id and follow
     :func:`~repro.infer.kernels.alloc_value`: 4-D values are NHWC memory
-    behind an NCHW view. Scratch arrays are keyed by the owning step's
-    output id and a name.
+    behind an NCHW view. The plan input's buffer alone is plain NCHW, the
+    caller's layout. Scratch arrays are keyed by the owning step's output
+    id and a name.
     """
 
     def __init__(self):
         self._buffers: dict[int, np.ndarray] = {}
         self._scratch: dict[tuple[int, str], np.ndarray] = {}
+
+    def input(self, vid: int, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers[vid] = np.zeros(shape, np.float32)
+        return buf
 
     def buffer(self, vid: int, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(vid)
@@ -77,9 +83,11 @@ class _BuildContext:
         self._engine = engine
         self._step = None
         self._producers = {step.output: step for step in engine.plan.steps}
+        self.rebinds = False
 
     def _bind(self, step):
         self._step = step
+        self.rebinds = False
 
     @property
     def max_batch(self) -> int:
@@ -89,6 +97,8 @@ class _BuildContext:
         return self._engine._capacity_shape(vid)
 
     def getter(self, vid: int):
+        if vid in self._engine._copies:
+            self.rebinds = True
         return self._engine._getter(vid)
 
     def producer(self, vid: int):
@@ -99,8 +109,10 @@ class _BuildContext:
         return self._engine.arena.buffer(vid,
                                          self._engine._capacity_shape(vid))
 
-    def alias(self, vid: int, fn) -> None:
+    def alias(self, vid: int, fn, copies: bool = False) -> None:
         self._engine._aliases[vid] = fn
+        if copies or self.rebinds:
+            self._engine._copies.add(vid)
 
     def scratch(self, name: str, shape: tuple[int, ...],
                 zero: bool = False) -> np.ndarray:
@@ -109,7 +121,7 @@ class _BuildContext:
 
 
 def _rebound_per_run(bind, n: int):
-    """``run()`` for a kernel that cannot keep its bound views: binds it
+    """``run()`` for a kernel reading a copy made on every read: binds it
     at batch size ``n`` again on every call."""
     return lambda: bind(n)()
 
@@ -126,21 +138,16 @@ class InferenceEngine:
         self.arena = BufferArena()
         self.optimization: OptimizationReport | None = None
         self._aliases: dict[int, callable] = {}
-        self._binders: list = []
-        self._programs: dict[int, tuple] = {}   # n -> (runs, output view)
+        self._copies: set[int] = set()        # aliases that copy when read
+        self._binders: list = []              # (bind, rebinds per run)
+        self._programs: dict[int, tuple] = {}   # n -> (input view, runs)
         # An int8 plan stores its weights as codes (quantize_weights);
         # the engine runs the same fp32 kernels over them.
         self.quantized = any("weight_q" in step.params
                              for step in plan.steps)
 
-        # The plan input is the caller's (NCHW) batch itself, read in
-        # place; a zero batch stands in for it while the kernels build.
-        # One-slot lists, not attributes: a getter closing over the
-        # engine would make a reference cycle that outlives the engine.
-        # ``_unbound`` is raised by every read of a value a bound program
-        # cannot keep (the plan input, an alias).
-        self._x = [np.zeros(self._capacity_shape(plan.input_id), np.float32)]
-        self._unbound = [False]
+        self._input = self.arena.input(plan.input_id,
+                                       self._capacity_shape(plan.input_id))
         self._sample_shape = tuple(plan.shapes[plan.input_id][1:])
         self._out_tail = tuple(plan.shapes[plan.output_id][1:])
         ctx = _BuildContext(self)
@@ -148,7 +155,7 @@ class InferenceEngine:
             ctx._bind(step)
             bind = build_step(step, ctx)
             if bind is not None:
-                self._binders.append(bind)
+                self._binders.append((bind, ctx.rebinds))
         self._output = self._getter(plan.output_id)
 
     @property
@@ -167,55 +174,37 @@ class InferenceEngine:
         if vid in self.plan.constants:
             const = np.asarray(self.plan.constants[vid], dtype=np.float32)
             return lambda n: const
-        unbound = self._unbound
-        if vid == self.plan.input_id:
-            slot = self._x
-
-            def read_input(n):
-                unbound[0] = True
-                return slot[0][:n]
-            return read_input
         alias = self._aliases.get(vid)
         if alias is not None:
-            def read_alias(n):
-                unbound[0] = True
-                return alias(n)
-            return read_alias
+            return alias
         buf = self.arena.buffer(vid, self._capacity_shape(vid))
         return lambda n: buf[:n]
 
     # -- execution ------------------------------------------------------
 
     def _bind_program(self, n: int) -> tuple:
-        """The program for batch size ``n``: one closure per kernel and
-        the output view (None when the output must be read per run).
+        """The program for batch size ``n``: the input buffer's first
+        ``n`` rows and one closure per kernel.
 
-        A kernel whose ``bind`` read the plan input or an alias closed
-        over a view that the next call would not see, so it is bound
-        again on every run instead.
+        Every value is arena memory, or a view of it, except an alias
+        that copies when read (a reshape its input's memory order does
+        not allow as a view); a kernel reading one is bound again on
+        every run, since a kept copy would go stale.
         """
-        unbound = self._unbound
-        runs = []
-        for bind in self._binders:
-            unbound[0] = False
-            run = bind(n)
-            if unbound[0]:
-                run = _rebound_per_run(bind, n)
-            runs.append(run)
-        unbound[0] = False
-        output = self._output(n)
-        return tuple(runs), (None if unbound[0] else output)
+        return self._input[:n], tuple(
+            _rebound_per_run(bind, n) if rebinds else bind(n)
+            for bind, rebinds in self._binders)
 
     def _run_chunk(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        self._x[0] = x
         program = self._programs.get(n)
         if program is None:
             program = self._programs[n] = self._bind_program(n)
-        runs, output = program
+        x_in, runs = program
+        np.copyto(x_in, x)
         for run in runs:
             run()
-        return self._output(n) if output is None else output
+        return self._output(n)
 
     def run(self, x) -> np.ndarray:
         """Execute the compiled network on a batch (or single sample).
@@ -250,9 +239,6 @@ class InferenceEngine:
                 f"input shape {x.shape} does not match compiled sample "
                 f"shape {sample_shape} (leading batch axis excepted)")
         n = x.shape[0]
-        if not hooks and 0 < n <= self.max_batch:
-            out = self._run_chunk(x).copy()
-            return out[0] if single else out
         getters = {vid: self._getter(vid) for vid in hooks}
         out = np.empty((n,) + self._out_tail, dtype=np.float32)
         for lo in range(0, n, self.max_batch):

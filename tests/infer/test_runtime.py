@@ -182,8 +182,9 @@ class TestBoundPrograms:
     """An engine binds one program per batch size on first use and keeps
     it. Whatever the order of sizes and inputs, every output must equal,
     bitwise, that of a freshly built engine running the same input once:
-    a kept view of the plan input, or of a size run earlier, shows up as
-    a difference."""
+    an input left out of the copy into the engine's buffer, a kept copy
+    of a reshaped value, or a view of a size run earlier shows up as a
+    difference."""
 
     MAX_BATCH = 4
 
@@ -237,11 +238,9 @@ class TestBoundPrograms:
                     np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("padding", [0, 1])
-    def test_a_kernel_that_binds_the_plan_input_is_bound_per_call(
-            self, padding):
+    def test_a_strided_conv_on_the_plan_input_sees_every_call(self, padding):
         # A strided conv on the plan input binds its im2col windows over
-        # views of the caller's array, so the engine binds it again on
-        # every call instead of keeping it.
+        # the engine's input buffer, which every call refills.
         from repro.infer import InferenceEngine
         from repro.nn import Conv2d, ReLU, Sequential
 
@@ -252,5 +251,22 @@ class TestBoundPrograms:
             size=(2, 3, 3, 9, 9)).astype(np.float32)
         engine = compile_model(model, xs, validate=False)
         for x in (xs, ys, xs[:2], ys[:2]):
+            fresh = InferenceEngine(engine.plan, max_batch=3)
+            np.testing.assert_array_equal(engine.run(x), fresh.run(x))
+
+    def test_a_kernel_reading_a_copying_flatten_is_bound_per_call(self):
+        # The NCHW flatten of a conv's NHWC memory is a copy made on
+        # every read; the ReLU reading it must see each call's copy.
+        from repro.infer import InferenceEngine
+        from repro.nn import Conv2d, Flatten, Linear, ReLU, Sequential
+
+        rng = np.random.default_rng(3)
+        model = Sequential(Conv2d(3, 4, 3, padding=1, rng=rng), Flatten(),
+                           ReLU(), Linear(4 * 5 * 6, 3, rng=rng))
+        model.eval()
+        xs, ys = rng.normal(size=(2, 3, 3, 5, 6)).astype(np.float32)
+        engine = compile_model(model, xs, validate=False)
+        assert engine._copies
+        for x in (xs, ys, xs[:2], ys[:2], xs[:2]):
             fresh = InferenceEngine(engine.plan, max_batch=3)
             np.testing.assert_array_equal(engine.run(x), fresh.run(x))
